@@ -66,9 +66,7 @@ from .zalg import (
     RationalTF,
     RootFindingError,
     RootSet,
-    poly_arith,
     poly_roots,
-    tf_connect,
     tf_eval,
 )
 

@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
 class MeasurementKind(str, enum.Enum):
     """Which motion state feeds the disturbance observer."""
 
@@ -57,8 +61,8 @@ class PlantParams:
 
     def __post_init__(self):
         for name in ("J_m", "K_t", "J_mn", "K_tn"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not _finite_positive(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and strictly positive")
 
     @property
     def alpha(self) -> float:
@@ -89,10 +93,12 @@ class DobConfig:
     def __post_init__(self):
         kind = MeasurementKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        if self.g_dob <= 0.0:
-            raise ValueError("g_dob must be strictly positive")
-        if self.Ts <= 0.0:
-            raise ValueError("Ts must be strictly positive")
+        if not _finite_positive(self.g_dob):
+            raise ValueError("g_dob must be finite and strictly positive")
+        if not _finite_positive(self.Ts):
+            raise ValueError("Ts must be finite and strictly positive")
+        if self.g_v is not None and not math.isfinite(self.g_v):
+            raise ValueError("g_v must be finite")
         if kind is MeasurementKind.POSITION:
             if self.g_v is None or self.g_v <= 0.0:
                 raise ValueError("position measurement requires g_v > 0")
@@ -120,10 +126,10 @@ class OuterGains:
     K_d: float
 
     def __post_init__(self):
-        if self.K_p <= 0.0:
-            raise ValueError("K_p must be strictly positive")
-        if self.K_d < 0.0:
-            raise ValueError("K_d must be non-negative")
+        if not _finite_positive(self.K_p):
+            raise ValueError("K_p must be finite and strictly positive")
+        if not (math.isfinite(self.K_d) and self.K_d >= 0.0):
+            raise ValueError("K_d must be finite and non-negative")
 
 
 @dataclass(frozen=True)

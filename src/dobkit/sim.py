@@ -10,7 +10,9 @@ with an artificial one-step delay.
 
 ``simulate_linear_oracle`` recomputes the same noise-free trace through the
 closed-form transfer functions, giving an independent second implementation
-path for cross-validation.
+path for cross-validation: one loop over samples steps the PD controller, the
+inner loop's closed-form C and S and the two sampled plants, each realized as
+a direct-form section, and closes the outer loop once per sample.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .loops import (
     DobConfig,
@@ -27,7 +28,6 @@ from .loops import (
     discrete_position_plant,
     discrete_velocity_plant,
     make_inner_loop,
-    make_outer_loop,
     make_pd,
 )
 from .zalg import RationalTF
@@ -128,8 +128,8 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
+        if not (math.isfinite(self.duration) and self.duration > 0.0):
+            raise ValueError("duration must be finite and positive")
         pulses = tuple(sorted(self.disturbances, key=lambda p: p.t_start))
         for p in pulses:
             if p.t_start < 0.0 or p.t_end > self.duration + 1e-12:
@@ -315,23 +315,6 @@ def simulate(sc: Scenario) -> SimTrace:
 # closed-form oracle
 # ---------------------------------------------------------------------------
 
-def _tf_filter(tf: RationalTF, x: np.ndarray) -> np.ndarray:
-    """Zero-state direct-form filtering of a sequence through a proper TF."""
-    num = tf.num.coeffs[::-1]
-    den = tf.den.coeffs[::-1]
-    pad = den.size - num.size
-    if pad < 0:
-        raise ValueError("improper transfer function cannot be realized causally")
-    b = np.concatenate([np.zeros(pad), num])
-    return lfilter(b, den, x)
-
-
-def _cascade_filter(tfs, x: np.ndarray) -> np.ndarray:
-    for tf in tfs:
-        x = _tf_filter(tf, x)
-    return x
-
-
 class _Df2t:
     """Direct-form II transposed single section, any order, zero initial state."""
 
@@ -341,56 +324,38 @@ class _Df2t:
         pad = den.size - num.size
         if pad < 0:
             raise ValueError("improper transfer function cannot be realized causally")
-        self.b = np.concatenate([np.zeros(pad), num]) / den[0]
-        self.a = den / den[0]
-        self.s = np.zeros(den.size - 1)
+        a0 = float(den[0])
+        self.b = [0.0] * pad + [float(c) / a0 for c in num]
+        self.a = [float(c) / a0 for c in den]
+        self.s = [0.0] * (den.size - 1)
 
     @property
     def output_before_input(self) -> float:
         """Current output when the section has no direct feedthrough."""
-        return self.s[0] if self.s.size else 0.0
+        return self.s[0] if self.s else 0.0
 
     def step(self, x: float) -> float:
-        y = self.b[0] * x + (self.s[0] if self.s.size else 0.0)
-        for i in range(self.s.size - 1):
-            self.s[i] = self.b[i + 1] * x - self.a[i + 1] * y + self.s[i + 1]
-        if self.s.size:
-            self.s[-1] = self.b[-1] * x - self.a[-1] * y
+        b, a, s = self.b, self.a, self.s
+        y = b[0] * x + (s[0] if s else 0.0)
+        last = len(s) - 1
+        for i in range(last):
+            s[i] = b[i + 1] * x - a[i + 1] * y + s[i + 1]
+        if s:
+            s[last] = b[-1] * x - a[-1] * y
         return y
 
 
-def _sensitivity_closure(forward, last: RationalTF, u: np.ndarray) -> np.ndarray:
-    """v = u / (1 + L) with L = (prod of forward blocks) * last.
-
-    ``last`` must be strictly proper so the loop has no algebraic feedthrough;
-    the closure is then an explicit per-step recursion over the low-order
-    block cascade, which keeps roundoff far below a monolithic realization of
-    the closed-loop rational function.
-    """
-    chain = [_Df2t(tf) for tf in forward]
-    tail = _Df2t(last)
-    if tail.b[0] != 0.0:
-        raise ValueError("loop closure requires a strictly proper final block")
-    v = np.empty_like(u)
-    for k in range(u.size):
-        vk = u[k] - tail.output_before_input
-        x = vk
-        for blk in chain:
-            x = blk.step(x)
-        tail.step(x)
-        v[k] = vk
-    return v
-
-
 def simulate_linear_oracle(sc: Scenario) -> SimTrace:
-    """Noise-free trace obtained by filtering inputs through the closed forms.
+    """Noise-free trace obtained by stepping the closed-form blocks.
 
-    Independent of ``simulate``: the outer sensitivity closure is applied to
-    each exogenous sequence, the remaining closed-form blocks run as
-    direct-form difference equations, and the current and disturbance-estimate
-    channels are recovered from exact per-sample identities. The PD channel is
-    reconstructed from the oracle's own position sequence, mirroring how the
-    simulator forms it.
+    Independent of ``simulate``: the PD controller, the inner loop's
+    closed-form compensator C and sensitivity S (the observer enters only
+    through these), and the sampled position and velocity plants each run as
+    one direct-form section. The outer loop is closed once per sample on the
+    plants' held outputs, which needs no algebraic solve because both plants
+    are strictly proper. Without outer gains the PD block is the zero gain.
+    The current and disturbance-estimate channels are recovered from exact
+    per-sample identities.
     """
     if not sc.noise.silent:
         raise UnsupportedScenarioError("the linear oracle covers noise-free scenarios only")
@@ -404,40 +369,25 @@ def simulate_linear_oracle(sc: Scenario) -> SimTrace:
     d = _disturbance_series(sc.disturbances, t)
 
     inner = make_inner_loop(cfg)
-    G_p = discrete_position_plant(Ts)
-    G_v = discrete_velocity_plant(Ts)
-    Ci, Si = inner.C, inner.S
-    inv_J = 1.0 / plant.J_m
+    pd = _Df2t(RationalTF.constant(0.0, Ts) if sc.gains is None else make_pd(sc.gains, Ts))
+    Ci, Si = _Df2t(inner.C), _Df2t(inner.S)
+    G_p, G_v = _Df2t(discrete_position_plant(Ts)), _Df2t(discrete_velocity_plant(Ts))
+    J_m = plant.J_m
 
-    if sc.gains is not None:
-        pd = make_pd(sc.gains, Ts)
-        # v_* = S_outer applied to each input, via the explicit loop closure
-        v_r = _sensitivity_closure([pd, Ci], G_p, r)
-        v_a = _sensitivity_closure([pd, Ci], G_p, aref)
-        v_d = _sensitivity_closure([pd, Ci], G_p, d)
-        q = (
-            _cascade_filter([pd, Ci, G_p], v_r)
-            + _cascade_filter([Ci, G_p], v_a)
-            - inv_J * _cascade_filter([Si, G_p], v_d)
-        )
-        qd = (
-            _cascade_filter([pd, Ci, G_v], v_r)
-            + _cascade_filter([Ci, G_v], v_a)
-            - inv_J * _cascade_filter([Si, G_v], v_d)
-        )
-        qdd = (
-            _cascade_filter([pd, Ci], v_r)
-            + _cascade_filter([Ci], v_a)
-            - inv_J * _cascade_filter([Si], v_d)
-        )
-        qdd_des = aref + _tf_filter(pd, r - q)
-    else:
-        q = _cascade_filter([Ci, G_p], aref) - inv_J * _cascade_filter([Si, G_p], d)
-        qd = _cascade_filter([Ci, G_v], aref) - inv_J * _cascade_filter([Si, G_v], d)
-        qdd = _tf_filter(Ci, aref) - inv_J * _tf_filter(Si, d)
-        qdd_des = aref
+    q, qd, qdd, qdd_des = [], [], [], []
+    for r_k, a_k, d_k in zip(r.tolist(), aref.tolist(), d.tolist()):
+        q_k = G_p.output_before_input
+        des_k = a_k + pd.step(r_k - q_k)
+        acc_k = Ci.step(des_k) - Si.step(d_k) / J_m
+        q.append(q_k)
+        qd.append(G_v.output_before_input)
+        qdd.append(acc_k)
+        qdd_des.append(des_k)
+        G_p.step(acc_k)
+        G_v.step(acc_k)
+    q, qd, qdd, qdd_des = (np.array(x) for x in (q, qd, qdd, qdd_des))
 
-    current = (plant.J_m * qdd + d) / plant.K_t
+    current = (J_m * qdd + d) / plant.K_t
     I_des = (plant.J_mn / plant.K_tn) * qdd_des
     tau_hat = plant.K_tn * (current - I_des)
 

@@ -24,10 +24,8 @@ __all__ = [
     "Polynomial",
     "RationalTF",
     "RootSet",
-    "poly_arith",
     "poly_roots",
     "tf_eval",
-    "tf_connect",
 ]
 
 # Relative tolerance for coefficient comparison after monic scaling.
@@ -342,17 +340,6 @@ class RationalTF:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Exact coefficient arithmetic on two polynomials: add, sub or mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def _enforce_conjugacy(roots: np.ndarray) -> np.ndarray:
     """Flatten tiny imaginary parts and symmetrize conjugate pairs."""
     out = list(roots)
@@ -427,20 +414,3 @@ def tf_eval(tf: RationalTF, *, omega: float | None = None, at: complex | None = 
     if abs(den_val) <= 1e-300:
         raise PoleEvaluationError(point)
     return complex(tf.num(point) / den_val)
-
-
-def tf_connect(a: RationalTF, b: RationalTF | None = None, mode: str = "series") -> RationalTF:
-    """Block-diagram reduction: series (a*b), parallel (a+b), feedback_unity (a/(1+a))."""
-    if mode == "series":
-        if b is None:
-            raise ValueError("series connection needs two blocks")
-        return a * b
-    if mode == "parallel":
-        if b is None:
-            raise ValueError("parallel connection needs two blocks")
-        return a + b
-    if mode == "feedback_unity":
-        if b is not None:
-            raise ValueError("feedback_unity takes a single block")
-        return a.feedback_unity()
-    raise ValueError(f"unknown mode {mode!r}")

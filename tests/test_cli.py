@@ -149,6 +149,20 @@ def test_analyze_missing_gv_exit_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("plant.J_m = 0.003", "plant.J_m = nan"),
+    ("dob.g_dob = 500", "dob.g_dob = inf"),
+    ("dob.Ts = 0.001", "dob.Ts = -inf"),
+    ("outer.Kp = 5000", "outer.Kp = nan"),
+])
+def test_analyze_non_finite_exit_one(tmp_path, capsys, old, new):
+    code = main(["analyze", _write(tmp_path, BASE.replace(old, new))])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_analyze_missing_file_exit_one(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "absent.cfg")]) == 1
 

@@ -60,6 +60,37 @@ def test_outer_gains_validation():
     OuterGains(K_p=1.0, K_d=0.0)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["J_m", "K_t", "J_mn", "K_tn"])
+def test_plant_params_reject_non_finite(name, value):
+    params = dict(J_m=0.003, K_t=0.25, J_mn=0.003, K_tn=0.25)
+    params[name] = value
+    with pytest.raises(ValueError):
+        PlantParams(**params)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["g_dob", "Ts", "g_v"])
+def test_dob_config_rejects_non_finite(name, value):
+    params = dict(kind="position", plant=PlantParams.from_alpha(1.0),
+                  g_dob=500.0, Ts=1e-3, g_v=1000.0)
+    params[name] = value
+    with pytest.raises(ValueError):
+        DobConfig(**params)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["K_p", "K_d"])
+def test_outer_gains_reject_non_finite(name, value):
+    params = dict(K_p=1.0, K_d=1.0)
+    params[name] = value
+    with pytest.raises(ValueError):
+        OuterGains(**params)
+
+
 # ---------------------------------------------------------------------------
 # inner-loop closed forms
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dobkit
 from dobkit.loops import (
     MeasurementKind,
     OuterGains,
@@ -69,6 +74,12 @@ def test_scenario_validation():
         DisturbancePulse(0.5, 0.5, 1.0)
     with pytest.raises(ValueError):
         Reference.sinusoid(1.0, 0.0)
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+def test_scenario_rejects_non_finite_duration(duration):
+    with pytest.raises(ValueError):
+        Scenario(duration=duration, cfg=make_cfg("velocity"), gains=REG_GAINS)
 
 
 def test_zero_scenario_gives_zero_trace():
@@ -241,6 +252,28 @@ def test_oracle_zero_inputs_zero_trace():
     sc = Scenario(duration=0.3, cfg=make_cfg("acceleration"), gains=REG_GAINS)
     oracle = simulate_linear_oracle(sc)
     assert not np.any(oracle.q) and not np.any(oracle.tau_dis_hat)
+
+
+_NO_SCIPY_PROBE = """
+import sys
+import dobkit.cli
+from dobkit import DobConfig, OuterGains, PlantParams, Reference, Scenario
+from dobkit import simulate_linear_oracle
+cfg = DobConfig(kind="velocity", plant=PlantParams.from_alpha(1.0), g_dob=500.0, Ts=1e-3)
+sc = Scenario(duration=0.05, cfg=cfg, gains=OuterGains(K_p=4000.0, K_d=200.0),
+              reference=Reference.step(0.1))
+assert simulate_linear_oracle(sc).q.size == sc.n_samples
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_and_oracle_import_no_scipy():
+    src = str(Path(dobkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]", proc.stdout
 
 
 def test_oracle_rejects_noise():

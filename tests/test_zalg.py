@@ -12,9 +12,7 @@ from dobkit.zalg import (
     Polynomial,
     RationalTF,
     RootFindingError,
-    poly_arith,
     poly_roots,
-    tf_connect,
     tf_eval,
 )
 
@@ -26,7 +24,7 @@ from dobkit.zalg import (
 def test_difference_of_squares():
     z_minus = Polynomial([-1.0, 1.0])
     z_plus = Polynomial([1.0, 1.0])
-    prod = poly_arith(z_minus, z_plus, "mul")
+    prod = z_minus * z_plus
     assert prod.almost_equal(Polynomial([-1.0, 0.0, 1.0]))
 
 
@@ -36,7 +34,7 @@ def test_multiplicative_identity():
 
 
 def test_add_cancels_constant():
-    total = poly_arith(Polynomial([-1.0, 1.0]), Polynomial([1.0]), "add")
+    total = Polynomial([-1.0, 1.0]) + Polynomial([1.0])
     assert total.almost_equal(Polynomial([0.0, 1.0]))
 
 
@@ -45,11 +43,6 @@ def test_normalization_trims_trailing_zeros():
     assert p.degree == 1
     assert Polynomial([0.0, 0.0]).is_zero
     assert Polynomial([0.0]).degree == -1
-
-
-def test_unknown_op_rejected():
-    with pytest.raises(ValueError):
-        poly_arith(Polynomial.one(), Polynomial.one(), "div")
 
 
 def test_taylor_shift():
@@ -199,7 +192,7 @@ def test_series_evaluation_is_multiplicative(num_a, num_b, re, im):
     a = RationalTF(num_a, [1.0, 0.4, 1.0], 1e-3)
     b = RationalTF(num_b, [2.0, -0.3, 1.0], 1e-3)
     point = complex(re, im)
-    prod = tf_connect(a, b, mode="series")
+    prod = a * b
     lhs = tf_eval(prod, at=point)
     rhs = tf_eval(a, at=point) * tf_eval(b, at=point)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -211,14 +204,14 @@ def test_series_evaluation_is_multiplicative(num_a, num_b, re, im):
 
 def test_series_with_identity():
     tf = RationalTF([1.0, 2.0], [3.0, 1.0], 1e-3)
-    assert tf_connect(tf, RationalTF.one(1e-3), mode="series").almost_equal(tf)
+    assert (tf * RationalTF.one(1e-3)).almost_equal(tf)
 
 
 def test_parallel_builds_pd_form():
     Ts, K_p, K_d = 1e-3, 5000.0, 25.0
     prop = RationalTF.constant(K_p, Ts)
     deriv = RationalTF([-K_d, K_d], [0.0, Ts], Ts)
-    combined = tf_connect(prop, deriv, mode="parallel")
+    combined = prop + deriv
     expected = RationalTF([-K_d / Ts, K_p + K_d / Ts], [0.0, 1.0], Ts)
     assert combined.almost_equal(expected)
 
@@ -227,7 +220,7 @@ def test_feedback_unity_closes_integrating_loop():
     # L = a*z/(z-1) closes to a*z / ((1+a) z - 1)
     a = 0.5
     L = RationalTF([0.0, a], [-1.0, 1.0], 1e-3)
-    closed = tf_connect(L, mode="feedback_unity")
+    closed = L.feedback_unity()
     assert closed.almost_equal(RationalTF([0.0, a], [-1.0, 1.0 + a], 1e-3))
 
 
@@ -240,7 +233,7 @@ def test_mixed_domains_rejected():
     disc = RationalTF([1.0], [1.0, 1.0], 1e-3)
     cont = RationalTF([1.0], [1.0, 1.0], None)
     with pytest.raises(DomainMismatchError):
-        tf_connect(disc, cont, mode="series")
+        disc * cont
     with pytest.raises(DomainMismatchError):
         disc + RationalTF([1.0], [1.0], 2e-3)
 
