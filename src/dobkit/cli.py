@@ -170,52 +170,49 @@ def build_gains(pc: ParsedConfig) -> OuterGains:
 
 def build_scenario(pc: ParsedConfig, cfg: DobConfig, gains: OuterGains) -> Scenario:
     ref_kind = _need(pc, "scenario.reference.type")
-    if ref_kind == "step":
-        reference = Reference.step(_get_float(pc, "scenario.reference.amplitude"))
-    elif ref_kind == "sinusoid":
-        reference = Reference.sinusoid(
-            _get_float(pc, "scenario.reference.amplitude"),
-            _get_float(pc, "scenario.reference.freq"),
-        )
-    elif ref_kind == "hold_zero":
-        reference = Reference.hold_zero()
-    else:
-        raise ConfigError(
-            f"scenario.reference.type must be step/sinusoid/hold_zero, got {ref_kind!r}",
-            pc.line_of("scenario.reference.type"),
-        )
-
-    indices = sorted(
-        {int(m.group(1)) for key in pc.items if (m := _PULSE_KEY.match(key))}
-    )
-    pulses = []
-    for idx in indices:
-        prefix = f"scenario.disturbance.{idx}"
-        pulses.append(
-            DisturbancePulse(
-                t_start=_get_float(pc, f"{prefix}.start"),
-                t_end=_get_float(pc, f"{prefix}.end"),
-                force=_get_float(pc, f"{prefix}.force"),
-            )
-        )
-    noise = NoiseSpec(
-        eta_p=_get_float_opt(pc, "scenario.noise.eta_p"),
-        eta_v=_get_float_opt(pc, "scenario.noise.eta_v"),
-        eta_a=_get_float_opt(pc, "scenario.noise.eta_a"),
-    )
     seed_raw = pc.items.get("scenario.seed", "0")
     try:
         seed = int(seed_raw)
     except ValueError:
         raise ConfigError(f"scenario.seed must be an integer, got {seed_raw!r}",
                           pc.line_of("scenario.seed")) from None
+    indices = sorted(
+        {int(m.group(1)) for key in pc.items if (m := _PULSE_KEY.match(key))}
+    )
     try:
+        if ref_kind == "step":
+            reference = Reference.step(_get_float(pc, "scenario.reference.amplitude"))
+        elif ref_kind == "sinusoid":
+            reference = Reference.sinusoid(
+                _get_float(pc, "scenario.reference.amplitude"),
+                _get_float(pc, "scenario.reference.freq"),
+            )
+        elif ref_kind == "hold_zero":
+            reference = Reference.hold_zero()
+        else:
+            raise ConfigError(
+                f"scenario.reference.type must be step/sinusoid/hold_zero, got {ref_kind!r}",
+                pc.line_of("scenario.reference.type"),
+            )
+        pulses = tuple(
+            DisturbancePulse(
+                t_start=_get_float(pc, f"scenario.disturbance.{idx}.start"),
+                t_end=_get_float(pc, f"scenario.disturbance.{idx}.end"),
+                force=_get_float(pc, f"scenario.disturbance.{idx}.force"),
+            )
+            for idx in indices
+        )
+        noise = NoiseSpec(
+            eta_p=_get_float_opt(pc, "scenario.noise.eta_p"),
+            eta_v=_get_float_opt(pc, "scenario.noise.eta_v"),
+            eta_a=_get_float_opt(pc, "scenario.noise.eta_a"),
+        )
         return Scenario(
             duration=_get_float(pc, "scenario.duration"),
             cfg=cfg,
             gains=gains,
             reference=reference,
-            disturbances=tuple(pulses),
+            disturbances=pulses,
             noise=noise,
             seed=seed,
         )
@@ -457,6 +454,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except (ArithmeticError, ValueError) as exc:
+        # Valid but extreme inputs (say Ts = 1e300) can still break the numerics.
+        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

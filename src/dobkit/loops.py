@@ -63,6 +63,9 @@ class PlantParams:
         for name in ("J_m", "K_t", "J_mn", "K_tn"):
             if not _finite_positive(getattr(self, name)):
                 raise ValueError(f"{name} must be finite and strictly positive")
+        true, nominal = self.J_m * self.K_t, self.J_mn * self.K_tn
+        if not (_finite_positive(true) and _finite_positive(nominal / true)):
+            raise ValueError("J_m*K_t and alpha = J_mn*K_tn/(J_m*K_t) must be finite and positive")
 
     @property
     def alpha(self) -> float:

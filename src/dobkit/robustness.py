@@ -104,6 +104,9 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 24):
         if depth >= max_depth or abs(delta) <= 15.0 * tol_here:
             panels += 2
             return left + right + delta / 15.0
+        if not math.isfinite(delta):
+            # NaN never meets the tolerance, so refining it would run to max_depth
+            raise IllPosedIntegralError(f"integrand is not finite on [{x0}, {x2}]")
         half = 0.5 * tol_here
         return recurse(x0, xm, f0, fl, f1, left, half, depth + 1) + recurse(
             xm, x2, f1, fr, f2, right, half, depth + 1
@@ -170,10 +173,10 @@ def _log_singular_tail(m: int, c: float, cutoff: float) -> float:
     return m * cutoff * (math.log(c * cutoff) - 1.0)
 
 
-def _open_loop_instability_sum(L: RationalTF) -> float:
-    """Sum of ln|p| over open-loop poles strictly outside the unit circle."""
+def _open_loop_instability_sum(poles) -> float:
+    """Sum of ln|p| over the open-loop poles strictly outside the unit circle."""
     total = 0.0
-    for p in poly_roots(L.den).roots:
+    for p in poles:
         if abs(p) > 1.0 + CIRCLE_TOL:
             total += math.log(abs(p))
     return total
@@ -204,12 +207,13 @@ def bode_integral_discrete(
     for p in poly_roots(S.den).roots:
         if abs(abs(p) - 1.0) < CIRCLE_TOL:
             raise IllPosedIntegralError(f"sensitivity pole on the unit circle: {p}")
-    if S.num.degree >= 1:
-        for z in poly_roots(S.num).roots:
-            if abs(abs(z) - 1.0) < CIRCLE_TOL and abs(z - 1.0) > 1e-6:
-                raise IllPosedIntegralError(
-                    f"sensitivity zero on the unit circle away from z=1: {z}"
-                )
+    # S = den(L) / (den(L) + num(L)): its zeros are the open-loop poles.
+    open_loop_poles = poly_roots(L.den).roots if L.den.degree >= 1 else ()
+    for z in open_loop_poles:
+        if abs(abs(z) - 1.0) < CIRCLE_TOL and abs(z - 1.0) > 1e-6:
+            raise IllPosedIntegralError(
+                f"sensitivity zero on the unit circle away from z=1: {z}"
+            )
 
     m, c = _leading_zero_order(S, 1.0)
 
@@ -229,7 +233,8 @@ def bode_integral_discrete(
     psi = L.limit_at_infinity()
     if abs(1.0 + psi) == 0.0:
         raise IllPosedIntegralError("1 + lim L vanishes")
-    analytic = 2.0 * math.pi * (_open_loop_instability_sum(L) - math.log(abs(1.0 + psi)))
+    analytic = 2.0 * math.pi * (_open_loop_instability_sum(open_loop_poles)
+                               - math.log(abs(1.0 + psi)))
 
     return BodeIntegralReport(
         numeric_value=numeric,

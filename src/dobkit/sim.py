@@ -3,20 +3,26 @@
 ``simulate`` advances the true rigid body by its exact zero-order-hold
 discretization at the controller rate and realizes every digital block
 (observer low-pass, pseudo-velocity filter, backward-Euler PD) as the
-difference equation of its z-domain form with zero initial state. The
-observer low-pass has direct feedthrough, so the motor current at each step
-satisfies a scalar linear equation that is solved exactly rather than broken
-with an artificial one-step delay.
+difference equation of its z-domain form with zero initial state, in one
+loop over samples on Python floats. The observer low-pass has direct
+feedthrough, so the motor current at each step satisfies a scalar linear
+equation that is solved exactly rather than broken with an artificial
+one-step delay.
 
 ``simulate_linear_oracle`` recomputes the same noise-free trace through the
 closed-form transfer functions, giving an independent second implementation
 path for cross-validation: one loop over samples steps the PD controller, the
 inner loop's closed-form C and S and the two sampled plants, each realized as
 a direct-form section, and closes the outer loop once per sample.
+
+Both draw their inputs from ``_inputs`` and assemble their output with
+``_trace``, which holds the measured-channel rule and the disturbance
+estimate identity tau_dis_hat = K_tn * (I - I_des).
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +52,8 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e6  # metres; beyond this the trace truncates with a flag
+# Longest run, in sample periods; a run holds about 0.4 kB per sample at its peak.
+MAX_SAMPLES = 1_000_000
 
 
 class UnsupportedScenarioError(ValueError):
@@ -60,14 +68,23 @@ class Reference:
     amplitude: float = 0.0
     freq: float = 0.0         # rad/s, sinusoid only
 
+    def __post_init__(self):
+        if self.kind not in ("step", "sinusoid", "hold_zero"):
+            raise ValueError(f"unknown reference kind {self.kind!r}")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.freq)):
+            raise ValueError("reference amplitude and freq must be finite")
+        if self.kind == "sinusoid":
+            if not self.freq > 0.0:
+                raise ValueError("sinusoid frequency must be positive")
+            if not math.isfinite(self.amplitude * (self.freq * self.freq)):
+                raise ValueError("sinusoid acceleration amplitude * freq**2 must be finite")
+
     @classmethod
     def step(cls, amplitude: float) -> "Reference":
         return cls("step", amplitude=amplitude)
 
     @classmethod
     def sinusoid(cls, amplitude: float, freq: float) -> "Reference":
-        if freq <= 0.0:
-            raise ValueError("sinusoid frequency must be positive")
         return cls("sinusoid", amplitude=amplitude, freq=freq)
 
     @classmethod
@@ -79,9 +96,7 @@ class Reference:
             return np.full_like(t, self.amplitude)
         if self.kind == "sinusoid":
             return self.amplitude * np.sin(self.freq * t)
-        if self.kind == "hold_zero":
-            return np.zeros_like(t)
-        raise ValueError(f"unknown reference kind {self.kind!r}")
+        return np.zeros_like(t)
 
     def accel(self, t: np.ndarray) -> np.ndarray:
         if self.kind == "sinusoid":
@@ -98,7 +113,9 @@ class DisturbancePulse:
     force: float
 
     def __post_init__(self):
-        if self.t_end <= self.t_start:
+        if not all(math.isfinite(v) for v in (self.t_start, self.t_end, self.force)):
+            raise ValueError("pulse start, end and force must be finite")
+        if not self.t_end > self.t_start:
             raise ValueError("pulse must have t_end > t_start")
 
 
@@ -109,6 +126,12 @@ class NoiseSpec:
     eta_p: float = 0.0
     eta_v: float = 0.0
     eta_a: float = 0.0
+
+    def __post_init__(self):
+        for name in ("eta_p", "eta_v", "eta_a"):
+            std = getattr(self, name)
+            if not (math.isfinite(std) and std >= 0.0):
+                raise ValueError(f"noise {name} must be finite and non-negative")
 
     @property
     def silent(self) -> bool:
@@ -130,6 +153,11 @@ class Scenario:
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise ValueError("duration must be finite and positive")
+        # A ratio that overflows to inf fails this test too.
+        if not self.duration / self.cfg.Ts < MAX_SAMPLES:
+            raise ValueError(f"duration / Ts must stay below {MAX_SAMPLES} samples")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         pulses = tuple(sorted(self.disturbances, key=lambda p: p.t_start))
         for p in pulses:
             if p.t_start < 0.0 or p.t_end > self.duration + 1e-12:
@@ -180,24 +208,35 @@ class RejectionMetrics:
     diverged: bool
 
 
-def _disturbance_series(pulses, t: np.ndarray) -> np.ndarray:
+def _inputs(sc: Scenario):
+    """Sample times and the reference position, acceleration and disturbance series."""
+    t = np.arange(sc.n_samples) * sc.cfg.Ts
     d = np.zeros_like(t)
-    for p in pulses:
+    for p in sc.disturbances:
         d[(t >= p.t_start - 1e-12) & (t < p.t_end - 1e-12)] += p.force
-    return d
+    return t, sc.reference.position(t), sc.reference.accel(t), d
 
 
-def _truncate(trace: SimTrace, k: int) -> SimTrace:
-    n = k + 1
+def _trace(sc: Scenario, t, r, d, q, qd, qdd, I_des, I, noise=None,
+           diverged: bool = False) -> SimTrace:
+    """The trace of the first ``len(q)`` samples of a run.
 
-    def cut(a):
-        return None if a is None else a[:n]
-
+    Each measured channel is the true motion plus its sensor noise (``noise``
+    holds the full position, velocity and acceleration series; None is
+    noise-free). The velocity sensor is recorded only for velocity
+    measurement, the acceleration sensor only for acceleration measurement.
+    """
+    n = len(q)
+    q, qd, qdd, I_des, I = (np.asarray(x, dtype=float) for x in (q, qd, qdd, I_des, I))
+    eta_p, eta_v, eta_a = (0.0, 0.0, 0.0) if noise is None else (e[:n] for e in noise)
+    kind = sc.cfg.kind
     return SimTrace(
-        t=cut(trace.t), q_ref=cut(trace.q_ref), q=cut(trace.q), qd=cut(trace.qd),
-        qdd=cut(trace.qdd), q_meas=cut(trace.q_meas), qd_meas=cut(trace.qd_meas),
-        qdd_meas=cut(trace.qdd_meas), I_des=cut(trace.I_des), I=cut(trace.I),
-        tau_d=cut(trace.tau_d), tau_dis_hat=cut(trace.tau_dis_hat), diverged=True,
+        t=t[:n], q_ref=r[:n], q=q, qd=qd, qdd=qdd,
+        q_meas=q + eta_p,
+        qd_meas=qd + eta_v if kind is MeasurementKind.VELOCITY else None,
+        qdd_meas=qdd + eta_a if kind is MeasurementKind.ACCELERATION else None,
+        I_des=I_des, I=I, tau_d=d[:n], tau_dis_hat=sc.cfg.plant.K_tn * (I - I_des),
+        diverged=diverged,
     )
 
 
@@ -207,108 +246,89 @@ def simulate(sc: Scenario) -> SimTrace:
     The plant state advances by the exact zero-order-hold map of the double
     integrator; current and sampled disturbance are held over each period.
     The measurement taken at t_k feeds the control current applied over
-    [t_k, t_{k+1}) with no computation delay, and the current/observer
-    algebraic loop is solved exactly at every step. Instability is a
-    legitimate outcome: the trace truncates with ``diverged=True`` once |q|
-    exceeds the guard limit.
+    [t_k, t_{k+1}) with no computation delay. One loop over Python floats
+    serves every configuration: without outer gains the PD terms are zero, so
+    only the feedforward drives; velocity and position measurement share one
+    observer update and differ only in the velocity fed back (the noisy
+    sensor or the pseudo-velocity filter); acceleration measurement solves
+    its current/observer algebraic loop exactly. Instability is a legitimate
+    outcome: the run stops with ``diverged=True`` at the first sample whose
+    |q| exceeds the guard limit, and that sample is the trace's last.
     """
     cfg = sc.cfg
     plant = cfg.plant
     Ts, g = cfg.Ts, cfg.g_dob
-    n = sc.n_samples
-    t = np.arange(n) * Ts
-
-    r = sc.reference.position(t)
-    aref = sc.reference.accel(t)
-    d = _disturbance_series(sc.disturbances, t)
+    t, r, aref, d = _inputs(sc)
 
     rng = np.random.default_rng(sc.seed)
-    eta_p = sc.noise.eta_p * rng.standard_normal(n)
-    eta_v = sc.noise.eta_v * rng.standard_normal(n)
-    eta_a = sc.noise.eta_a * rng.standard_normal(n)
+    noise = tuple(std * rng.standard_normal(t.size)
+                  for std in (sc.noise.eta_p, sc.noise.eta_v, sc.noise.eta_a))
 
     J_m, K_t, J_mn, K_tn = plant.J_m, plant.K_t, plant.J_mn, plant.K_tn
     gTs = g * Ts
     qden = 1.0 + gTs
     dQ = gTs / qden                      # observer filter direct feedthrough, < 1
     kff = J_mn / K_tn                    # desired acceleration -> nominal current
-    loop_ratio = (J_mn * K_t) / (J_m * K_tn)
-    if sc.gains is not None:
+    kg, Jg = kff * g, J_mn * g           # velocity feedback into current and observer
+    hTs2 = 0.5 * Ts * Ts
+    if sc.gains is None:                 # open outer loop: only the feedforward drives
+        c1 = c0 = 0.0
+    else:
         c1 = sc.gains.K_p + sc.gains.K_d / Ts
         c0 = sc.gains.K_d / Ts
-    kind = cfg.kind
-    if kind is MeasurementKind.POSITION:
+    accel = cfg.kind is MeasurementKind.ACCELERATION
+    pseudo = cfg.kind is MeasurementKind.POSITION
+    if accel:
+        denom = 1.0 - dQ * (1.0 - (J_mn * K_t) / (J_m * K_tn))
+        wI, dJ, JK = qden * K_tn, dQ * J_mn, J_m * K_tn
+    if pseudo:
         g_v = cfg.g_v
         vden = 1.0 + g_v * Ts
 
-    out = SimTrace(
-        t=t, q_ref=r, q=np.zeros(n), qd=np.zeros(n), qdd=np.zeros(n),
-        q_meas=np.zeros(n),
-        qd_meas=np.zeros(n) if kind is MeasurementKind.VELOCITY else None,
-        qdd_meas=np.zeros(n) if kind is MeasurementKind.ACCELERATION else None,
-        I_des=np.zeros(n), I=np.zeros(n), tau_d=d, tau_dis_hat=np.zeros(n),
-        diverged=False,
-    )
-
-    q = 0.0
-    qd = 0.0
+    out_q, out_qd, out_qdd, out_I_des, out_I = (array("d") for _ in range(5))
+    q = qd = 0.0
     w = 0.0          # observer low-pass state (previous output)
     e_prev = 0.0     # PD backward-difference state
     vhat = 0.0       # pseudo-velocity filter state
     qn_prev = 0.0    # previous position sample seen by the pseudo-velocity filter
-
-    for k in range(n):
-        q_n = q + eta_p[k]
-        if sc.gains is not None:
-            e = r[k] - q_n
-            qdd_des = aref[k] + c1 * e - c0 * e_prev
-            e_prev = e
-        else:
-            qdd_des = aref[k]
-        I_des = kff * qdd_des
-
-        if kind is MeasurementKind.ACCELERATION:
+    diverged = False
+    for r_k, a_k, d_k, ep, ev, ea in zip(r.tolist(), aref.tolist(), d.tolist(),
+                                         *(x.tolist() for x in noise)):
+        q_n = q + ep
+        e = r_k - q_n
+        I_des = kff * (a_k + c1 * e - c0 * e_prev)
+        e_prev = e
+        if accel:
             # Acceleration at t_k depends on I_k, so the algebraic loop couples
             # plant and observer; still scalar linear in I_k.
-            denom = 1.0 - dQ * (1.0 - loop_ratio)
-            I = (
-                I_des
-                + w / (qden * K_tn)
-                + dQ * J_mn * d[k] / (J_m * K_tn)
-                - dQ * J_mn * eta_a[k] / K_tn
-            ) / denom
-            u = (K_t * I - d[k]) / J_m
-            meas = u + eta_a[k]
-            w = w / qden + dQ * (K_tn * I - J_mn * meas)
-            out.qdd_meas[k] = meas
-        elif kind is MeasurementKind.VELOCITY:
-            meas = qd + eta_v[k]
-            I = qden * I_des + w / K_tn - (J_mn / K_tn) * g * meas
-            w = w / qden + dQ * (K_tn * I + J_mn * g * meas)
-            u = (K_t * I - d[k]) / J_m
-            out.qd_meas[k] = meas
+            I = (I_des + w / wI + dJ * d_k / JK - dJ * ea / K_tn) / denom
+            u = (K_t * I - d_k) / J_m
+            y = -J_mn * (u + ea)
         else:
-            vhat = (vhat + g_v * (q_n - qn_prev)) / vden
-            qn_prev = q_n
-            I = qden * I_des + w / K_tn - (J_mn / K_tn) * g * vhat
-            w = w / qden + dQ * (K_tn * I + J_mn * g * vhat)
-            u = (K_t * I - d[k]) / J_m
+            if pseudo:
+                vhat = (vhat + g_v * (q_n - qn_prev)) / vden
+                qn_prev = q_n
+                v = vhat
+            else:
+                v = qd + ev
+            I = qden * I_des + w / K_tn - kg * v
+            u = (K_t * I - d_k) / J_m
+            y = Jg * v
+        # observer low-pass input: nominal thrust plus the measured motion term y
+        w = w / qden + dQ * (K_tn * I + y)
 
-        out.q[k] = q
-        out.qd[k] = qd
-        out.qdd[k] = u
-        out.q_meas[k] = q_n
-        out.I_des[k] = I_des
-        out.I[k] = I
-        out.tau_dis_hat[k] = K_tn * (I - I_des)
-
+        out_q.append(q)
+        out_qd.append(qd)
+        out_qdd.append(u)
+        out_I_des.append(I_des)
+        out_I.append(I)
         if abs(q) > DIVERGENCE_LIMIT:
-            return _truncate(out, k)
-
-        q = q + Ts * qd + 0.5 * Ts * Ts * u
+            diverged = True
+            break
+        q = q + Ts * qd + hTs2 * u
         qd = qd + Ts * u
 
-    return out
+    return _trace(sc, t, r, d, out_q, out_qd, out_qdd, out_I_des, out_I, noise, diverged)
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +382,7 @@ def simulate_linear_oracle(sc: Scenario) -> SimTrace:
     cfg = sc.cfg
     plant = cfg.plant
     Ts = cfg.Ts
-    n = sc.n_samples
-    t = np.arange(n) * Ts
-    r = sc.reference.position(t)
-    aref = sc.reference.accel(t)
-    d = _disturbance_series(sc.disturbances, t)
+    t, r, aref, d = _inputs(sc)
 
     inner = make_inner_loop(cfg)
     pd = _Df2t(RationalTF.constant(0.0, Ts) if sc.gains is None else make_pd(sc.gains, Ts))
@@ -374,7 +390,7 @@ def simulate_linear_oracle(sc: Scenario) -> SimTrace:
     G_p, G_v = _Df2t(discrete_position_plant(Ts)), _Df2t(discrete_velocity_plant(Ts))
     J_m = plant.J_m
 
-    q, qd, qdd, qdd_des = [], [], [], []
+    q, qd, qdd, qdd_des = (array("d") for _ in range(4))
     for r_k, a_k, d_k in zip(r.tolist(), aref.tolist(), d.tolist()):
         q_k = G_p.output_before_input
         des_k = a_k + pd.step(r_k - q_k)
@@ -385,21 +401,11 @@ def simulate_linear_oracle(sc: Scenario) -> SimTrace:
         qdd_des.append(des_k)
         G_p.step(acc_k)
         G_v.step(acc_k)
-    q, qd, qdd, qdd_des = (np.array(x) for x in (q, qd, qdd, qdd_des))
+    qdd = np.asarray(qdd)
 
     current = (J_m * qdd + d) / plant.K_t
-    I_des = (plant.J_mn / plant.K_tn) * qdd_des
-    tau_hat = plant.K_tn * (current - I_des)
-
-    kind = cfg.kind
-    return SimTrace(
-        t=t, q_ref=r, q=q, qd=qd, qdd=qdd,
-        q_meas=q.copy(),
-        qd_meas=qd.copy() if kind is MeasurementKind.VELOCITY else None,
-        qdd_meas=qdd.copy() if kind is MeasurementKind.ACCELERATION else None,
-        I_des=I_des, I=current, tau_d=d, tau_dis_hat=tau_hat,
-        diverged=False,
-    )
+    I_des = (plant.J_mn / plant.K_tn) * np.asarray(qdd_des)
+    return _trace(sc, t, r, d, q, qd, qdd, I_des, current)
 
 
 def disturbance_rejection_metrics(

@@ -160,8 +160,7 @@ def config_for_sweep(base: DobConfig, param: str, value: float) -> DobConfig:
 def _outer_poles(cfg: DobConfig, gains: OuterGains) -> tuple:
     inner = make_inner_loop(cfg)
     outer = make_outer_loop(inner, make_pd(gains, cfg.Ts))
-    char = outer.L.den + outer.L.num
-    return poly_roots(char).roots
+    return poly_roots(outer.T.den).roots
 
 
 def _match_branches(prev: tuple, new: tuple) -> tuple:

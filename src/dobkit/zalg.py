@@ -11,7 +11,6 @@ cross-multiplication, which is insensitive to common factors and scaling.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,6 @@ __all__ = [
 
 # Relative tolerance for coefficient comparison after monic scaling.
 COEFF_RTOL = 1e-10
-# Tolerance used when pairing conjugate roots and flattening tiny imaginary parts.
-CONJUGATE_TOL = 1e-9
 
 
 class DomainMismatchError(ValueError):
@@ -340,36 +337,12 @@ class RationalTF:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def _enforce_conjugacy(roots: np.ndarray) -> np.ndarray:
-    """Flatten tiny imaginary parts and symmetrize conjugate pairs."""
-    out = list(roots)
-    scale = max(1.0, max(abs(r) for r in out))
-    tol = CONJUGATE_TOL * scale
-    for i, r in enumerate(out):
-        if abs(r.imag) <= tol:
-            out[i] = complex(r.real, 0.0)
-    unpaired = [i for i, r in enumerate(out) if r.imag != 0.0]
-    done = set()
-    for i in unpaired:
-        if i in done or out[i].imag <= 0.0:
-            continue
-        best, best_d = None, math.inf
-        for j in unpaired:
-            if j in done or j == i or out[j].imag >= 0.0:
-                continue
-            d = abs(out[j] - out[i].conjugate())
-            if d < best_d:
-                best, best_d = j, d
-        if best is not None:
-            mean = 0.5 * (out[i] + out[best].conjugate())
-            out[i] = mean
-            out[best] = mean.conjugate()
-            done.update((i, best))
-    return np.array(out)
-
-
 def poly_roots(p: Polynomial) -> RootSet:
-    """All complex roots via companion-matrix eigenvalues plus Newton polish."""
+    """All complex roots via companion-matrix eigenvalues plus Newton polish.
+
+    Complex roots come in exact conjugate pairs: the eigenvalues of a real
+    companion matrix do, and the polish treats both members of a pair alike.
+    """
     if p.degree < 1:
         raise RootFindingError("roots are defined only for degree >= 1")
     r = np.roots(p.coeffs[::-1]).astype(complex)
@@ -387,7 +360,6 @@ def poly_roots(p: Polynomial) -> RootSet:
                 break
             x, fx = x2, fx2
         r[i] = x
-    r = _enforce_conjugacy(r)
     order = np.lexsort((r.imag, r.real))
     r = r[order]
     residual = float(np.max(np.abs(p(r))))

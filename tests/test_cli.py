@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dobkit.cli import (
     ConfigError,
@@ -322,3 +324,113 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")]) == 1
     assert main([]) == 1
     assert main(["--help"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# input boundary: every input ends in exit 0, 1 or 2, never in a traceback
+# ---------------------------------------------------------------------------
+
+SIM = BASE + """\
+scenario.duration = 0.05
+scenario.reference.type = step
+scenario.reference.amplitude = 0.1
+scenario.disturbance.1.start = 0.01
+scenario.disturbance.1.end = 0.03
+scenario.disturbance.1.force = 4
+scenario.noise.eta_p = 0
+scenario.seed = 3
+"""
+
+
+@pytest.mark.parametrize("old, new", [
+    ("disturbance.1.start = 0.01", "disturbance.1.start = nan"),
+    ("disturbance.1.start = 0.01", "disturbance.1.start = 0.04"),   # reversed window
+    ("disturbance.1.force = 4", "disturbance.1.force = inf"),
+    ("reference.type = step", "reference.type = sinusoid\nscenario.reference.freq = -10"),
+    ("reference.type = step", "reference.type = sinusoid\nscenario.reference.freq = 1e300"),
+    ("reference.amplitude = 0.1", "reference.amplitude = nan"),
+    ("reference.amplitude = 0.1", "reference.amplitude = -inf"),
+    ("scenario.seed = 3", "scenario.seed = -1"),
+    ("scenario.duration = 0.05", "scenario.duration = 1e13"),
+    ("noise.eta_p = 0", "noise.eta_p = -1e-6"),
+    ("noise.eta_p = 0", "noise.eta_p = nan"),
+])
+def test_simulate_invalid_scenario_exit_one(tmp_path, capsys, old, new):
+    text = SIM.replace(old, new)
+    assert text != SIM
+    code = main(["simulate", _write(tmp_path, text), "--out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_numerical_failure_exit_one(tmp_path, capsys):
+    # finite and positive, yet the position-loop coefficients overflow
+    text = BASE.replace("dob.kind = velocity", "dob.kind = position\ndob.g_v = 750")
+    code = main(["analyze", _write(tmp_path, text.replace("dob.Ts = 0.001", "dob.Ts = 1e300"))])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("numerical error:")
+
+
+def test_unwritable_output_exit_one(tmp_path, capsys):
+    code = main(["simulate", _write(tmp_path, SIM), "--out", str(tmp_path / "no" / "t.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+_VALID = {
+    "plant.J_m": ("0.003", "0.01"),
+    "plant.K_t": ("0.25", "1"),
+    "plant.J_mn": ("0.003", "0.006"),
+    "plant.K_tn": ("0.25", "0.3"),
+    "dob.g_dob": ("500", "1000"),
+    "dob.Ts": ("0.001", "0.0005"),
+    "dob.g_v": ("1000", "2000"),
+    "outer.Kp": ("4000", "5000"),
+    "outer.Kd": ("25", "200"),
+}
+_VALID_SCENARIO = {
+    "scenario.duration": ("0.01", "0.05"),
+    "scenario.seed": ("0", "3"),
+    "scenario.reference.amplitude": ("0.1", "-0.05"),
+    "scenario.reference.freq": ("10", "60"),
+    "scenario.disturbance.1.start": ("0", "0.005"),
+    "scenario.disturbance.1.end": ("0.01", "0.02"),
+    "scenario.disturbance.1.force": ("4", "-2"),
+    "scenario.noise.eta_p": ("0", "1e-6"),
+    "scenario.noise.eta_v": ("0", "1e-4"),
+    "scenario.noise.eta_a": ("0", "1e-2"),
+}
+_ABSURD = ("0", "-1", "-1e-3", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300",
+           "abc", "1.2.3", "0x10")
+
+
+@st.composite
+def _command_and_config(draw):
+    command = draw(st.sampled_from(["analyze", "simulate"]))
+    menu = dict(_VALID, **(_VALID_SCENARIO if command == "simulate" else {}))
+    values = {key: draw(st.sampled_from(options)) for key, options in menu.items()}
+    # one to three keys at a time, so that the rest of the config stays valid
+    for key in draw(st.lists(st.sampled_from(sorted(menu)), min_size=1, max_size=3, unique=True)):
+        values[key] = draw(st.sampled_from(_ABSURD))
+    lines = [f"dob.kind = {draw(st.sampled_from(['acceleration', 'velocity', 'position']))}"]
+    if command == "simulate":
+        ref = draw(st.sampled_from(["step", "sinusoid", "hold_zero"]))
+        lines.append(f"scenario.reference.type = {ref}")
+    lines += [f"{key} = {value}" for key, value in values.items()]
+    return command, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_command_and_config())
+def test_exit_contract_on_generated_configs(tmp_path_factory, case):
+    command, text = case
+    workdir = tmp_path_factory.getbasetemp()
+    path = workdir / "fuzz.cfg"
+    path.write_text(text)
+    argv = [command, str(path)]
+    if command == "simulate":
+        argv += ["--out", str(workdir / "fuzz.csv")]
+    assert main(argv) in (0, 1, 2)

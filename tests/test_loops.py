@@ -72,6 +72,16 @@ def test_plant_params_reject_non_finite(name, value):
         PlantParams(**params)
 
 
+@pytest.mark.parametrize("params", [
+    dict(J_m=0.003, K_t=1e300, J_mn=1e300, K_tn=1e300),   # J_mn*K_tn overflows
+    dict(J_m=1e-300, K_t=1e-300, J_mn=0.003, K_tn=0.25),  # J_m*K_t underflows
+    dict(J_m=1e-200, K_t=0.25, J_mn=1e200, K_tn=0.25),    # alpha overflows
+])
+def test_plant_params_reject_unrepresentable_alpha(params):
+    with pytest.raises(ValueError):
+        PlantParams(**params)
+
+
 @pytest.mark.parametrize("value", NON_FINITE)
 @pytest.mark.parametrize("name", ["g_dob", "Ts", "g_v"])
 def test_dob_config_rejects_non_finite(name, value):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dobkit.loops import make_continuous_inner, make_inner_loop, PlantParams
+from dobkit.loops import LoopSet, make_continuous_inner, make_inner_loop, PlantParams
 from dobkit.robustness import (
     IllPosedIntegralError,
     bode_integral_continuous,
@@ -14,6 +14,7 @@ from dobkit.robustness import (
     waterbed_report,
 )
 from dobkit.stability import classify_poles
+from dobkit.zalg import RationalTF
 
 from conftest import make_cfg
 
@@ -95,6 +96,15 @@ def test_marginal_pole_is_ill_posed():
     cfg = make_cfg("velocity", alpha=2.0, g_dob=1000.0, Ts=1e-3)  # pole at -1
     with pytest.raises(IllPosedIntegralError):
         bode_integral_discrete(make_inner_loop(cfg))
+
+
+def test_overflowing_integrand_is_ill_posed():
+    # |S| on the circle overflows to inf/inf = NaN; refining it used to run
+    # every panel to the depth cap, which takes minutes
+    L = RationalTF([0.25e308, 1.5e308, 1e308], [-1.0, 1.0], 1e-3)
+    loop = LoopSet.from_open_loop(L, L, RationalTF.one(1e-3))
+    with np.errstate(all="ignore"), pytest.raises(IllPosedIntegralError, match="not finite"):
+        bode_integral_discrete(loop)
 
 
 def test_cutoff_halving_changes_little():

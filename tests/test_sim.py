@@ -17,6 +17,7 @@ from dobkit.loops import (
     make_pd,
 )
 from dobkit.sim import (
+    MAX_SAMPLES,
     DisturbancePulse,
     NoiseSpec,
     Reference,
@@ -80,6 +81,102 @@ def test_scenario_validation():
 def test_scenario_rejects_non_finite_duration(duration):
     with pytest.raises(ValueError):
         Scenario(duration=duration, cfg=make_cfg("velocity"), gains=REG_GAINS)
+
+
+@pytest.mark.parametrize("cls, args", [
+    (Reference, ("ramp",)),
+    (Reference, ("step", math.nan)),
+    (Reference, ("step", math.inf)),
+    (Reference, ("hold_zero", 0.0, math.nan)),
+    (Reference, ("sinusoid", 0.1, 0.0)),
+    (Reference, ("sinusoid", 0.1, -1.0)),
+    (Reference, ("sinusoid", 0.1, math.nan)),
+    (Reference, ("sinusoid", 0.1, math.inf)),
+    (Reference, ("sinusoid", -math.inf, 1.0)),
+    (Reference, ("sinusoid", 0.1, 1e200)),      # freq**2 overflows
+    (Reference, ("sinusoid", 1e300, 1e10)),     # amplitude * freq**2 overflows
+    (DisturbancePulse, (math.nan, 0.5, 2.0)),
+    (DisturbancePulse, (0.1, math.nan, 2.0)),
+    (DisturbancePulse, (-math.inf, 0.5, 2.0)),
+    (DisturbancePulse, (0.1, math.inf, 2.0)),
+    (DisturbancePulse, (0.1, 0.5, math.nan)),
+    (DisturbancePulse, (0.1, 0.5, -math.inf)),
+    (DisturbancePulse, (0.5, 0.1, 2.0)),
+    (NoiseSpec, (-1e-6, 0.0, 0.0)),
+    (NoiseSpec, (math.nan, 0.0, 0.0)),
+    (NoiseSpec, (0.0, -math.inf, 0.0)),
+    (NoiseSpec, (0.0, math.nan, 0.0)),
+    (NoiseSpec, (0.0, 0.0, math.inf)),
+    (NoiseSpec, (0.0, 0.0, -0.01)),
+])
+def test_scenario_parts_reject_invalid_fields(cls, args):
+    with pytest.raises(ValueError):
+        cls(*args)
+
+
+@pytest.mark.parametrize("duration, Ts, seed", [
+    (1.0, 1e-3, -1),                 # negative seed
+    (1e13, 1e-3, 0),                 # 1e16 samples
+    (MAX_SAMPLES * 1e-3, 1e-3, 0),   # one period past the cap
+    (1e10, 1e-300, 0),               # duration / Ts overflows to inf
+])
+def test_scenario_rejects_seed_and_sample_count(duration, Ts, seed):
+    with pytest.raises(ValueError):
+        Scenario(duration=duration, cfg=make_cfg("velocity", Ts=Ts), gains=REG_GAINS, seed=seed)
+
+
+def test_scenario_at_sample_cap_is_accepted():
+    sc = Scenario(duration=(MAX_SAMPLES - 1) * 1e-3, cfg=make_cfg("velocity"), gains=REG_GAINS)
+    assert sc.n_samples == MAX_SAMPLES
+
+
+def test_measured_channels_are_truth_plus_seeded_noise():
+    # one generator draws the position, velocity and acceleration noise in turn
+    noise = NoiseSpec(eta_p=1e-6, eta_v=1e-4, eta_a=1e-2)
+    for kind in ALL_KINDS:
+        sc = Scenario(duration=0.05, cfg=make_cfg(kind), gains=REG_GAINS,
+                      reference=Reference.step(0.1), noise=noise, seed=5)
+        trace = simulate(sc)
+        rng = np.random.default_rng(5)
+        eta_p, eta_v, eta_a = (std * rng.standard_normal(sc.n_samples)
+                               for std in (noise.eta_p, noise.eta_v, noise.eta_a))
+        assert np.array_equal(trace.q_meas, trace.q + eta_p)
+        if kind is MeasurementKind.VELOCITY:
+            assert np.array_equal(trace.qd_meas, trace.qd + eta_v)
+        if kind is MeasurementKind.ACCELERATION:
+            assert np.array_equal(trace.qdd_meas, trace.qdd + eta_a)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_noisy_estimate_obeys_observer_equations(kind):
+    # checks the noisy loop against the observer's defining equations on the
+    # recorded channels, where the noise-free oracle cannot reach
+    cfg = make_cfg(kind, alpha=1.3, g_dob=800.0, Ts=1e-3, g_v=1500.0)
+    sc = Scenario(duration=0.3, cfg=cfg, gains=REG_GAINS, reference=Reference.step(0.05),
+                  disturbances=(DisturbancePulse(0.1, 0.2, 2.0),),
+                  noise=NoiseSpec(eta_p=1e-6, eta_v=1e-3, eta_a=0.05), seed=11)
+    tr = simulate(sc)
+    J_mn, K_tn, gTs = cfg.plant.J_mn, cfg.plant.K_tn, cfg.g_dob * cfg.Ts
+    if kind is MeasurementKind.ACCELERATION:
+        # tau_hat = Q(z) [K_tn I - J_mn qdd_meas], Q = gTs z / ((1 + gTs) z - 1)
+        expected, y = [], 0.0
+        for x in K_tn * tr.I - J_mn * tr.qdd_meas:
+            y = (gTs * x + y) / (1.0 + gTs)
+            expected.append(y)
+        got = tr.tau_dis_hat
+    else:
+        if kind is MeasurementKind.VELOCITY:
+            v = tr.qd_meas
+        else:  # pseudo-velocity g_v (z - 1) / ((1 + g_v Ts) z - 1) of q_meas
+            v, y, prev = [], 0.0, 0.0
+            for qn in tr.q_meas:
+                y = (y + cfg.g_v * (qn - prev)) / (1.0 + cfg.g_v * cfg.Ts)
+                prev = qn
+                v.append(y)
+        # tau_hat + J_mn g v = gTs K_tn sum_{j <= k} I_des_j
+        expected = gTs * K_tn * np.cumsum(tr.I_des)
+        got = tr.tau_dis_hat + J_mn * cfg.g_dob * np.asarray(v)
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-9)
 
 
 def test_zero_scenario_gives_zero_trace():
