@@ -43,6 +43,10 @@ from .stability import config_for_sweep, constraint_check, root_locus
 
 __all__ = ["ConfigError", "ParsedConfig", "parse_config", "serialize_config", "main"]
 
+# Upper bound on --points for sweep and bode: larger grids are refused rather
+# than allocated.
+MAX_POINTS = 10**5
+
 
 class ConfigError(Exception):
     """Malformed configuration; carries the 1-based line number (0 = file level)."""
@@ -179,6 +183,9 @@ def build_scenario(pc: ParsedConfig, cfg: DobConfig, gains: OuterGains) -> Scena
     indices = sorted(
         {int(m.group(1)) for key in pc.items if (m := _PULSE_KEY.match(key))}
     )
+    # A reference key the type does not read must still be a number.
+    for key in ("scenario.reference.amplitude", "scenario.reference.freq"):
+        _get_float_opt(pc, key)
     try:
         if ref_kind == "step":
             reference = Reference.step(_get_float(pc, "scenario.reference.amplitude"))
@@ -255,13 +262,19 @@ def _db(x: np.ndarray) -> np.ndarray:
 def _report_line(report) -> str:
     return (
         f"numeric={_fmt(report.numeric_value)} analytic={_fmt(report.analytic_value)} "
-        f"abs_error={_fmt(report.abs_error)} panels={report.panels} cutoff={_fmt(report.cutoff)}"
+        f"abs_error={_fmt(report.abs_error)} panels={report.panels} "
+        f"depth_cap_hits={report.depth_cap_hits} cutoff={_fmt(report.cutoff)}"
     )
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
+
+def _check_points(points: int, least: int) -> None:
+    if not least <= points <= MAX_POINTS:
+        raise ConfigError(f"--points must be between {least} and {MAX_POINTS}")
+
 
 def cmd_analyze(args) -> int:
     pc = load_config(args.config)
@@ -311,8 +324,7 @@ def cmd_sweep(args) -> int:
     gains = build_gains(pc)
     if not (args.start < args.stop):
         raise ConfigError("--from must be strictly less than --to")
-    if args.points < 2:
-        raise ConfigError("--points must be at least 2")
+    _check_points(args.points, 2)
     if args.spacing == "log":
         if args.start <= 0:
             raise ConfigError("log spacing requires positive --from")
@@ -384,8 +396,7 @@ def cmd_bode(args) -> int:
     pc = load_config(args.config)
     cfg = build_dob_config(pc)
     gains = build_gains(pc)
-    if args.points < 16:
-        raise ConfigError("--points must be at least 16")
+    _check_points(args.points, 16)
     inner = make_inner_loop(cfg)
     outer = make_outer_loop(inner, make_pd(gains, cfg.Ts))
     sw_i = freq_sweep(inner, n_points=args.points, spacing="log")

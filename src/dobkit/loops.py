@@ -100,11 +100,10 @@ class DobConfig:
             raise ValueError("g_dob must be finite and strictly positive")
         if not _finite_positive(self.Ts):
             raise ValueError("Ts must be finite and strictly positive")
-        if self.g_v is not None and not math.isfinite(self.g_v):
-            raise ValueError("g_v must be finite")
-        if kind is MeasurementKind.POSITION:
-            if self.g_v is None or self.g_v <= 0.0:
-                raise ValueError("position measurement requires g_v > 0")
+        if self.g_v is not None and not _finite_positive(self.g_v):
+            raise ValueError("g_v must be finite and strictly positive")
+        if kind is MeasurementKind.POSITION and self.g_v is None:
+            raise ValueError("position measurement requires g_v")
 
     @property
     def alpha(self) -> float:

@@ -2,12 +2,16 @@
 
 The discrete sensitivity integral of ln|S| over the unit circle is computed
 with a singularity-aware scheme: ln|S| diverges logarithmically at the angle
-where the open loop integrates (S has a zero at z = 1), so [0, pi] is split at
-a small cutoff; below it the integral is taken from the leading asymptotic
-m*theta*ln(c*theta) form, above it by adaptive Simpson quadrature on
-log-spaced seed panels. The analytic side comes from the discrete sensitivity
-trade-off identity: 2*pi*(sum of log-magnitudes of open-loop poles outside the
-unit circle minus ln|1 + lim L|).
+where the open loop integrates (S has a zero of order m at z = 1), so [0, pi]
+is split at a small cutoff; below it the integral is taken from the leading
+asymptotic m*theta*ln(c*theta) form, above it by adaptive Simpson quadrature
+on log-spaced seed panels. The m zeros at z = 1 are divided out of the
+numerator exactly: with w = z - 1 and S.num(z) = w**m * q(w), the integrand
+is m*ln|w| + ln|q(w)| - ln|S.den(z)|, so no Horner sum cancels near z = 1.
+The analytic side comes from the discrete sensitivity trade-off identity:
+2*pi*(sum of log-magnitudes of open-loop poles outside the unit circle minus
+ln|1 + lim L|). The open-loop poles are the m exact ones at z = 1, which lie
+on the circle and add nothing, plus 1 + roots(q).
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loops import DobConfig, LoopSet, make_inner_loop
-from .zalg import RationalTF, poly_roots
+from .zalg import Polynomial, RationalTF, poly_roots
 
 __all__ = [
     "IllPosedIntegralError",
@@ -52,6 +56,9 @@ class BodeIntegralReport:
     abs_error: float
     panels: int
     cutoff: float
+    # Panels closed at the depth cap without meeting their tolerance: a
+    # non-zero count means the integrand is noise-limited there.
+    depth_cap_hits: int
 
 
 @dataclass(frozen=True)
@@ -84,15 +91,16 @@ class WaterbedRow:
 # ---------------------------------------------------------------------------
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 24):
-    """Adaptive Simpson with Richardson correction; returns (value, panel count)."""
+    """Adaptive Simpson with Richardson correction; returns (value, panels, cap hits)."""
 
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
 
     panels = 0
+    cap_hits = 0
 
     def recurse(x0, x2, f0, f1, f2, whole, tol_here, depth):
-        nonlocal panels
+        nonlocal panels, cap_hits
         xm = 0.5 * (x0 + x2)
         xl = 0.5 * (x0 + xm)
         xr = 0.5 * (xm + x2)
@@ -101,8 +109,11 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 24):
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
         delta = left + right - whole
-        if depth >= max_depth or abs(delta) <= 15.0 * tol_here:
+        converged = abs(delta) <= 15.0 * tol_here
+        if converged or depth >= max_depth:
             panels += 2
+            if not converged:
+                cap_hits += 1
             return left + right + delta / 15.0
         if not math.isfinite(delta):
             # NaN never meets the tolerance, so refining it would run to max_depth
@@ -115,7 +126,7 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 24):
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = simpson(a, b, fa, fm, fb)
     value = recurse(a, b, fa, fm, fb, whole, tol, 0)
-    return value, panels
+    return value, panels, cap_hits
 
 
 def _seed_edges(a: float, b: float) -> list[float]:
@@ -130,9 +141,10 @@ def _seed_edges(a: float, b: float) -> list[float]:
 
 
 def _integrate_log_magnitude(f, a: float, b: float, rel_tol: float):
-    """Integrate f over [a, b] with decade seed panels and adaptive refinement."""
+    """Integrate f over [a, b] with decade seed panels; returns (value, panels, cap hits)."""
     total = 0.0
     panels = 0
+    cap_hits = 0
     edges = _seed_edges(a, b)
     for x0, x1 in zip(edges, edges[1:]):
         rough = abs(f(0.5 * (x0 + x1))) * (x1 - x0)
@@ -140,17 +152,20 @@ def _integrate_log_magnitude(f, a: float, b: float, rel_tol: float):
         # the integrand carries ~1e-16 absolute error (log of a ratio near 1),
         # which Simpson differences see amplified by the span.
         tol = max(rel_tol * max(rough, 1e-3), 1e-14, 8e-15 * (x1 - x0))
-        val, n = _adaptive_simpson(f, x0, x1, tol)
+        val, n, hits = _adaptive_simpson(f, x0, x1, tol)
         total += val
         panels += n
-    return total, panels
+        cap_hits += hits
+    return total, panels, cap_hits
 
 
-def _leading_zero_order(tf: RationalTF, at: float) -> tuple[int, float]:
+def _leading_zero_order(tf: RationalTF, at: float) -> tuple[int, float, np.ndarray]:
     """Order m and scale c with |tf| ~ (c*eps)**m for points eps away from ``at``.
 
     Taylor-expands the numerator about the point; m is the index of the first
-    non-negligible coefficient, and c = |a_m / den(at)|**(1/m).
+    non-negligible coefficient, and c = |a_m / den(at)|**(1/m). The Taylor
+    coefficients are returned too: ``taylor[m:]`` is the numerator with its
+    m zeros at the point divided out, as a polynomial in x - at.
     """
     taylor = tf.num.shifted(at).coeffs
     scale = float(np.max(np.abs(taylor)))
@@ -163,9 +178,9 @@ def _leading_zero_order(tf: RationalTF, at: float) -> tuple[int, float]:
     if den_at == 0.0:
         raise IllPosedIntegralError(f"denominator vanishes at {at}")
     if m == 0:
-        return 0, abs(taylor[0] / den_at)
+        return 0, abs(taylor[0] / den_at), taylor
     k = abs(taylor[m] / den_at)
-    return m, k ** (1.0 / m)
+    return m, k ** (1.0 / m), taylor
 
 
 def _log_singular_tail(m: int, c: float, cutoff: float) -> float:
@@ -194,9 +209,13 @@ def bode_integral_discrete(
     """Integral of ln|S| over the full unit circle versus its analytic value.
 
     The numeric side doubles the [0, pi] integral (real coefficients make the
-    integrand even). The analytic side is
-    2*pi*(sum ln|p_u| - ln|1 + lim L|) with p_u the open-loop poles outside
-    the unit circle; the limit term drops for strictly proper open loops.
+    integrand even). S.num is deflated once at z = 1: with w = z - 1 and
+    S.num(z) = w**m * q(w), the integrand is m*ln|w| + ln|q(w)| - ln|S.den(z)|,
+    and w = -2 sin(theta/2)**2 + j sin(theta) is formed without cancellation.
+    The analytic side is 2*pi*(sum ln|p_u| - ln|1 + lim L|) with p_u the
+    open-loop poles outside the unit circle; the limit term drops for strictly
+    proper open loops. Those poles are the zeros of S: the m at z = 1, exact
+    and on the circle, and 1 + roots(q), which alone are rooted.
     Raises ``IllPosedIntegralError`` when S has poles on the unit circle, or
     unit-circle zeros anywhere but the structural ones at z = 1.
     """
@@ -208,21 +227,22 @@ def bode_integral_discrete(
         if abs(abs(p) - 1.0) < CIRCLE_TOL:
             raise IllPosedIntegralError(f"sensitivity pole on the unit circle: {p}")
     # S = den(L) / (den(L) + num(L)): its zeros are the open-loop poles.
-    open_loop_poles = poly_roots(L.den).roots if L.den.degree >= 1 else ()
+    m, c, taylor = _leading_zero_order(S, 1.0)
+    q = Polynomial(taylor[m:])
+    open_loop_poles = [1.0 + w for w in poly_roots(q).roots] if q.degree >= 1 else []
     for z in open_loop_poles:
-        if abs(abs(z) - 1.0) < CIRCLE_TOL and abs(z - 1.0) > 1e-6:
+        if abs(abs(z) - 1.0) < CIRCLE_TOL:
             raise IllPosedIntegralError(
                 f"sensitivity zero on the unit circle away from z=1: {z}"
             )
 
-    m, c = _leading_zero_order(S, 1.0)
-
     def integrand(theta: float) -> float:
-        z = complex(math.cos(theta), math.sin(theta))
-        val = abs(S.num(z) / S.den(z))
-        return math.log(max(val, 1e-300))
+        h = math.sin(0.5 * theta)
+        w = complex(-2.0 * h * h, math.sin(theta))
+        val = abs(q(w) / S.den(1.0 + w))
+        return m * math.log(2.0 * h) + math.log(max(val, 1e-300))
 
-    half, panels = _integrate_log_magnitude(integrand, cutoff, math.pi, rel_tol)
+    half, panels, cap_hits = _integrate_log_magnitude(integrand, cutoff, math.pi, rel_tol)
     if m == 0:
         # No structural zero at z=1: continue |S| flatly across [0, cutoff].
         half += cutoff * math.log(max(c, 1e-300))
@@ -242,6 +262,7 @@ def bode_integral_discrete(
         abs_error=abs(numeric - analytic),
         panels=panels,
         cutoff=cutoff,
+        depth_cap_hits=cap_hits,
     )
 
 
@@ -269,14 +290,14 @@ def bode_integral_continuous(
     if omega_max <= cutoff:
         raise ValueError("truncation frequency must exceed the singularity cutoff")
 
-    m, c = _leading_zero_order(S, 0.0)
+    m, c, _ = _leading_zero_order(S, 0.0)
 
     def integrand(w: float) -> float:
         s = 1j * w
         val = abs(S.num(s) / S.den(s))
         return math.log(max(val, 1e-300))
 
-    numeric, panels = _integrate_log_magnitude(integrand, cutoff, omega_max, rel_tol)
+    numeric, panels, cap_hits = _integrate_log_magnitude(integrand, cutoff, omega_max, rel_tol)
     if m > 0:
         numeric += _log_singular_tail(m, c, cutoff)
     else:
@@ -295,6 +316,7 @@ def bode_integral_continuous(
         abs_error=abs(numeric - analytic),
         panels=panels,
         cutoff=cutoff,
+        depth_cap_hits=cap_hits,
     )
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dobkit.cli import (
+    MAX_POINTS,
     ConfigError,
     build_dob_config,
     build_gains,
@@ -253,6 +254,7 @@ def test_bode_csv_nyquist_row(tmp_path, capsys):
     assert abs(first[2]) < 0.1        # |T| ~ 0 dB at DC
     footers = [l for l in lines if l.startswith("#")]
     assert any("inner" in f for f in footers) and any("outer" in f for f in footers)
+    assert all("depth_cap_hits=0" in f for f in footers)
 
 
 def test_bode_points_validation(tmp_path, capsys):
@@ -318,6 +320,20 @@ def test_sweep_invalid_range(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize("points", [MAX_POINTS + 1, 10**12])
+@pytest.mark.parametrize("command, options", [
+    ("bode", []),
+    ("sweep", ["--param", "alpha", "--from", "1", "--to", "2"]),
+])
+def test_points_capped(tmp_path, capsys, command, options, points):
+    code = main([command, _write(tmp_path, BASE), *options, "--points", str(points),
+                 "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["sweep", _write(tmp_path, BASE), "--param", "inertia",
                  "--from", "1", "--to", "2", "--points", "4",
@@ -354,6 +370,12 @@ scenario.seed = 3
     ("scenario.duration = 0.05", "scenario.duration = 1e13"),
     ("noise.eta_p = 0", "noise.eta_p = -1e-6"),
     ("noise.eta_p = 0", "noise.eta_p = nan"),
+    # keys the chosen kind or reference type does not read are still checked
+    ("reference.type = step\nscenario.reference.amplitude = 0.1",
+     "reference.type = hold_zero\nscenario.reference.amplitude = abc"),
+    ("reference.amplitude = 0.1", "reference.amplitude = 0.1\nscenario.reference.freq = abc"),
+    ("dob.kind = velocity", "dob.kind = velocity\ndob.g_v = -1"),
+    ("dob.kind = velocity", "dob.kind = acceleration\ndob.g_v = 0"),
 ])
 def test_simulate_invalid_scenario_exit_one(tmp_path, capsys, old, new):
     text = SIM.replace(old, new)

@@ -92,6 +92,13 @@ def test_dob_config_rejects_non_finite(name, value):
         DobConfig(**params)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("kind", ["acceleration", "velocity", "position"])
+def test_dob_config_rejects_non_positive_g_v_for_every_kind(kind, value):
+    with pytest.raises(ValueError, match="g_v"):
+        DobConfig(kind=kind, plant=PlantParams.from_alpha(1.0), g_dob=500.0, Ts=1e-3, g_v=value)
+
+
 @pytest.mark.parametrize("value", NON_FINITE)
 @pytest.mark.parametrize("name", ["K_p", "K_d"])
 def test_outer_gains_reject_non_finite(name, value):

@@ -2,18 +2,27 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dobkit.loops import LoopSet, make_continuous_inner, make_inner_loop, PlantParams
+from dobkit.loops import (
+    LoopSet,
+    OuterGains,
+    PlantParams,
+    make_continuous_inner,
+    make_inner_loop,
+    make_outer_loop,
+    make_pd,
+)
 from dobkit.robustness import (
     IllPosedIntegralError,
+    _leading_zero_order,
     bode_integral_continuous,
     bode_integral_discrete,
     freq_sweep,
     waterbed_report,
 )
-from dobkit.stability import classify_poles
+from dobkit.stability import classify_poles, position_non_osc_bound
 from dobkit.zalg import RationalTF
 
 from conftest import make_cfg
@@ -145,8 +154,6 @@ def test_discrete_integral_consistency(kind, alpha, g_frac, Ts):
 def test_position_integral_consistency(alpha, gv_ts):
     Ts = 1e-3
     g_v = gv_ts / Ts
-    from dobkit.stability import position_non_osc_bound
-
     bound = position_non_osc_bound(g_v, Ts)
     g_dob = 0.8 * bound / alpha
     if g_dob < 1.0:
@@ -154,6 +161,81 @@ def test_position_integral_consistency(alpha, gv_ts):
     cfg = make_cfg("position", alpha=alpha, g_dob=g_dob, Ts=Ts, g_v=g_v)
     report = bode_integral_discrete(make_inner_loop(cfg))
     assert abs(report.numeric_value - report.analytic_value) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# structural zeros at z = 1: divided out of ln|S|, counted exactly
+# ---------------------------------------------------------------------------
+
+KINDS = ("acceleration", "velocity", "position")
+
+
+def _regulation_loops(kind, gains):
+    """Inner and outer loop of the README regulation configuration."""
+    cfg = make_cfg(kind, alpha=1.0, g_dob=1000.0, Ts=0.5e-3, g_v=2000.0)
+    inner = make_inner_loop(cfg)
+    return inner, make_outer_loop(inner, make_pd(gains, cfg.Ts))
+
+
+def _fixture_loops(regulation_gains):
+    """Regulation loops of each kind plus the criterion 1 and 2 grids."""
+    loops = []
+    for kind in KINDS:
+        inner, outer = _regulation_loops(kind, regulation_gains)
+        loops += [(f"{kind} inner", inner), (f"{kind} outer", outer)]
+    for alpha in (1.0, 1.5, 3.0):
+        for g_dob in (100.0, 500.0, 900.0):
+            cfg = make_cfg("acceleration", alpha=alpha, g_dob=g_dob)
+            loops.append((f"criterion 1 {alpha} {g_dob}", make_inner_loop(cfg)))
+    for alpha, g_dob in ((1.0, 100.0), (1.0, 500.0), (1.0, 900.0), (1.5, 100.0),
+                         (1.5, 500.0), (3.0, 100.0), (3.0, 300.0)):
+        cfg = make_cfg("velocity", alpha=alpha, g_dob=g_dob)
+        loops.append((f"criterion 2 velocity {alpha} {g_dob}", make_inner_loop(cfg)))
+    for g_dob in (30.0, 60.0, 100.0, 0.95 * position_non_osc_bound(750.0, 1e-3)):
+        cfg = make_cfg("position", g_dob=g_dob, g_v=750.0)
+        loops.append((f"criterion 2 position {g_dob}", make_inner_loop(cfg)))
+    return loops
+
+
+def test_no_depth_cap_hits_on_fixture_loops(regulation_gains):
+    for label, loop in _fixture_loops(regulation_gains):
+        assert bode_integral_discrete(loop).depth_cap_hits == 0, label
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_regulation_outer_integral_is_exact_zero(kind, regulation_gains):
+    # re-rooting the expanded (z-1)**2 splits it by ~sqrt(eps) and can put one
+    # half outside the circle; Horner sums near z = 1 are float noise
+    _, outer = _regulation_loops(kind, regulation_gains)
+    report = bode_integral_discrete(outer)
+    assert report.analytic_value == 0.0
+    assert abs(report.numeric_value) < 1e-10
+    assert report.panels < 2000
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_structural_order_at_one(kind, regulation_gains):
+    inner, outer = _regulation_loops(kind, regulation_gains)
+    assert _leading_zero_order(inner.S, 1.0)[0] == 1
+    assert _leading_zero_order(outer.S, 1.0)[0] == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(KINDS),
+    st.floats(0.3, 3.0),
+    st.floats(100.0, 1500.0),
+    st.sampled_from([1e-3, 5e-4]),
+    st.floats(500.0, 3000.0),
+    st.floats(500.0, 8000.0),
+    st.floats(10.0, 300.0),
+)
+def test_outer_integral_consistency(kind, alpha, g_dob, Ts, g_v, K_p, K_d):
+    cfg = make_cfg(kind, alpha=alpha, g_dob=g_dob, Ts=Ts, g_v=g_v)
+    outer = make_outer_loop(make_inner_loop(cfg), make_pd(OuterGains(K_p, K_d), Ts))
+    assume(classify_poles(outer.T).all_in_unit)
+    report = bode_integral_discrete(outer)
+    assert abs(report.numeric_value - report.analytic_value) < 1e-6
 
 
 # ---------------------------------------------------------------------------
