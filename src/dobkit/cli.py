@@ -246,11 +246,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header, rows, footer_comments=()):
+def _write_csv(path: str, header, columns, footer_comments=()):
+    """One row per index of the equal-length ``columns``: integer columns as %d,
+    the rest as %.17g (what ``_fmt`` prints)."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
         for comment in footer_comments:
             fh.write(f"# {comment}\n")
 
@@ -260,10 +263,11 @@ def _db(x: np.ndarray) -> np.ndarray:
 
 
 def _report_line(report) -> str:
+    """A discrete integral's values, trapezoid point count and last doubling difference."""
     return (
         f"numeric={_fmt(report.numeric_value)} analytic={_fmt(report.analytic_value)} "
-        f"abs_error={_fmt(report.abs_error)} panels={report.panels} "
-        f"depth_cap_hits={report.depth_cap_hits} cutoff={_fmt(report.cutoff)}"
+        f"abs_error={_fmt(report.abs_error)} points={report.panels} "
+        f"last_difference={_fmt(report.last_difference)}"
     )
 
 
@@ -314,7 +318,7 @@ def cmd_analyze(args) -> int:
                verdict.margin, sweep.peak_S.value, sweep.peak_T.value,
                report.numeric_value if report else math.nan,
                report.analytic_value if report else math.nan]
-        _write_csv(args.out, header, [row])
+        _write_csv(args.out, header, [[v] for v in row])
     return 0 if verdict.stable else 2
 
 
@@ -353,7 +357,7 @@ def cmd_sweep(args) -> int:
                     + [p.real for p in poles]
                     + [p.imag for p in poles]
                     + [mag, peak, numeric, analytic])
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, zip(*rows))
     if branch.exit_value is not None:
         print(f"unit-circle exit at {args.param} = {_fmt(branch.exit_value)}", file=sys.stderr)
     else:
@@ -373,9 +377,8 @@ def cmd_simulate(args) -> int:
     if trace.diverged:
         diverged_col[-1] = 1
     header = ["t", "q_ref", "q", "qdot", "qddot", "I", "tau_d", "tau_dis_hat", "diverged"]
-    rows = zip(trace.t, trace.q_ref, trace.q, trace.qd, trace.qdd,
-               trace.I, trace.tau_d, trace.tau_dis_hat, diverged_col)
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, [trace.t, trace.q_ref, trace.q, trace.qd, trace.qdd,
+                                  trace.I, trace.tau_d, trace.tau_dis_hat, diverged_col])
 
     windows = [("full", 0.0, float(trace.t[-1]))] if trace.t.size > 1 else []
     for i, pulse in enumerate(sc.disturbances, start=1):
@@ -410,8 +413,8 @@ def cmd_bode(args) -> int:
             footer.append(f"bode_integral {name}: ill-posed ({exc})")
 
     header = ["omega_rad_s", "mag_S_i_dB", "mag_T_i_dB", "mag_S_o_dB", "mag_T_o_dB"]
-    rows = zip(sw_i.freqs, _db(sw_i.mag_S), _db(sw_i.mag_T), _db(sw_o.mag_S), _db(sw_o.mag_T))
-    _write_csv(args.out, header, rows, footer_comments=footer)
+    columns = [sw_i.freqs, _db(sw_i.mag_S), _db(sw_i.mag_T), _db(sw_o.mag_S), _db(sw_o.mag_T)]
+    _write_csv(args.out, header, columns, footer_comments=footer)
     return 0
 
 

@@ -247,7 +247,7 @@ def make_pd(gains: OuterGains, Ts: float) -> RationalTF:
     return RationalTF([-kd_over_ts, gains.K_p + kd_over_ts], [0.0, 1.0], Ts)
 
 
-def make_outer_loop(inner: LoopSet, pd: RationalTF, Ts: float | None = None) -> LoopSet:
+def make_outer_loop(inner: LoopSet, pd: RationalTF) -> LoopSet:
     """Close the position loop: L = pd * C_inner * G_position.
 
     The outer loop is always closed on position, so the open loop composes the
@@ -258,8 +258,6 @@ def make_outer_loop(inner: LoopSet, pd: RationalTF, Ts: float | None = None) -> 
         raise DomainMismatchError("outer loop requires discrete inner loop and PD")
     if pd.ts != inner.ts:
         raise DomainMismatchError("inner loop and PD must share the sampling time")
-    if Ts is not None and Ts != pd.ts:
-        raise DomainMismatchError("explicit Ts disagrees with the blocks")
     ts = pd.ts
     G_p = discrete_position_plant(ts)
     L = pd * inner.C * G_p

@@ -1,17 +1,18 @@
 """Sensitivity-integral verification, frequency sweeps and waterbed reporting.
 
-The discrete sensitivity integral of ln|S| over the unit circle is computed
-with a singularity-aware scheme: ln|S| diverges logarithmically at the angle
-where the open loop integrates (S has a zero of order m at z = 1), so [0, pi]
-is split at a small cutoff; below it the integral is taken from the leading
-asymptotic m*theta*ln(c*theta) form, above it by adaptive Simpson quadrature
-on log-spaced seed panels. The m zeros at z = 1 are divided out of the
-numerator exactly: with w = z - 1 and S.num(z) = w**m * q(w), the integrand
-is m*ln|w| + ln|q(w)| - ln|S.den(z)|, so no Horner sum cancels near z = 1.
-The analytic side comes from the discrete sensitivity trade-off identity:
-2*pi*(sum of log-magnitudes of open-loop poles outside the unit circle minus
-ln|1 + lim L|). The open-loop poles are the m exact ones at z = 1, which lie
-on the circle and add nothing, plus 1 + roots(q).
+S is factored once per loop about z = 1: with w = z - 1 and m structural zeros
+there (one per open-loop integrator), S = w**m * q(w) / den(w). On the circle
+w = -2 sin(theta/2)**2 + j sin(theta) and |w| = 2 sin(theta/2) are formed
+without cancellation. This one form gives |S| for sweeps, peaks and ln|S|.
+
+The discrete integral of ln|S| over the circle is the integral of
+g = ln|q(w) / den(w)| alone: m*ln|w| integrates to exactly 0 (Jensen), and g
+is smooth and periodic, so the periodic trapezoid rule converges on it
+geometrically; a map of the circle onto itself first crowds the points toward
+z = 1, where slow poles come close to the circle. The analytic side is 2*pi*(sum of ln|p| over the open-loop
+poles outside the circle - ln|1 + lim L|); those poles are the m exact ones
+at z = 1, on the circle, and 1 + roots(q). The continuous integral over
+[0, inf) uses adaptive Simpson with its log singularity split off.
 """
 from __future__ import annotations
 
@@ -35,10 +36,15 @@ __all__ = [
     "waterbed_report",
 ]
 
-# Pole-on-circle detection tolerance and default singularity cutoff.
+# Pole-on-circle detection tolerance; continuous-integral cutoff and tolerance.
 CIRCLE_TOL = 1e-9
 DEFAULT_CUTOFF = 1e-6
 DEFAULT_REL_TOL = 1e-8
+# Trapezoid rule: first point count, agreement of two successive estimates
+# relative to max(1, |estimate|), and the point count that raises.
+TRAPEZOID_START = 64
+TRAPEZOID_REL_TOL = 1e-12
+TRAPEZOID_MAX_POINTS = 2**20
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -49,16 +55,21 @@ class IllPosedIntegralError(ValueError):
 
 @dataclass(frozen=True)
 class BodeIntegralReport:
-    """Numeric vs analytic value of the ln|S| integral, with grid diagnostics."""
+    """Numeric vs analytic value of the ln|S| integral, with grid diagnostics.
+
+    ``panels`` counts trapezoid points on the circle (discrete) or Simpson
+    panels (continuous). Discrete reports carry ``last_difference``, between
+    the last two trapezoid estimates; continuous ones the ``cutoff`` and the
+    Simpson panels closed at the depth cap unconverged (``depth_cap_hits``).
+    """
 
     numeric_value: float
     analytic_value: float
     abs_error: float
     panels: int
-    cutoff: float
-    # Panels closed at the depth cap without meeting their tolerance: a
-    # non-zero count means the integrand is noise-limited there.
-    depth_cap_hits: int
+    last_difference: float | None = None
+    cutoff: float | None = None
+    depth_cap_hits: int | None = None
 
 
 @dataclass(frozen=True)
@@ -159,13 +170,12 @@ def _integrate_log_magnitude(f, a: float, b: float, rel_tol: float):
     return total, panels, cap_hits
 
 
-def _leading_zero_order(tf: RationalTF, at: float) -> tuple[int, float, np.ndarray]:
-    """Order m and scale c with |tf| ~ (c*eps)**m for points eps away from ``at``.
+def _leading_zero_order(tf: RationalTF, at: float) -> tuple[int, np.ndarray]:
+    """Order m of the numerator's zero at ``at``, with its Taylor coefficients there.
 
-    Taylor-expands the numerator about the point; m is the index of the first
-    non-negligible coefficient, and c = |a_m / den(at)|**(1/m). The Taylor
-    coefficients are returned too: ``taylor[m:]`` is the numerator with its
-    m zeros at the point divided out, as a polynomial in x - at.
+    m is the index of the first non-negligible Taylor coefficient, so
+    ``taylor[m:]`` is the numerator with its m zeros at the point divided out,
+    as a polynomial in x - at.
     """
     taylor = tf.num.shifted(at).coeffs
     scale = float(np.max(np.abs(taylor)))
@@ -174,13 +184,7 @@ def _leading_zero_order(tf: RationalTF, at: float) -> tuple[int, float, np.ndarr
     m = 0
     while m < taylor.size and abs(taylor[m]) <= 1e-9 * scale:
         m += 1
-    den_at = float(tf.den(at))
-    if den_at == 0.0:
-        raise IllPosedIntegralError(f"denominator vanishes at {at}")
-    if m == 0:
-        return 0, abs(taylor[0] / den_at), taylor
-    k = abs(taylor[m] / den_at)
-    return m, k ** (1.0 / m), taylor
+    return m, taylor
 
 
 def _log_singular_tail(m: int, c: float, cutoff: float) -> float:
@@ -198,57 +202,151 @@ def _open_loop_instability_sum(poles) -> float:
 
 
 # ---------------------------------------------------------------------------
+# rational functions on the unit circle
+# ---------------------------------------------------------------------------
+
+def _horner(coeffs: list, x):
+    """Horner with descending Python-float coefficients; x a number or an array."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _mag(num: list, den: list, x: np.ndarray) -> np.ndarray:
+    """|num(x) / den(x)| over an array; inf where the denominator vanishes."""
+    n, d = np.abs(_horner(num, x)), np.abs(_horner(den, x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(d > 0.0, n / np.where(d > 0.0, d, 1.0), np.inf)
+
+
+def _mag_at(num: list, den: list, x: complex) -> float:
+    """|num(x) / den(x)| in Python arithmetic, which numpy scalars make slow."""
+    d = abs(_horner(den, x))
+    return abs(_horner(num, x)) / d if d > 0.0 else math.inf
+
+
+class _FactoredS:
+    """S(z) = w**m * q(w) / den(w), w = z - 1, coefficients descending."""
+
+    __slots__ = ("m", "q", "num", "den")
+
+    def __init__(self, S: RationalTF):
+        self.m, taylor = _leading_zero_order(S, 1.0)
+        self.q = Polynomial(taylor[self.m:])
+        self.num = self.q.coeffs[::-1].tolist()
+        self.den = S.den.shifted(1.0).coeffs[::-1].tolist()
+
+    def log_g(self, w: np.ndarray) -> np.ndarray:
+        """g = ln|q(w) / den(w)|, ln|S| without its m*ln|w| part."""
+        with np.errstate(all="ignore"):
+            return np.log(np.abs(_horner(self.num, w) / _horner(self.den, w)))
+
+    def mag(self, theta: np.ndarray) -> np.ndarray:
+        h = np.sin(0.5 * theta)
+        return (2.0 * h) ** self.m * _mag(self.num, self.den, -2.0 * h * h + 1j * np.sin(theta))
+
+    def mag_at(self, theta: float) -> float:
+        h = math.sin(0.5 * theta)
+        w = complex(-2.0 * h * h, math.sin(theta))
+        return (2.0 * h) ** self.m * _mag_at(self.num, self.den, w)
+
+
+def _map_eps(singular) -> float:
+    """eps = 1 - r of the circle map z = (zeta + r) / (1 + r zeta) for the trapezoid rule.
+
+    The rule converges at the rate set by the distance, in |ln|zeta||, of the
+    nearest singularity of the mapped integrand: the images of ``singular``
+    and the Jacobian's poles at -r and -1/r. eps maximises that distance;
+    eps = 1 is the identity.
+    """
+
+    def width(eps: float) -> float:
+        r = 1.0 - eps
+        d = -math.log1p(-eps) if eps < 1.0 else math.inf
+        for s in singular:
+            a, b = abs(s - r), abs(1.0 - r * s)
+            if a > 0.0 and b > 0.0:
+                d = min(d, abs(math.log(a) - math.log(b)))
+        return d
+
+    u, d = _golden_max(lambda u: width(math.exp(-u)), 0.0, 20.0, iters=30)
+    return math.exp(-u) if d > width(1.0) else 1.0
+
+
+def _circle_integral(fs: _FactoredS, singular) -> tuple[float, int, float]:
+    """Integral of g over the unit circle by the periodic trapezoid rule.
+
+    The circle is mapped onto itself first (``_map_eps``): z = +-1 stay put
+    and points crowd toward z = 1, where slow poles sit near the circle. The
+    singular points (S's poles and its zeros off z = 1) only place the
+    samples; the value is a sum of samples of S on the circle. With
+    zeta = exp(j t) the points are t_k = 2*pi*k/n; the mapped integrand is
+    even, so only [0, pi] is sampled, its interior twice. Doubling n adds the
+    odd multiples of pi/n. Returns (value, n, last difference).
+    """
+    eps = _map_eps(singular)
+
+    def g(t):
+        # zeta - 1 and 1 + r*zeta from half angles, without cancellation
+        h, c, s = np.sin(0.5 * t), np.cos(0.5 * t), np.sin(t)
+        zeta_m1 = -2.0 * h * h + 1j * s
+        one_r_zeta = eps + (1.0 - eps) * (2.0 * c * c + 1j * s)
+        jacobian = eps * (2.0 - eps) / np.abs(one_r_zeta) ** 2
+        vals = fs.log_g(eps * zeta_m1 / one_r_zeta) * jacobian
+        if not np.all(np.isfinite(vals)):
+            raise IllPosedIntegralError("integrand is not finite on the unit circle")
+        return vals
+
+    n = TRAPEZOID_START
+    first = g(np.arange(n // 2 + 1) * (2.0 * math.pi / n))
+    total = 2.0 * float(np.sum(first)) - float(first[0]) - float(first[-1])
+    estimate = 2.0 * math.pi * total / n
+    while n < TRAPEZOID_MAX_POINTS:
+        total += 2.0 * float(np.sum(g((2.0 * np.arange(n // 2) + 1.0) * (math.pi / n))))
+        n *= 2
+        previous, estimate = estimate, 2.0 * math.pi * total / n
+        difference = abs(estimate - previous)
+        if difference <= TRAPEZOID_REL_TOL * max(1.0, abs(estimate)):
+            return estimate, n, difference
+    raise IllPosedIntegralError(
+        f"trapezoid rule did not converge in {n} points (last difference {difference:.3g})"
+    )
+
+
+# ---------------------------------------------------------------------------
 # sensitivity integrals
 # ---------------------------------------------------------------------------
 
-def bode_integral_discrete(
-    loop: LoopSet,
-    cutoff: float = DEFAULT_CUTOFF,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> BodeIntegralReport:
+def bode_integral_discrete(loop: LoopSet) -> BodeIntegralReport:
     """Integral of ln|S| over the full unit circle versus its analytic value.
 
-    The numeric side doubles the [0, pi] integral (real coefficients make the
-    integrand even). S.num is deflated once at z = 1: with w = z - 1 and
-    S.num(z) = w**m * q(w), the integrand is m*ln|w| + ln|q(w)| - ln|S.den(z)|,
-    and w = -2 sin(theta/2)**2 + j sin(theta) is formed without cancellation.
-    The analytic side is 2*pi*(sum ln|p_u| - ln|1 + lim L|) with p_u the
-    open-loop poles outside the unit circle; the limit term drops for strictly
-    proper open loops. Those poles are the zeros of S: the m at z = 1, exact
-    and on the circle, and 1 + roots(q), which alone are rooted.
-    Raises ``IllPosedIntegralError`` when S has poles on the unit circle, or
-    unit-circle zeros anywhere but the structural ones at z = 1.
+    The numeric side is the trapezoid rule on g (module docstring and
+    ``_circle_integral``). The analytic side is 2*pi*(sum ln|p_u| -
+    ln|1 + lim L|) with p_u the open-loop poles outside the unit circle; the
+    limit term drops for strictly proper open loops. Those poles are the zeros
+    of S: the m at z = 1, exact and on the circle, and 1 + roots(q).
+    Raises ``IllPosedIntegralError`` when S has poles on the unit circle or
+    zeros on it away from z = 1, when g is not finite, or when the trapezoid
+    rule reaches ``TRAPEZOID_MAX_POINTS`` without converging.
     """
     S, L = loop.S, loop.L
     if not S.is_discrete:
         raise ValueError("discrete loop required")
 
-    for p in poly_roots(S.den).roots:
+    poles = poly_roots(S.den).roots
+    for p in poles:
         if abs(abs(p) - 1.0) < CIRCLE_TOL:
             raise IllPosedIntegralError(f"sensitivity pole on the unit circle: {p}")
     # S = den(L) / (den(L) + num(L)): its zeros are the open-loop poles.
-    m, c, taylor = _leading_zero_order(S, 1.0)
-    q = Polynomial(taylor[m:])
-    open_loop_poles = [1.0 + w for w in poly_roots(q).roots] if q.degree >= 1 else []
+    fs = _FactoredS(S)
+    open_loop_poles = [1.0 + w for w in poly_roots(fs.q).roots] if fs.q.degree >= 1 else []
     for z in open_loop_poles:
         if abs(abs(z) - 1.0) < CIRCLE_TOL:
             raise IllPosedIntegralError(
                 f"sensitivity zero on the unit circle away from z=1: {z}"
             )
-
-    def integrand(theta: float) -> float:
-        h = math.sin(0.5 * theta)
-        w = complex(-2.0 * h * h, math.sin(theta))
-        val = abs(q(w) / S.den(1.0 + w))
-        return m * math.log(2.0 * h) + math.log(max(val, 1e-300))
-
-    half, panels, cap_hits = _integrate_log_magnitude(integrand, cutoff, math.pi, rel_tol)
-    if m == 0:
-        # No structural zero at z=1: continue |S| flatly across [0, cutoff].
-        half += cutoff * math.log(max(c, 1e-300))
-    else:
-        half += _log_singular_tail(m, c, cutoff)
-    numeric = 2.0 * half
+    numeric, points, difference = _circle_integral(fs, [*poles, *open_loop_poles])
 
     psi = L.limit_at_infinity()
     if abs(1.0 + psi) == 0.0:
@@ -260,9 +358,8 @@ def bode_integral_discrete(
         numeric_value=numeric,
         analytic_value=analytic,
         abs_error=abs(numeric - analytic),
-        panels=panels,
-        cutoff=cutoff,
-        depth_cap_hits=cap_hits,
+        panels=points,
+        last_difference=difference,
     )
 
 
@@ -290,7 +387,12 @@ def bode_integral_continuous(
     if omega_max <= cutoff:
         raise ValueError("truncation frequency must exceed the singularity cutoff")
 
-    m, c, _ = _leading_zero_order(S, 0.0)
+    m, taylor = _leading_zero_order(S, 0.0)
+    den_at = float(S.den(0.0))
+    if den_at == 0.0:
+        raise IllPosedIntegralError("denominator vanishes at 0.0")
+    # |S| ~ (c*omega)**m near omega = 0
+    c = abs(taylor[m] / den_at) ** (1.0 / m) if m else abs(taylor[0] / den_at)
 
     def integrand(w: float) -> float:
         s = 1j * w
@@ -324,15 +426,6 @@ def bode_integral_continuous(
 # frequency sweeps and peaks
 # ---------------------------------------------------------------------------
 
-def _mag_on_circle(tf: RationalTF, theta):
-    z = np.exp(1j * np.asarray(theta, dtype=float))
-    num = np.abs(np.asarray(tf.num(z)))
-    den = np.abs(np.asarray(tf.den(z)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
-    return out
-
-
 def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
@@ -350,28 +443,31 @@ def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]
     return xm, f(xm)
 
 
-def _refined_peak(tf: RationalTF, thetas: np.ndarray, mags: np.ndarray) -> Peak:
+def _refined_peak(mag_at, nyquist: float, thetas: np.ndarray, mags: np.ndarray,
+                  ts: float) -> Peak:
     """Grid argmax refined by golden-section search; z = -1 always a candidate."""
     i = int(np.argmax(mags))
     lo = thetas[max(i - 1, 0)]
     hi = thetas[min(i + 1, thetas.size - 1)]
     best_theta, best_val = thetas[i], float(mags[i])
     if hi > lo and math.isfinite(best_val):
-        t, v = _golden_max(lambda th: float(_mag_on_circle(tf, th)), lo, hi)
+        t, v = _golden_max(mag_at, lo, hi)
         if v > best_val:
             best_theta, best_val = t, v
-    # z = -1 is always a candidate (evaluated exactly, not via exp(j*pi)); a
-    # pole exactly there gives an infinite peak. Ties at rounding level go to
-    # the endpoint, whose location is exact.
-    den_nyq = complex(tf.den(-1.0 + 0.0j))
-    nyq = math.inf if den_nyq == 0 else abs(complex(tf.num(-1.0 + 0.0j)) / den_nyq)
-    if nyq >= best_val * (1.0 - 1e-13):
-        best_theta, best_val = math.pi, max(nyq, best_val)
-    return Peak(value=best_val, freq=best_theta / tf.ts)
+    # ``nyquist`` is |.| at z = -1 exactly, not via exp(j*pi); a pole exactly
+    # there gives an infinite peak. Ties at rounding level go to the endpoint,
+    # whose location is exact.
+    if nyquist >= best_val * (1.0 - 1e-13):
+        best_theta, best_val = math.pi, max(nyquist, best_val)
+    return Peak(value=best_val, freq=best_theta / ts)
 
 
 def freq_sweep(loop: LoopSet, n_points: int = 512, spacing: str = "log") -> FreqSweep:
-    """Sample |S| and |T| on (0, pi/Ts] and locate the refined magnitude peaks."""
+    """Sample |S| and |T| on (0, pi/Ts] and locate the refined magnitude peaks.
+
+    |S| comes from its factored form; |T| is evaluated in z, where nothing
+    cancels since T(1) = 1.
+    """
     if not loop.L.is_discrete:
         raise ValueError("discrete loop required")
     if n_points < 16:
@@ -383,14 +479,19 @@ def freq_sweep(loop: LoopSet, n_points: int = 512, spacing: str = "log") -> Freq
     else:
         raise ValueError(f"unknown spacing {spacing!r}")
     ts = loop.ts
-    mag_S = _mag_on_circle(loop.S, thetas)
-    mag_T = _mag_on_circle(loop.T, thetas)
+    fs = _FactoredS(loop.S)
+    t_num, t_den = loop.T.num.coeffs[::-1].tolist(), loop.T.den.coeffs[::-1].tolist()
+    mag_S = fs.mag(thetas)
+    mag_T = _mag(t_num, t_den, np.exp(1j * thetas))
     return FreqSweep(
         freqs=thetas / ts,
         mag_S=mag_S,
         mag_T=mag_T,
-        peak_S=_refined_peak(loop.S, thetas, mag_S),
-        peak_T=_refined_peak(loop.T, thetas, mag_T),
+        peak_S=_refined_peak(fs.mag_at, 2.0 ** fs.m * _mag_at(fs.num, fs.den, -2.0),
+                             thetas, mag_S, ts),
+        peak_T=_refined_peak(
+            lambda th: _mag_at(t_num, t_den, complex(math.cos(th), math.sin(th))),
+            _mag_at(t_num, t_den, -1.0), thetas, mag_T, ts),
     )
 
 

@@ -244,12 +244,6 @@ class RationalTF:
             raise ValueError("improper transfer function has no finite limit")
         return self.num.leading / self.den.leading
 
-    def poles(self) -> RootSet:
-        return poly_roots(self.den)
-
-    def zeros(self) -> RootSet:
-        return poly_roots(self.num)
-
     def monic_normalized(self) -> "RationalTF":
         lead = self.den.leading
         return RationalTF(self.num.coeffs / lead, self.den.coeffs / lead, self.ts)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dobkit.cli import (
+    _fmt,
+    _write_csv,
     MAX_POINTS,
     ConfigError,
     build_dob_config,
@@ -197,6 +199,19 @@ def test_analyze_summary_csv(tmp_path, capsys):
     assert float(values[0]) == 1.0
 
 
+def test_csv_writer_matches_per_cell_format(tmp_path):
+    # reference: the per-cell writer it replaced, one _fmt call per value
+    floats = np.array([0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324,
+                       1.7976931348623157e308, -123456789.125, 1e16, 2.5])
+    ints = np.array([0, 1, -1, 7, 2**40, 0, 1, 0, 1, 0, 3])
+    columns = [floats, ints, floats[::-1], [float(v) for v in ints]]
+    out = tmp_path / "t.csv"
+    _write_csv(str(out), ["a", "b", "c", "d"], columns, footer_comments=["end"])
+    expected = "a,b,c,d\n" + "".join(
+        ",".join(_fmt(v) for v in row) + "\n" for row in zip(*columns)) + "# end\n"
+    assert out.read_text() == expected
+
+
 def test_simulate_row_count_and_metrics(tmp_path, capsys):
     text = BASE + "scenario.duration = 0.001\nscenario.reference.type = hold_zero\n"
     text = text.replace("dob.Ts = 0.001", "dob.Ts = 0.0005")
@@ -254,7 +269,11 @@ def test_bode_csv_nyquist_row(tmp_path, capsys):
     assert abs(first[2]) < 0.1        # |T| ~ 0 dB at DC
     footers = [l for l in lines if l.startswith("#")]
     assert any("inner" in f for f in footers) and any("outer" in f for f in footers)
-    assert all("depth_cap_hits=0" in f for f in footers)
+    for footer in footers:
+        # the trapezoid rule converged: last doubling agreed to 1e-12 relative
+        fields = dict(item.split("=") for item in footer.split(": ", 1)[1].split())
+        assert int(fields["points"]) <= 2**20
+        assert float(fields["last_difference"]) <= 1e-12 * max(1.0, abs(float(fields["numeric"])))
 
 
 def test_bode_points_validation(tmp_path, capsys):

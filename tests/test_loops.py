@@ -255,8 +255,6 @@ def test_outer_loop_domain_checks():
     inner = make_inner_loop(make_cfg("velocity", Ts=1e-3))
     with pytest.raises(DomainMismatchError):
         make_outer_loop(inner, make_pd(OuterGains(K_p=100.0, K_d=1.0), 2e-3))
-    with pytest.raises(DomainMismatchError):
-        make_outer_loop(inner, make_pd(OuterGains(K_p=100.0, K_d=1.0), 1e-3), Ts=2e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from dobkit.loops import (
     make_pd,
 )
 from dobkit.robustness import (
+    TRAPEZOID_MAX_POINTS,
     IllPosedIntegralError,
+    _circle_integral,
+    _FactoredS,
     _leading_zero_order,
     bode_integral_continuous,
     bode_integral_discrete,
@@ -116,20 +120,44 @@ def test_overflowing_integrand_is_ill_posed():
         bode_integral_discrete(loop)
 
 
-def test_cutoff_halving_changes_little():
+def test_circle_map_changes_little():
+    # with no singular points to crowd toward, the circle map is the identity
+    # and the rule is the plain trapezoid rule in theta
     loop = make_inner_loop(make_cfg("acceleration", alpha=1.5, g_dob=500.0))
-    a = bode_integral_discrete(loop, cutoff=1e-6).numeric_value
-    b = bode_integral_discrete(loop, cutoff=5e-7).numeric_value
-    assert abs(a - b) < 1e-5
+    mapped = bode_integral_discrete(loop).numeric_value
+    plain, points, _ = _circle_integral(_FactoredS(loop.S), [])
+    assert points <= 256
+    assert abs(mapped - plain) < 1e-13
 
 
 def test_report_carries_grid_stats():
     report = bode_integral_discrete(make_inner_loop(make_cfg("velocity")))
-    assert report.panels > 0
-    assert report.cutoff == pytest.approx(1e-6)
+    assert report.panels >= 128 and report.panels & (report.panels - 1) == 0
+    assert report.last_difference <= 1e-12 * max(1.0, abs(report.numeric_value))
+    assert report.cutoff is None and report.depth_cap_hits is None
     assert report.abs_error == pytest.approx(
         abs(report.numeric_value - report.analytic_value)
     )
+
+
+def test_point_cap_raises_near_the_circle():
+    # pole at -(1 - 1e-8): clear of CIRCLE_TOL, but the trapezoid rule would
+    # need about 10**9 points; the circle map cannot help away from z = 1
+    cfg = make_cfg("velocity", alpha=1.0, g_dob=(2.0 - 1e-8) / 1e-3, Ts=1e-3)
+    with pytest.raises(IllPosedIntegralError,
+                       match=f"did not converge in {TRAPEZOID_MAX_POINTS} points"):
+        bode_integral_discrete(make_inner_loop(cfg))
+
+
+def test_lightly_damped_slow_poles_converge():
+    # outer poles at |z| = 1 - 1.8e-5 near z = 1: about 2 million points in
+    # theta, tens of thousands after the circle map
+    cfg = make_cfg("velocity", alpha=0.30078125, g_dob=100.0, Ts=1e-3)
+    outer = make_outer_loop(make_inner_loop(cfg), make_pd(OuterGains(500.0, 10.0), 1e-3))
+    report = bode_integral_discrete(outer)
+    assert report.analytic_value == 0.0
+    assert abs(report.numeric_value) < 1e-12
+    assert report.panels <= 2**17
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,9 +225,11 @@ def _fixture_loops(regulation_gains):
     return loops
 
 
-def test_no_depth_cap_hits_on_fixture_loops(regulation_gains):
+def test_trapezoid_converges_on_fixture_loops(regulation_gains):
     for label, loop in _fixture_loops(regulation_gains):
-        assert bode_integral_discrete(loop).depth_cap_hits == 0, label
+        report = bode_integral_discrete(loop)
+        assert report.last_difference <= 1e-12 * max(1.0, abs(report.numeric_value)), label
+        assert report.abs_error <= 1e-12, label
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -209,8 +239,35 @@ def test_regulation_outer_integral_is_exact_zero(kind, regulation_gains):
     _, outer = _regulation_loops(kind, regulation_gains)
     report = bode_integral_discrete(outer)
     assert report.analytic_value == 0.0
-    assert abs(report.numeric_value) < 1e-10
-    assert report.panels < 2000
+    assert abs(report.numeric_value) < 1e-12
+    assert report.panels <= 1024
+
+
+def _exact_mag(tf, t):
+    """|tf| at z = ((1 - t^2) + 2jt) / (1 + t^2), exactly on the unit circle,
+    in rational arithmetic on the stored float coefficients."""
+    t = Fraction(t)
+    x, y = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+
+    def sq_abs(poly):
+        re, im = Fraction(0), Fraction(0)
+        for c in poly.coeffs[::-1]:
+            re, im = re * x - im * y + Fraction(c), re * y + im * x
+        return re * re + im * im
+
+    return math.sqrt(sq_abs(tf.num) / sq_abs(tf.den))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_factored_sensitivity_is_exact_near_one(kind, regulation_gains):
+    # the expanded Horner sum loses up to 1.9e-8 relative at theta ~ 3e-4
+    _, outer = _regulation_loops(kind, regulation_gains)
+    fs = _FactoredS(outer.S)
+    for t in (1e-5, 1e-4, 1e-3, 0.5):
+        theta = 2.0 * math.atan(t)
+        exact = _exact_mag(outer.S, t)
+        assert fs.mag(np.array([theta]))[0] == pytest.approx(exact, rel=1e-13), t
+        assert fs.mag_at(theta) == pytest.approx(exact, rel=1e-13), t
 
 
 @pytest.mark.parametrize("kind", KINDS)
