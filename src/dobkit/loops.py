@@ -229,8 +229,8 @@ def make_inner_loop(cfg: DobConfig) -> LoopSet:
 
 def make_continuous_inner(plant: PlantParams, g_dob: float) -> LoopSet:
     """Continuous-time inner-loop baseline: L(s) = alpha*g_dob/s."""
-    if g_dob <= 0.0:
-        raise ValueError("g_dob must be strictly positive")
+    if not _finite_positive(g_dob):
+        raise ValueError("g_dob must be finite and strictly positive")
     alpha = plant.alpha
     ag = alpha * g_dob
     L = RationalTF([ag], [0.0, 1.0], None)
@@ -241,8 +241,8 @@ def make_continuous_inner(plant: PlantParams, g_dob: float) -> LoopSet:
 
 def make_pd(gains: OuterGains, Ts: float) -> RationalTF:
     """Backward-Euler PD on position error: K_p + K_d (z-1)/(Ts z)."""
-    if Ts <= 0.0:
-        raise ValueError("Ts must be strictly positive")
+    if not _finite_positive(Ts):
+        raise ValueError("Ts must be finite and strictly positive")
     kd_over_ts = gains.K_d / Ts
     return RationalTF([-kd_over_ts, gains.K_p + kd_over_ts], [0.0, 1.0], Ts)
 

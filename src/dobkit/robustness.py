@@ -3,16 +3,24 @@
 S is factored once per loop about z = 1: with w = z - 1 and m structural zeros
 there (one per open-loop integrator), S = w**m * q(w) / den(w). On the circle
 w = -2 sin(theta/2)**2 + j sin(theta) and |w| = 2 sin(theta/2) are formed
-without cancellation. This one form gives |S| for sweeps, peaks and ln|S|.
+without cancellation. This one form gives |S| for sweeps and peaks.
 
-The discrete integral of ln|S| over the circle is the integral of
-g = ln|q(w) / den(w)| alone: m*ln|w| integrates to exactly 0 (Jensen), and g
-is smooth and periodic, so the periodic trapezoid rule converges on it
-geometrically; a map of the circle onto itself first crowds the points toward
-z = 1, where slow poles come close to the circle. The analytic side is 2*pi*(sum of ln|p| over the open-loop
-poles outside the circle - ln|1 + lim L|); those poles are the m exact ones
-at z = 1, on the circle, and 1 + roots(q). The continuous integral over
-[0, inf) uses adaptive Simpson with its log singularity split off.
+Both Bode integrals are smooth, periodic integrals over the unit circle, summed
+by one periodic trapezoid rule that converges on them geometrically; a map of
+the circle onto itself first crowds the points toward z = 1, where slow poles
+come close to the circle.
+
+- Discrete: the integral of ln|S| over the circle is that of g = ln|q / den|
+  alone, since m*ln|w| integrates to exactly 0 (Jensen). The analytic side is
+  2*pi*(sum of ln|p| over the open-loop poles outside the circle -
+  ln|1 + lim L|); those poles are the m exact ones at z = 1, on the circle,
+  and 1 + roots(q).
+- Continuous: j*omega = c*w/(w + 2), i.e. omega = c*tan(theta/2) with
+  c = |lim s*L|, takes [0, inf) onto half the circle. With
+  m*ln sin(theta/2) split off (its integral is -m*c*pi/2), ln|S| times the
+  Jacobian is smooth and even, with closed-form limits at z = +-1. The
+  analytic side is pi*(sum of Re p over the open-loop right-half-plane poles)
+  - (pi/2)*lim s*L.
 """
 from __future__ import annotations
 
@@ -36,10 +44,8 @@ __all__ = [
     "waterbed_report",
 ]
 
-# Pole-on-circle detection tolerance; continuous-integral cutoff and tolerance.
+# Pole-on-circle detection tolerance.
 CIRCLE_TOL = 1e-9
-DEFAULT_CUTOFF = 1e-6
-DEFAULT_REL_TOL = 1e-8
 # Trapezoid rule: first point count, agreement of two successive estimates
 # relative to max(1, |estimate|), and the point count that raises.
 TRAPEZOID_START = 64
@@ -57,19 +63,15 @@ class IllPosedIntegralError(ValueError):
 class BodeIntegralReport:
     """Numeric vs analytic value of the ln|S| integral, with grid diagnostics.
 
-    ``panels`` counts trapezoid points on the circle (discrete) or Simpson
-    panels (continuous). Discrete reports carry ``last_difference``, between
-    the last two trapezoid estimates; continuous ones the ``cutoff`` and the
-    Simpson panels closed at the depth cap unconverged (``depth_cap_hits``).
+    ``panels`` counts the trapezoid points on the circle; ``last_difference``
+    is the difference between the last two estimates of the integral.
     """
 
     numeric_value: float
     analytic_value: float
     abs_error: float
     panels: int
-    last_difference: float | None = None
-    cutoff: float | None = None
-    depth_cap_hits: int | None = None
+    last_difference: float
 
 
 @dataclass(frozen=True)
@@ -101,75 +103,6 @@ class WaterbedRow:
 # quadrature machinery
 # ---------------------------------------------------------------------------
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 24):
-    """Adaptive Simpson with Richardson correction; returns (value, panels, cap hits)."""
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
-
-    panels = 0
-    cap_hits = 0
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol_here, depth):
-        nonlocal panels, cap_hits
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        delta = left + right - whole
-        converged = abs(delta) <= 15.0 * tol_here
-        if converged or depth >= max_depth:
-            panels += 2
-            if not converged:
-                cap_hits += 1
-            return left + right + delta / 15.0
-        if not math.isfinite(delta):
-            # NaN never meets the tolerance, so refining it would run to max_depth
-            raise IllPosedIntegralError(f"integrand is not finite on [{x0}, {x2}]")
-        half = 0.5 * tol_here
-        return recurse(x0, xm, f0, fl, f1, left, half, depth + 1) + recurse(
-            xm, x2, f1, fr, f2, right, half, depth + 1
-        )
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    value = recurse(a, b, fa, fm, fb, whole, tol, 0)
-    return value, panels, cap_hits
-
-
-def _seed_edges(a: float, b: float) -> list[float]:
-    """Log-spaced panel edges between a and b (decade steps), endpoints included."""
-    edges = [a]
-    x = a
-    while x * 10.0 < b:
-        x *= 10.0
-        edges.append(x)
-    edges.append(b)
-    return edges
-
-
-def _integrate_log_magnitude(f, a: float, b: float, rel_tol: float):
-    """Integrate f over [a, b] with decade seed panels; returns (value, panels, cap hits)."""
-    total = 0.0
-    panels = 0
-    cap_hits = 0
-    edges = _seed_edges(a, b)
-    for x0, x1 in zip(edges, edges[1:]):
-        rough = abs(f(0.5 * (x0 + x1))) * (x1 - x0)
-        # The last term floors the tolerance at the float noise of the panel:
-        # the integrand carries ~1e-16 absolute error (log of a ratio near 1),
-        # which Simpson differences see amplified by the span.
-        tol = max(rel_tol * max(rough, 1e-3), 1e-14, 8e-15 * (x1 - x0))
-        val, n, hits = _adaptive_simpson(f, x0, x1, tol)
-        total += val
-        panels += n
-        cap_hits += hits
-    return total, panels, cap_hits
-
-
 def _leading_zero_order(tf: RationalTF, at: float) -> tuple[int, np.ndarray]:
     """Order m of the numerator's zero at ``at``, with its Taylor coefficients there.
 
@@ -187,11 +120,6 @@ def _leading_zero_order(tf: RationalTF, at: float) -> tuple[int, np.ndarray]:
     return m, taylor
 
 
-def _log_singular_tail(m: int, c: float, cutoff: float) -> float:
-    """Exact integral of m*ln(c*theta) over [0, cutoff]."""
-    return m * cutoff * (math.log(c * cutoff) - 1.0)
-
-
 def _open_loop_instability_sum(poles) -> float:
     """Sum of ln|p| over the open-loop poles strictly outside the unit circle."""
     total = 0.0
@@ -205,51 +133,42 @@ def _open_loop_instability_sum(poles) -> float:
 # rational functions on the unit circle
 # ---------------------------------------------------------------------------
 
-def _horner(coeffs: list, x):
-    """Horner with descending Python-float coefficients; x a number or an array."""
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _mag(num: list, den: list, x: np.ndarray) -> np.ndarray:
+def _mag(num: Polynomial, den: Polynomial, x: np.ndarray) -> np.ndarray:
     """|num(x) / den(x)| over an array; inf where the denominator vanishes."""
-    n, d = np.abs(_horner(num, x)), np.abs(_horner(den, x))
+    n, d = np.abs(num(x)), np.abs(den(x))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(d > 0.0, n / np.where(d > 0.0, d, 1.0), np.inf)
 
 
-def _mag_at(num: list, den: list, x: complex) -> float:
+def _mag_at(num: Polynomial, den: Polynomial, x: complex) -> float:
     """|num(x) / den(x)| in Python arithmetic, which numpy scalars make slow."""
-    d = abs(_horner(den, x))
-    return abs(_horner(num, x)) / d if d > 0.0 else math.inf
+    d = abs(den(x))
+    return abs(num(x)) / d if d > 0.0 else math.inf
 
 
 class _FactoredS:
-    """S(z) = w**m * q(w) / den(w), w = z - 1, coefficients descending."""
+    """S(z) = w**m * q(w) / den(w), w = z - 1."""
 
-    __slots__ = ("m", "q", "num", "den")
+    __slots__ = ("m", "q", "den")
 
     def __init__(self, S: RationalTF):
         self.m, taylor = _leading_zero_order(S, 1.0)
         self.q = Polynomial(taylor[self.m:])
-        self.num = self.q.coeffs[::-1].tolist()
-        self.den = S.den.shifted(1.0).coeffs[::-1].tolist()
+        self.den = S.den.shifted(1.0)
 
-    def log_g(self, w: np.ndarray) -> np.ndarray:
+    def __call__(self, w: np.ndarray) -> np.ndarray:
         """g = ln|q(w) / den(w)|, ln|S| without its m*ln|w| part."""
         with np.errstate(all="ignore"):
-            return np.log(np.abs(_horner(self.num, w) / _horner(self.den, w)))
+            return np.log(np.abs(self.q(w) / self.den(w)))
 
     def mag(self, theta: np.ndarray) -> np.ndarray:
         h = np.sin(0.5 * theta)
-        return (2.0 * h) ** self.m * _mag(self.num, self.den, -2.0 * h * h + 1j * np.sin(theta))
+        return (2.0 * h) ** self.m * _mag(self.q, self.den, -2.0 * h * h + 1j * np.sin(theta))
 
     def mag_at(self, theta: float) -> float:
         h = math.sin(0.5 * theta)
         w = complex(-2.0 * h * h, math.sin(theta))
-        return (2.0 * h) ** self.m * _mag_at(self.num, self.den, w)
+        return (2.0 * h) ** self.m * _mag_at(self.q, self.den, w)
 
 
 def _map_eps(singular) -> float:
@@ -274,32 +193,37 @@ def _map_eps(singular) -> float:
     return math.exp(-u) if d > width(1.0) else 1.0
 
 
-def _circle_integral(fs: _FactoredS, singular) -> tuple[float, int, float]:
-    """Integral of g over the unit circle by the periodic trapezoid rule.
+def _circle_integral(f, singular, ends=None) -> tuple[float, int, float]:
+    """Integral of f(w), w = z - 1, over the unit circle by the periodic trapezoid rule.
 
     The circle is mapped onto itself first (``_map_eps``): z = +-1 stay put
     and points crowd toward z = 1, where slow poles sit near the circle. The
-    singular points (S's poles and its zeros off z = 1) only place the
-    samples; the value is a sum of samples of S on the circle. With
-    zeta = exp(j t) the points are t_k = 2*pi*k/n; the mapped integrand is
-    even, so only [0, pi] is sampled, its interior twice. Doubling n adds the
-    odd multiples of pi/n. Returns (value, n, last difference).
+    singular points (the poles and zeros that make f singular) only place the
+    samples; the value is a sum of samples of f on the circle. With
+    zeta = exp(j t) the points are t_k = 2*pi*k/n; f must be even in t, so
+    only [0, pi] is sampled, its interior twice. ``ends``, if given, holds
+    the limits of f at z = 1 and z = -1, which replace its samples there.
+    Doubling n adds the odd multiples of pi/n. Returns (value, n, last
+    difference).
     """
     eps = _map_eps(singular)
 
-    def g(t):
+    def g(t, ends=None):
         # zeta - 1 and 1 + r*zeta from half angles, without cancellation
         h, c, s = np.sin(0.5 * t), np.cos(0.5 * t), np.sin(t)
         zeta_m1 = -2.0 * h * h + 1j * s
         one_r_zeta = eps + (1.0 - eps) * (2.0 * c * c + 1j * s)
         jacobian = eps * (2.0 - eps) / np.abs(one_r_zeta) ** 2
-        vals = fs.log_g(eps * zeta_m1 / one_r_zeta) * jacobian
+        vals = f(eps * zeta_m1 / one_r_zeta)
+        if ends is not None:
+            vals[0], vals[-1] = ends
+        vals = vals * jacobian
         if not np.all(np.isfinite(vals)):
             raise IllPosedIntegralError("integrand is not finite on the unit circle")
         return vals
 
     n = TRAPEZOID_START
-    first = g(np.arange(n // 2 + 1) * (2.0 * math.pi / n))
+    first = g(np.arange(n // 2 + 1) * (2.0 * math.pi / n), ends)
     total = 2.0 * float(np.sum(first)) - float(first[0]) - float(first[-1])
     estimate = 2.0 * math.pi * total / n
     while n < TRAPEZOID_MAX_POINTS:
@@ -363,18 +287,16 @@ def bode_integral_discrete(loop: LoopSet) -> BodeIntegralReport:
     )
 
 
-def bode_integral_continuous(
-    loop: LoopSet,
-    truncation: float | None = None,
-    cutoff: float = DEFAULT_CUTOFF,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> BodeIntegralReport:
+def bode_integral_continuous(loop: LoopSet) -> BodeIntegralReport:
     """Integral of ln|S(j w)| over [0, inf) for a relative-degree-one open loop.
 
-    Numerically integrates up to the truncation frequency (default 1e6 times
-    the high-frequency loop gain a = lim s*L) and adds the exact tail estimate
-    -a^2/(2*Omega). The analytic value is pi*sum Re(p_u) - (pi/2)*a over the
-    open-loop right-half-plane poles.
+    The numeric side is the trapezoid rule on the circle under
+    j*omega = c*w/(w + 2), c = |a|, a = lim s*L (module docstring). The
+    analytic value is pi*sum Re(p_u) - (pi/2)*a over the open-loop
+    right-half-plane poles p_u, the zeros of S off s = 0. Raises
+    ``IllPosedIntegralError`` when S has poles on the imaginary axis or zeros
+    on it away from s = 0, when the integrand is not finite, or when the
+    trapezoid rule reaches ``TRAPEZOID_MAX_POINTS`` without converging.
     """
     S, L = loop.S, loop.L
     if S.is_discrete:
@@ -382,43 +304,51 @@ def bode_integral_continuous(
     if L.den.degree - L.num.degree != 1:
         raise ValueError("open loop must be strictly proper with relative degree 1")
 
-    a = L.num.leading / L.den.leading
-    omega_max = truncation if truncation is not None else 1e6 * abs(a)
-    if omega_max <= cutoff:
-        raise ValueError("truncation frequency must exceed the singularity cutoff")
+    # L = a/s + b/s**2 + ...: a = lim s*L, b = lim s*(s*L - a)
+    num, den = L.num.coeffs.tolist(), L.den.coeffs.tolist()
+    n = len(den) - 1
+    a = num[n - 1] / den[n]
+    b = ((num[n - 2] if n >= 2 else 0.0) - a * den[n - 1]) / den[n]
+    c = abs(a)
 
+    # S's zeros are the open-loop poles; the m at s = 0 are divided out.
+    # s = p maps to z = (c + p)/(c - p), the imaginary axis onto the circle.
     m, taylor = _leading_zero_order(S, 0.0)
-    den_at = float(S.den(0.0))
-    if den_at == 0.0:
-        raise IllPosedIntegralError("denominator vanishes at 0.0")
-    # |S| ~ (c*omega)**m near omega = 0
-    c = abs(taylor[m] / den_at) ** (1.0 / m) if m else abs(taylor[0] / den_at)
+    poles = poly_roots(S.den).roots
+    zeros = poly_roots(Polynomial(taylor[m:])).roots if taylor.size - m > 1 else ()
+    singular = []
+    for what, roots in (("pole", poles), ("zero", zeros)):
+        for p in roots:
+            if p == c:
+                continue  # z = inf, far from the circle
+            z = (c + p) / (c - p)
+            if abs(abs(z) - 1.0) < CIRCLE_TOL:
+                raise IllPosedIntegralError(f"sensitivity {what} on the imaginary axis: {p}")
+            singular.append(z)
 
-    def integrand(w: float) -> float:
-        s = 1j * w
-        val = abs(S.num(s) / S.den(s))
-        return math.log(max(val, 1e-300))
+    def remainder(w):
+        """(ln|S| - m*ln sin(theta/2)) * (1 + t**2)/2 at omega = c*t, in units of c."""
+        with np.errstate(all="ignore"):
+            t = (w / (w + 2.0)).imag
+            s = 1j * c * t
+            ell = L.num(s) / L.den(s)
+            log_s = -0.5 * np.log1p(2.0 * ell.real + ell.real ** 2 + ell.imag ** 2)
+            return (log_s + 0.5 * m * np.log1p(1.0 / (t * t))) * (0.5 * (1.0 + t * t))
 
-    numeric, panels, cap_hits = _integrate_log_magnitude(integrand, cutoff, omega_max, rel_tol)
-    if m > 0:
-        numeric += _log_singular_tail(m, c, cutoff)
-    else:
-        numeric += cutoff * math.log(max(c, 1e-300))
-    numeric += -a * a / (2.0 * omega_max)
+    # limits: |S| ~ c_S*omega**m at omega = 0, ln|S| ~ (2b - a**2)/(2 omega**2) at inf
+    c_s = abs(float(taylor[m]) / S.den(0.0))
+    ends = (0.5 * (math.log(c_s) + m * math.log(c)), (2.0 * b - a * a + m * c * c) / (4.0 * c * c))
+    total, points, difference = _circle_integral(remainder, singular, ends)
+    numeric = 0.5 * c * (total - m * math.pi)
 
-    rhp_sum = 0.0
-    for p in poly_roots(L.den).roots:
-        if p.real > 0.0:
-            rhp_sum += p.real
-    analytic = math.pi * rhp_sum - 0.5 * math.pi * a
+    analytic = math.pi * sum(p.real for p in zeros if p.real > 0.0) - 0.5 * math.pi * a
 
     return BodeIntegralReport(
         numeric_value=numeric,
         analytic_value=analytic,
         abs_error=abs(numeric - analytic),
-        panels=panels,
-        cutoff=cutoff,
-        depth_cap_hits=cap_hits,
+        panels=points,
+        last_difference=0.5 * c * difference,
     )
 
 
@@ -480,14 +410,14 @@ def freq_sweep(loop: LoopSet, n_points: int = 512, spacing: str = "log") -> Freq
         raise ValueError(f"unknown spacing {spacing!r}")
     ts = loop.ts
     fs = _FactoredS(loop.S)
-    t_num, t_den = loop.T.num.coeffs[::-1].tolist(), loop.T.den.coeffs[::-1].tolist()
+    t_num, t_den = loop.T.num, loop.T.den
     mag_S = fs.mag(thetas)
     mag_T = _mag(t_num, t_den, np.exp(1j * thetas))
     return FreqSweep(
         freqs=thetas / ts,
         mag_S=mag_S,
         mag_T=mag_T,
-        peak_S=_refined_peak(fs.mag_at, 2.0 ** fs.m * _mag_at(fs.num, fs.den, -2.0),
+        peak_S=_refined_peak(fs.mag_at, 2.0 ** fs.m * _mag_at(fs.q, fs.den, -2.0),
                              thetas, mag_S, ts),
         peak_T=_refined_peak(
             lambda th: _mag_at(t_num, t_den, complex(math.cos(th), math.sin(th))),

@@ -11,6 +11,7 @@ cross-multiplication, which is insensitive to common factors and scaling.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,7 @@ class Polynomial:
     Instances are immutable; all operations return new objects.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_descending")
 
     def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
@@ -70,6 +71,7 @@ class Polynomial:
         c = c[:n]
         c.flags.writeable = False
         self.coeffs = c
+        self._descending = c[::-1].tolist()  # Python floats for Horner
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -113,8 +115,8 @@ class Polynomial:
 
     def __call__(self, x):
         """Horner evaluation; accepts scalars or numpy arrays, real or complex."""
-        acc = np.multiply(x, 0.0)
-        for c in self.coeffs[::-1]:
+        acc = 0.0
+        for c in self._descending:
             acc = acc * x + c
         return acc
 
@@ -209,8 +211,8 @@ class RationalTF:
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         if den.is_zero:
             raise ZeroDivisionError("transfer function denominator is zero")
-        if ts is not None and ts <= 0.0:
-            raise ValueError("sampling time must be positive (or None for continuous)")
+        if ts is not None and not 0.0 < ts < math.inf:
+            raise ValueError("sampling time must be finite and positive (or None for continuous)")
         self.num = num
         self.den = den
         self.ts = ts

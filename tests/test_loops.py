@@ -198,6 +198,12 @@ def test_continuous_high_frequency_sensitivity():
     assert abs(tf_eval(loop.S, omega=1e9)) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("value", [*NON_FINITE, 0.0, -1.0])
+def test_continuous_inner_rejects_non_finite_gain(value):
+    with pytest.raises(ValueError, match="g_dob"):
+        make_continuous_inner(PlantParams.from_alpha(1.0), value)
+
+
 def test_discrete_pole_matches_continuous_decay():
     # 1 - a*Ts approximates exp(-a*Ts) to second order
     for x in (0.01, 0.1, 0.3, 0.5):
@@ -221,6 +227,12 @@ def test_pd_dc_gain_is_kp():
 def test_pd_closed_form_coefficients():
     pd = make_pd(OuterGains(K_p=5000.0, K_d=25.0), 1e-3)
     assert pd.almost_equal(RationalTF([-25000.0, 30000.0], [0.0, 1.0], 1e-3))
+
+
+@pytest.mark.parametrize("value", [*NON_FINITE, 0.0, -1e-3])
+def test_pd_rejects_non_finite_sampling_time(value):
+    with pytest.raises(ValueError, match="Ts"):
+        make_pd(OuterGains(K_p=5000.0, K_d=25.0), value)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dobkit.robustness import (
     waterbed_report,
 )
 from dobkit.stability import classify_poles, position_non_osc_bound
-from dobkit.zalg import RationalTF
+from dobkit.zalg import Polynomial, RationalTF, poly_roots
 
 from conftest import make_cfg
 
@@ -134,7 +134,6 @@ def test_report_carries_grid_stats():
     report = bode_integral_discrete(make_inner_loop(make_cfg("velocity")))
     assert report.panels >= 128 and report.panels & (report.panels - 1) == 0
     assert report.last_difference <= 1e-12 * max(1.0, abs(report.numeric_value))
-    assert report.cutoff is None and report.depth_cap_hits is None
     assert report.abs_error == pytest.approx(
         abs(report.numeric_value - report.analytic_value)
     )
@@ -335,6 +334,90 @@ def test_continuous_analysis_misses_discrete_instability():
     disc = make_inner_loop(make_cfg("velocity", alpha=alpha, g_dob=g_dob, Ts=Ts))
     assert classify_poles(disc.T).max_mag == pytest.approx(2.0, abs=1e-9)
     assert not classify_poles(disc.T).all_in_unit
+
+
+def _continuous_loop(zeros, poles, gain):
+    """Continuous unity-feedback loop L = gain * prod(s - zeros) / prod(s - poles)."""
+    L = RationalTF(Polynomial.from_roots(zeros, leading=gain), Polynomial.from_roots(poles), None)
+    return LoopSet.from_open_loop(L, L, RationalTF.one(None))
+
+
+def _pair(zeta, omega):
+    re, im = -zeta * omega, omega * math.sqrt(1.0 - zeta * zeta)
+    return [complex(re, im), complex(re, -im)]
+
+
+@pytest.mark.parametrize("zeros, poles, gain, analytic", [
+    # double integrator: two structural zeros of S at s = 0
+    ([-1.0, -20.0], [0.0, 0.0, -100.0], 50.0, -25.0 * math.pi),
+    # open-loop pole at s = 1 adds pi*1 (the closed loop is stable)
+    ([-2.0, -5.0], [1.0, -10.0, -20.0], 30.0, math.pi - 15.0 * math.pi),
+    # lightly damped open-loop pair at 10 rad/s and a slow pole
+    ([-1.0, -5.0, -20.0], [-0.2, -100.0, *_pair(0.02, 10.0)], 50.0, -25.0 * math.pi),
+])
+def test_continuous_integral_past_first_order(zeros, poles, gain, analytic):
+    loop = _continuous_loop(zeros, poles, gain)
+    assert all(p.real < 0.0 for p in poly_roots(loop.S.den).roots)
+    report = bode_integral_continuous(loop)
+    assert report.analytic_value == pytest.approx(analytic, rel=1e-12)
+    assert report.abs_error <= 1e-9 * max(1.0, abs(report.analytic_value))
+    assert report.panels & (report.panels - 1) == 0
+    assert report.last_difference <= 1e-9 * max(1.0, abs(report.numeric_value))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4),
+    st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3),
+    st.floats(0.0, 3.0),
+    st.booleans(),
+    st.booleans(),
+    st.one_of(st.none(), st.floats(0.05, 0.99)),
+)
+def test_continuous_integral_consistency(order, log_poles, log_zeros, log_gain,
+                                         unstable, integrator, zeta):
+    # open-loop poles and zeros over three decades, optionally an open-loop
+    # right-half-plane pole, an integrator and a complex pair
+    poles = [-10.0 ** x for x in log_poles[:order]]
+    if unstable:
+        poles[0] = -poles[0]
+    if integrator:
+        poles[-1] = 0.0
+    if zeta is not None and order >= 3:
+        poles[1:3] = _pair(zeta, 10.0 ** log_poles[1])
+    gain = 10.0 ** log_gain
+    loop = _continuous_loop([-10.0 ** x for x in log_zeros[:order - 1]], poles, gain)
+    # closed loop damped and no more than three decades slower than lim s*L
+    assume(all(p.real < -0.05 * abs(p) and abs(p) > 1e-3 * gain
+               for p in poly_roots(loop.S.den).roots))
+    report = bode_integral_continuous(loop)
+    assert report.abs_error <= 1e-9 * max(1.0, abs(report.analytic_value))
+
+
+@pytest.mark.parametrize("zeros, poles, what", [
+    ([0.0], [1.0, 1.0], "pole"),           # 1 + L = (s**2 + 1)/(s - 1)**2
+    ([-1.0, -2.0], [0.0, *_pair(0.0, 3.0)], "zero"),  # undamped open-loop pair
+])
+def test_continuous_singularity_on_the_axis_is_ill_posed(zeros, poles, what):
+    with pytest.raises(IllPosedIntegralError, match=f"{what} on the imaginary axis"):
+        bode_integral_continuous(_continuous_loop(zeros, poles, 2.0))
+
+
+@pytest.mark.parametrize("omega", [100.0, 300.0])
+def test_continuous_point_cap_for_a_lightly_damped_pair(omega):
+    # damping 0.006 at omega = 100 or 300 times c = 1 plus a slow pole: its
+    # image lies about 2*zeta/omega from the circle near z = -1, where the
+    # circle map does not help; the rule converges at 100 and raises at 300
+    loop = _continuous_loop([-2.0, -3.0], [-0.01, *_pair(0.006, omega)], 1.0)
+    if omega == 100.0:
+        report = bode_integral_continuous(loop)
+        assert report.abs_error <= 1e-9 * max(1.0, abs(report.analytic_value))
+        assert report.panels <= TRAPEZOID_MAX_POINTS // 2
+    else:
+        with pytest.raises(IllPosedIntegralError,
+                           match=f"did not converge in {TRAPEZOID_MAX_POINTS} points"):
+            bode_integral_continuous(loop)
 
 
 def test_continuous_requires_relative_degree_one():

@@ -156,6 +156,12 @@ def test_discrete_frequency_is_unit_circle():
     assert abs(val - 1j) < 1e-12
 
 
+@pytest.mark.parametrize("ts", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+def test_sampling_time_must_be_finite_and_positive(ts):
+    with pytest.raises(ValueError, match="sampling time"):
+        RationalTF([1.0], [1.0], ts)
+
+
 def test_continuous_frequency_is_imaginary_axis():
     tf = RationalTF([0.0, 1.0], [1.0], None)  # H(s) = s
     assert abs(tf_eval(tf, omega=3.0) - 3j) < 1e-15
