@@ -11,9 +11,10 @@ one-step delay.
 
 ``simulate_linear_oracle`` recomputes the same noise-free trace through the
 closed-form transfer functions, giving an independent second implementation
-path for cross-validation: one loop over samples steps the PD controller, the
-inner loop's closed-form C and S and the two sampled plants, each realized as
-a direct-form section, and closes the outer loop once per sample.
+path for cross-validation: one loop over samples runs the PD controller, the
+inner loop's closed-form C and S and the two sampled plants as five separate
+order-2 direct-form sections on scalar states, and closes the outer loop once
+per sample.
 
 Both draw their inputs from ``_inputs`` and assemble their output with
 ``_trace``, which holds the measured-channel rule and the disturbance
@@ -335,34 +336,24 @@ def simulate(sc: Scenario) -> SimTrace:
 # closed-form oracle
 # ---------------------------------------------------------------------------
 
-class _Df2t:
-    """Direct-form II transposed single section, any order, zero initial state."""
+def _order2(tf: RationalTF) -> tuple[float, float, float, float, float]:
+    """``(b0, b1, b2, a1, a2)`` of a proper section of order 2 or less.
 
-    def __init__(self, tf: RationalTF):
-        num = tf.num.coeffs[::-1]
-        den = tf.den.coeffs[::-1]
-        pad = den.size - num.size
-        if pad < 0:
-            raise ValueError("improper transfer function cannot be realized causally")
-        a0 = float(den[0])
-        self.b = [0.0] * pad + [float(c) / a0 for c in num]
-        self.a = [float(c) / a0 for c in den]
-        self.s = [0.0] * (den.size - 1)
-
-    @property
-    def output_before_input(self) -> float:
-        """Current output when the section has no direct feedthrough."""
-        return self.s[0] if self.s else 0.0
-
-    def step(self, x: float) -> float:
-        b, a, s = self.b, self.a, self.s
-        y = b[0] * x + (s[0] if s else 0.0)
-        last = len(s) - 1
-        for i in range(last):
-            s[i] = b[i + 1] * x - a[i + 1] * y + s[i + 1]
-        if s:
-            s[last] = b[-1] * x - a[-1] * y
-        return y
+    Coefficients run in descending powers of z, divided by the leading
+    denominator coefficient and zero-padded to order 2, so that
+    y = b0*x + s1, s1 <- b1*x - a1*y + s2, s2 <- b2*x - a2*y is the section's
+    direct-form II transposed update from zero initial state.
+    """
+    b = [float(c) for c in tf.num.coeffs[::-1]]
+    a = [float(c) for c in tf.den.coeffs[::-1]]
+    if len(b) > len(a):
+        raise ValueError("improper transfer function cannot be realized causally")
+    if len(a) > 3:
+        raise ValueError("section order above 2")
+    a0 = a[0]
+    b = [0.0] * (len(a) - len(b)) + [c / a0 for c in b] + [0.0] * (3 - len(a))
+    a = [c / a0 for c in a] + [0.0] * (3 - len(a))
+    return b[0], b[1], b[2], a[1], a[2]
 
 
 def simulate_linear_oracle(sc: Scenario) -> SimTrace:
@@ -370,9 +361,10 @@ def simulate_linear_oracle(sc: Scenario) -> SimTrace:
 
     Independent of ``simulate``: the PD controller, the inner loop's
     closed-form compensator C and sensitivity S (the observer enters only
-    through these), and the sampled position and velocity plants each run as
-    one direct-form section. The outer loop is closed once per sample on the
-    plants' held outputs, which needs no algebraic solve because both plants
+    through these), and the sampled position and velocity plants each keep
+    their own coefficients (``_order2``) and two scalar states, updated inline
+    once per sample. The outer loop is closed on the plants' held outputs,
+    their first states, which needs no algebraic solve because both plants
     are strictly proper. Without outer gains the PD block is the zero gain.
     The current and disturbance-estimate channels are recovered from exact
     per-sample identities.
@@ -385,22 +377,39 @@ def simulate_linear_oracle(sc: Scenario) -> SimTrace:
     t, r, aref, d = _inputs(sc)
 
     inner = make_inner_loop(cfg)
-    pd = _Df2t(RationalTF.constant(0.0, Ts) if sc.gains is None else make_pd(sc.gains, Ts))
-    Ci, Si = _Df2t(inner.C), _Df2t(inner.S)
-    G_p, G_v = _Df2t(discrete_position_plant(Ts)), _Df2t(discrete_velocity_plant(Ts))
+    pb0, pb1, pb2, pa1, pa2 = _order2(
+        RationalTF.constant(0.0, Ts) if sc.gains is None else make_pd(sc.gains, Ts))
+    cb0, cb1, cb2, ca1, ca2 = _order2(inner.C)
+    sb0, sb1, sb2, sa1, sa2 = _order2(inner.S)
+    # strictly proper plants: b0 = 0, so the output is the first state
+    _, gb1, gb2, ga1, ga2 = _order2(discrete_position_plant(Ts))
+    _, vb1, vb2, va1, va2 = _order2(discrete_velocity_plant(Ts))
     J_m = plant.J_m
 
     q, qd, qdd, qdd_des = (array("d") for _ in range(4))
+    p1 = p2 = c1 = c2 = s1 = s2 = g1 = g2 = v1 = v2 = 0.0
     for r_k, a_k, d_k in zip(r.tolist(), aref.tolist(), d.tolist()):
-        q_k = G_p.output_before_input
-        des_k = a_k + pd.step(r_k - q_k)
-        acc_k = Ci.step(des_k) - Si.step(d_k) / J_m
+        q_k, qd_k = g1, v1
+        e = r_k - q_k
+        y = pb0 * e + p1
+        p1 = pb1 * e - pa1 * y + p2
+        p2 = pb2 * e - pa2 * y
+        des_k = a_k + y
+        y = cb0 * des_k + c1
+        c1 = cb1 * des_k - ca1 * y + c2
+        c2 = cb2 * des_k - ca2 * y
+        y_s = sb0 * d_k + s1
+        s1 = sb1 * d_k - sa1 * y_s + s2
+        s2 = sb2 * d_k - sa2 * y_s
+        acc_k = y - y_s / J_m
+        g1 = gb1 * acc_k - ga1 * q_k + g2
+        g2 = gb2 * acc_k - ga2 * q_k
+        v1 = vb1 * acc_k - va1 * qd_k + v2
+        v2 = vb2 * acc_k - va2 * qd_k
         q.append(q_k)
-        qd.append(G_v.output_before_input)
+        qd.append(qd_k)
         qdd.append(acc_k)
         qdd_des.append(des_k)
-        G_p.step(acc_k)
-        G_v.step(acc_k)
     qdd = np.asarray(qdd)
 
     current = (J_m * qdd + d) / plant.K_t
@@ -429,16 +438,10 @@ def disturbance_rejection_metrics(
         return RejectionMetrics(math.nan, math.nan, math.nan, trace.diverged)
     err = np.abs(trace.q_ref[mask] - trace.q[mask])
     est_err = trace.tau_d[mask] - trace.tau_dis_hat[mask]
-    below = err < settle_threshold
-    settle = math.nan
-    # last index after which the error never rises above the threshold again
-    ok_from = None
-    for i in range(below.size - 1, -1, -1):
-        if not below[i]:
-            break
-        ok_from = i
-    if ok_from is not None:
-        settle = float(trace.t[mask][ok_from] - t_a)
+    # first index from which the error stays below the threshold; past the end: never
+    above = np.flatnonzero(~(err < settle_threshold))
+    ok_from = int(above[-1]) + 1 if above.size else 0
+    settle = float(trace.t[mask][ok_from] - t_a) if ok_from < err.size else math.nan
     return RejectionMetrics(
         max_abs_error=float(err.max()),
         settle_time=settle,

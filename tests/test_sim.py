@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dobkit
 from dobkit.loops import (
@@ -22,13 +24,15 @@ from dobkit.sim import (
     NoiseSpec,
     Reference,
     Scenario,
+    SimTrace,
     UnsupportedScenarioError,
+    _order2,
     disturbance_rejection_metrics,
     simulate,
     simulate_linear_oracle,
 )
 from dobkit.stability import bisect_threshold
-from dobkit.zalg import tf_eval
+from dobkit.zalg import RationalTF, tf_eval
 
 from conftest import make_cfg
 
@@ -345,6 +349,62 @@ def test_oracle_equivalence_open_outer():
         assert np.max(np.abs(getattr(trace, name) - getattr(oracle, name))) <= 1e-9
 
 
+@st.composite
+def _stable_scenarios(draw):
+    """Short criterion-8-style scenarios: every kind, with and without outer gains."""
+    kind = draw(st.sampled_from(ALL_KINDS))
+    Ts = draw(st.sampled_from([1e-3, 5e-4]))
+    alpha = draw(st.floats(0.5, 2.0))
+    cfg = make_cfg(kind, alpha=alpha, g_dob=draw(st.floats(200.0, 0.8 / (alpha * Ts))),
+                   Ts=Ts, g_v=draw(st.floats(500.0, 2000.0)))
+    gains = draw(st.none() | st.builds(OuterGains, K_p=st.floats(800.0, 6000.0),
+                                       K_d=st.floats(10.0, 120.0)))
+    duration = draw(st.floats(0.05, 0.25))
+    reference = draw(st.builds(Reference.step, st.floats(-0.2, 0.2))
+                     | st.builds(Reference.sinusoid, st.floats(0.01, 0.2), st.floats(2.0, 60.0)))
+    n_pulses = draw(st.integers(0, 2))
+    pulses = []
+    for i in range(n_pulses):
+        # pulse i lies in the i-th of n_pulses equal slots, so windows never overlap
+        slot = duration / n_pulses
+        start = draw(st.floats(i * slot, (i + 0.5) * slot))
+        width = draw(st.floats(Ts, 0.5 * slot))
+        pulses.append(DisturbancePulse(start, start + width, draw(st.floats(-8.0, 8.0))))
+    return Scenario(duration=duration, cfg=cfg, gains=gains, reference=reference,
+                    disturbances=tuple(pulses))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stable_scenarios())
+def test_oracle_equivalence_on_generated_scenarios(sc):
+    trace = simulate(sc)
+    assume(not trace.diverged)
+    oracle = simulate_linear_oracle(sc)
+    for name in CHANNELS:
+        diff = float(np.max(np.abs(getattr(trace, name) - getattr(oracle, name))))
+        assert diff <= 1e-9, (name, diff, sc)
+
+
+def test_order2_sections_zero_padded():
+    Ts = 1e-3
+    assert _order2(RationalTF.constant(0.0, Ts)) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    kd = REG_GAINS.K_d / Ts
+    assert _order2(make_pd(REG_GAINS, Ts)) == (REG_GAINS.K_p + kd, -kd, 0.0, 0.0, 0.0)
+    h = 0.5 * Ts * Ts
+    assert _order2(discrete_position_plant(Ts)) == (0.0, h, h, -2.0, 1.0)
+    # the leading denominator coefficient is divided out
+    assert _order2(RationalTF([1.0, 4.0], [2.0, 4.0], Ts)) == (1.0, 0.25, 0.0, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("tf", [
+    RationalTF([0.0, 0.0, 1.0], [0.5, 1.0], 1e-3),          # z^2 / (z + 0.5): improper
+    RationalTF([1.0], [0.1, 0.0, 0.0, 1.0], 1e-3),          # order 3
+], ids=["improper", "order3"])
+def test_order2_rejects_what_it_cannot_realize(tf):
+    with pytest.raises(ValueError):
+        _order2(tf)
+
+
 def test_oracle_zero_inputs_zero_trace():
     sc = Scenario(duration=0.3, cfg=make_cfg("acceleration"), gains=REG_GAINS)
     oracle = simulate_linear_oracle(sc)
@@ -455,3 +515,45 @@ def test_metrics_settle_time_relative_to_window():
     trace = simulate(_regulation_scenario("velocity"))
     m = disturbance_rejection_metrics(trace, (6.0, 10.0), settle_threshold=1e-6)
     assert 0.0 < m.settle_time < 1.0  # recovers within a second of release
+
+
+def _error_trace(err, Ts=1e-3):
+    """A trace whose position error is ``err`` and whose estimate is exact."""
+    err = np.asarray(err, dtype=float)
+    zero = np.zeros_like(err)
+    return SimTrace(t=np.arange(err.size) * Ts, q_ref=err, q=zero, qd=zero, qdd=zero,
+                    q_meas=zero, qd_meas=None, qdd_meas=None, I_des=zero, I=zero,
+                    tau_d=zero, tau_dis_hat=zero, diverged=False)
+
+
+@pytest.mark.parametrize("err, window, settle", [
+    ([0.0, 1e-7, 0.0, 1e-7], (0.0, 0.003), 0.0),            # below everywhere
+    ([1e-5, 1e-5, 1e-5, 1e-5], (0.0, 0.003), math.nan),     # above everywhere
+    ([0.0, 0.0, 0.0, 1e-5], (0.0, 0.003), math.nan),        # above at the last sample only
+    ([1e-5, 1e-5, 0.0, 0.0], (0.0, 0.003), 0.002),          # settles inside the window
+    ([1e-5, 1e-5, 0.0, 1e-5], (0.001, 0.002), 0.001),       # window ends before the rise
+    ([1e-5, 0.0, 1e-5], (0.001, 0.0015), 0.0),              # one sample, below
+    ([0.0, 1e-5, 0.0], (0.001, 0.0015), math.nan),          # one sample, above
+])
+def test_metrics_settle_time_edges(err, window, settle):
+    m = disturbance_rejection_metrics(_error_trace(err), window)
+    if math.isnan(settle):
+        assert math.isnan(m.settle_time)
+    else:
+        assert m.settle_time == pytest.approx(settle, abs=1e-15)
+
+
+def test_metrics_settle_time_matches_reverse_scan():
+    # reference: walk back from the window's end while the error stays below
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        err = rng.choice([0.0, 1e-7, 1e-5], size=int(rng.integers(1, 30)), p=[0.5, 0.3, 0.2])
+        trace = _error_trace(err)
+        ok_from = None
+        for i in range(err.size - 1, -1, -1):
+            if not err[i] < 1e-6:
+                break
+            ok_from = i
+        expected = math.nan if ok_from is None else float(trace.t[ok_from])
+        got = disturbance_rejection_metrics(trace, (0.0, err.size * 1e-3)).settle_time
+        assert got == expected or (math.isnan(got) and math.isnan(expected)), (err, got)
