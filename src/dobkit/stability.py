@@ -21,7 +21,7 @@ from .loops import (
     make_outer_loop,
     make_pd,
 )
-from .zalg import RationalTF, poly_roots
+from .zalg import RationalTF, poly_roots, schur_stable
 
 __all__ = [
     "BindingConstraint",
@@ -117,9 +117,11 @@ def constraint_check(cfg: DobConfig) -> StabilityVerdict:
 def classify_poles(tf: RationalTF) -> PoleClassification:
     """Locate the denominator roots of a discrete TF against the unit circle.
 
-    Poles within UNIT_CIRCLE_TOL of the circle are classified as not inside.
-    ``all_real_in_0_1`` demands every pole real (tiny imaginary part allowed)
-    and strictly between 0 and 1.
+    Poles within UNIT_CIRCLE_TOL of the circle are classified as not inside:
+    ``all_in_unit`` is the Schur-Cohn verdict on the disc of radius
+    1 - UNIT_CIRCLE_TOL, exact for the denominator as stored. ``max_mag`` and
+    ``all_real_in_0_1`` come from the roots; the latter demands every pole
+    real (tiny imaginary part allowed) and strictly between 0 and 1.
     """
     if not tf.is_discrete:
         raise ValueError("discrete transfer function required")
@@ -127,7 +129,7 @@ def classify_poles(tf: RationalTF) -> PoleClassification:
         return PoleClassification(0.0, True, True)
     roots = poly_roots(tf.den).roots
     max_mag = max(abs(p) for p in roots)
-    all_in = all(abs(p) < 1.0 - UNIT_CIRCLE_TOL for p in roots)
+    all_in = schur_stable(tf.den, 1.0 - UNIT_CIRCLE_TOL)
     all_real = all(
         abs(p.imag) <= UNIT_CIRCLE_TOL * max(1.0, abs(p))
         and 0.0 < p.real < 1.0 - UNIT_CIRCLE_TOL
@@ -157,12 +159,6 @@ def config_for_sweep(base: DobConfig, param: str, value: float) -> DobConfig:
     raise ValueError(f"unknown sweep parameter {param!r}")
 
 
-def _outer_poles(cfg: DobConfig, gains: OuterGains) -> tuple:
-    inner = make_inner_loop(cfg)
-    outer = make_outer_loop(inner, make_pd(gains, cfg.Ts))
-    return poly_roots(outer.T.den).roots
-
-
 def _match_branches(prev: tuple, new: tuple) -> tuple:
     """Greedy nearest-neighbour ordering of ``new`` against ``prev``."""
     remaining = list(new)
@@ -177,6 +173,11 @@ def bisect_threshold(predicate, lo: float, hi: float, rel_tol: float = 1e-6) -> 
     """Bisection boundary of a monotone predicate: True at lo, False at hi."""
     if not predicate(lo) or predicate(hi):
         raise ValueError("predicate must hold at lo and fail at hi")
+    return _bisect(predicate, lo, hi, rel_tol)
+
+
+def _bisect(predicate, lo: float, hi: float, rel_tol: float) -> float:
+    """Bisect a bracket already known to hold at lo and fail at hi."""
     while hi - lo > rel_tol * abs(hi):
         mid = 0.5 * (lo + hi)
         if predicate(mid):
@@ -199,6 +200,8 @@ def root_locus(
     ``exit_value`` refines, by bisection to 1e-6 relative, the first parameter
     value at which the largest pole magnitude crosses the unit circle from
     inside to outside; it is None when no such crossing occurs on the grid.
+    The bisection trusts the grid's verdicts at the bracket's ends and decides
+    each point strictly inside it by ``schur_stable``, without roots.
     """
     values = [float(v) for v in values]
     if len(values) < 2:
@@ -206,9 +209,13 @@ def root_locus(
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("sweep values must be strictly increasing")
 
+    def characteristic(v: float):
+        cfg = config_for_sweep(base_cfg, param, v)
+        return make_outer_loop(make_inner_loop(cfg), make_pd(gains, cfg.Ts)).T.den
+
     pole_sets = []
     for v in values:
-        poles = _outer_poles(config_for_sweep(base_cfg, param, v), gains)
+        poles = poly_roots(characteristic(v)).roots
         if pole_sets:
             poles = _match_branches(pole_sets[-1], poles)
         pole_sets.append(tuple(poles))
@@ -217,11 +224,7 @@ def root_locus(
     exit_value = None
     for (v0, m0), (v1, m1) in zip(zip(values, max_mags), zip(values[1:], max_mags[1:])):
         if m0 < 1.0 <= m1:
-            exit_value = bisect_threshold(
-                lambda v: max(abs(p) for p in _outer_poles(config_for_sweep(base_cfg, param, v), gains)) < 1.0,
-                v0,
-                v1,
-            )
+            exit_value = _bisect(lambda v: schur_stable(characteristic(v)), v0, v1, 1e-6)
             break
 
     return LocusBranch(

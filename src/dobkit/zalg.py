@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -25,11 +26,16 @@ __all__ = [
     "RationalTF",
     "RootSet",
     "poly_roots",
+    "schur_stable",
     "tf_eval",
 ]
 
 # Relative tolerance for coefficient comparison after monic scaling.
 COEFF_RTOL = 1e-10
+# schur_stable decides exactly when a step's |a_0/a_n| is within this, plus
+# its rounding-error bound, of 1.
+SCHUR_EXACT_BAND = 1e-12
+_EPS = 2.0 ** -53  # unit roundoff of a float
 
 
 class DomainMismatchError(ValueError):
@@ -55,32 +61,51 @@ class RootFindingError(ArithmeticError):
 class Polynomial:
     """Dense real-coefficient polynomial, ascending powers, trailing zeros trimmed.
 
-    The zero polynomial is canonically ``[0.0]`` and reports degree -1.
-    Instances are immutable; all operations return new objects.
+    The coefficients are kept as a tuple of Python floats and all arithmetic
+    runs on it; ``coeffs`` is the same sequence as a read-only numpy array,
+    built on first use. The zero polynomial is canonically ``[0.0]`` and
+    reports degree -1. Instances are immutable; all operations return new
+    objects.
     """
 
-    __slots__ = ("coeffs", "_descending")
+    __slots__ = ("_c", "_array")
 
     def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
-        if c.ndim != 1 or c.size == 0:
-            c = np.array([0.0])
-        n = c.size
+        c = None
+        if isinstance(coeffs, (list, tuple)):
+            try:
+                c = [float(x) for x in coeffs]
+            except TypeError:  # nested sequences: numpy finds the shape below
+                pass
+        if c is None:
+            a = np.asarray(coeffs, dtype=float)
+            if a.ndim > 1:
+                raise ValueError(f"polynomial coefficients must be 1-D, got shape {a.shape}")
+            c = a.ravel().tolist()
+        self._set(c)
+
+    def _set(self, c: list) -> None:
+        n = len(c)
         while n > 1 and c[n - 1] == 0.0:
             n -= 1
-        c = c[:n]
-        c.flags.writeable = False
-        self.coeffs = c
-        self._descending = c[::-1].tolist()  # Python floats for Horner
+        self._c = tuple(c[:n]) if n else (0.0,)
+        self._array = None
+
+    @classmethod
+    def _of(cls, c: list) -> "Polynomial":
+        """From a list of Python floats, without conversion."""
+        p = object.__new__(cls)
+        p._set(c)
+        return p
 
     # -- constructors -----------------------------------------------------
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls([0.0])
+        return cls._of([0.0])
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls([1.0])
+        return cls._of([1.0])
 
     @classmethod
     def from_roots(cls, roots, leading: float = 1.0) -> "Polynomial":
@@ -100,69 +125,79 @@ class Polynomial:
 
     # -- basic queries -----------------------------------------------------
     @property
+    def coeffs(self) -> np.ndarray:
+        """Ascending coefficients as a read-only float array."""
+        a = self._array
+        if a is None:
+            a = np.array(self._c)
+            a.flags.writeable = False
+            self._array = a
+        return a
+
+    @property
     def degree(self) -> int:
         if self.is_zero:
             return -1
-        return self.coeffs.size - 1
+        return len(self._c) - 1
 
     @property
     def is_zero(self) -> bool:
-        return self.coeffs.size == 1 and self.coeffs[0] == 0.0
+        return len(self._c) == 1 and self._c[0] == 0.0
 
     @property
     def leading(self) -> float:
-        return float(self.coeffs[-1])
+        return self._c[-1]
 
     def __call__(self, x):
         """Horner evaluation; accepts scalars or numpy arrays, real or complex."""
         acc = 0.0
-        for c in self._descending:
+        for c in reversed(self._c):
             acc = acc * x + c
         return acc
 
     # -- algebra -----------------------------------------------------------
-    def _padded_pair(self, other: "Polynomial"):
-        n = max(self.coeffs.size, other.coeffs.size)
-        a = np.zeros(n)
-        b = np.zeros(n)
-        a[: self.coeffs.size] = self.coeffs
-        b[: other.coeffs.size] = other.coeffs
-        return a, b
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self._padded_pair(other)
-        return Polynomial(a + b)
+        return Polynomial._of([a + b for a, b in zip_longest(self._c, other._c, fillvalue=0.0)])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self._padded_pair(other)
-        return Polynomial(a - b)
+        return Polynomial._of([a - b for a, b in zip_longest(self._c, other._c, fillvalue=0.0)])
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-self.coeffs)
+        return Polynomial._of([-a for a in self._c])
 
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial.zero()
-            return Polynomial(np.convolve(self.coeffs, other.coeffs))
-        return Polynomial(self.coeffs * float(other))
+        if not isinstance(other, Polynomial):
+            s = float(other)
+            return Polynomial._of([a * s for a in self._c])
+        if self.is_zero or other.is_zero:
+            return Polynomial.zero()
+        # Each output sums its products in ascending index of the longer
+        # factor, the order np.convolve uses.
+        a, b = self._c, other._c
+        if len(b) > len(a):
+            a, b = b, a
+        out = [0.0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+        return Polynomial._of(out)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "Polynomial":
         if self.degree < 1:
             return Polynomial.zero()
-        k = np.arange(1, self.coeffs.size)
-        return Polynomial(self.coeffs[1:] * k)
+        return Polynomial._of([a * k for k, a in enumerate(self._c) if k])
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("zero polynomial has no monic form")
-        return Polynomial(self.coeffs / self.leading)
+        lead = self._c[-1]
+        return Polynomial._of([a / lead for a in self._c])
 
     def shifted(self, a: float) -> "Polynomial":
         """Taylor coefficients about ``a``: returns q with p(x) = sum q[k] (x-a)^k."""
-        work = list(self.coeffs[::-1])  # descending
+        work = list(reversed(self._c))  # descending
         taylor = []
         while work:
             b = [work[0]]
@@ -178,13 +213,13 @@ class Polynomial:
             return self.is_zero and other.is_zero
         if self.degree != other.degree:
             return False
-        a = self.monic().coeffs
-        b = other.monic().coeffs
-        scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-        return float(np.max(np.abs(a - b))) <= rtol * scale
+        a = self.monic()._c
+        b = other.monic()._c
+        tol = rtol * max(1.0, *map(abs, a), *map(abs, b))
+        return all(abs(x - y) <= tol for x, y in zip(a, b))
 
     def __repr__(self) -> str:
-        return f"Polynomial({self.coeffs.tolist()})"
+        return f"Polynomial({list(self._c)})"
 
 
 @dataclass(frozen=True)
@@ -248,7 +283,8 @@ class RationalTF:
 
     def monic_normalized(self) -> "RationalTF":
         lead = self.den.leading
-        return RationalTF(self.num.coeffs / lead, self.den.coeffs / lead, self.ts)
+        num = Polynomial._of([a / lead for a in self.num._c])
+        return RationalTF(num, self.den.monic(), self.ts)
 
     # -- algebra ------------------------------------------------------------
     def _check_domain(self, other: "RationalTF"):
@@ -336,30 +372,111 @@ class RationalTF:
 def poly_roots(p: Polynomial) -> RootSet:
     """All complex roots via companion-matrix eigenvalues plus Newton polish.
 
-    Complex roots come in exact conjugate pairs: the eigenvalues of a real
-    companion matrix do, and the polish treats both members of a pair alike.
+    The companion matrix is the one ``np.roots`` builds, and zero low-order
+    coefficients become exact roots at 0 as there. Complex roots come in exact
+    conjugate pairs: the eigenvalues of a real companion matrix do, and the
+    polish treats both members of a pair alike. A polish step stays within
+    half the distance to the nearest other eigenvalue. Raises
+    ``RootFindingError`` for degree < 1, for a non-finite coefficient and when
+    the eigenvalues cannot be computed (say, the companion row overflows).
     """
     if p.degree < 1:
         raise RootFindingError("roots are defined only for degree >= 1")
-    r = np.roots(p.coeffs[::-1]).astype(complex)
+    c = p._c
+    if not all(map(math.isfinite, c)):
+        raise RootFindingError(f"non-finite coefficient in {p!r}")
+    zeros = 0
+    while c[zeros] == 0.0:
+        zeros += 1
+    nonzero = c[zeros:]
+    n = len(nonzero) - 1
+    roots = []
+    if n:
+        lead = nonzero[-1]
+        companion = np.eye(n, k=-1)
+        companion[0] = [-a / lead for a in reversed(nonzero[:-1])]
+        try:
+            roots = np.linalg.eigvals(companion).tolist()
+        except np.linalg.LinAlgError as exc:
+            raise RootFindingError(f"companion eigenvalues failed: {exc}") from exc
+    found = [complex(x) for x in roots] + [0j] * zeros
     dp = p.derivative()
-    for i in range(r.size):
-        x = r[i]
-        fx = p(x)
+    polished = []
+    for i, x0 in enumerate(found[:n]):
+        # A step may not leave x0 for a neighbour's basin: near a multiple
+        # root, Newton can lower |p| by jumping to another root.
+        reach = 0.5 * min((abs(y - x0) for j, y in enumerate(found) if j != i), default=math.inf)
+        x, fx = x0, p(x0)
         for _ in range(3):
             dfx = dp(x)
             if dfx == 0.0:
                 break
             x2 = x - fx / dfx
             fx2 = p(x2)
-            if abs(fx2) >= abs(fx):
+            if abs(fx2) >= abs(fx) or not abs(x2 - x0) < reach:
                 break
             x, fx = x2, fx2
-        r[i] = x
-    order = np.lexsort((r.imag, r.real))
-    r = r[order]
-    residual = float(np.max(np.abs(p(r))))
-    return RootSet(tuple(complex(v) for v in r), residual)
+        polished.append(x)
+    polished += found[n:]
+    polished.sort(key=lambda v: (v.real, v.imag))
+    residual = max(abs(p(x)) for x in polished)
+    return RootSet(tuple(polished), residual)
+
+
+def schur_stable(poly: Polynomial, radius: float = 1.0) -> bool:
+    """True iff every root of ``poly`` lies strictly inside ``|z| < radius``.
+
+    The Schur-Cohn recursion (Jury 1964): with ``a`` the coefficients of
+    p(radius * z), p is stable iff ``|a_0| < |a_n|`` and
+    ``(a_n p - a_0 p~) / z`` is stable, p~ the reversed polynomial. It runs
+    on floats with a running bound on their rounding error, and is repeated
+    on exact integers proportional to the stored coefficients when some
+    step's ``|a_0 / a_n|`` is within ``SCHUR_EXACT_BAND`` plus twice that
+    bound of 1. So a verdict at the circle is the one for the polynomial as
+    stored: a root on the circle, a double one included, is not stable. A
+    constant is stable; the zero polynomial is not, nor is any polynomial
+    with a non-finite coefficient.
+    """
+    c = poly._c
+    if poly.is_zero or not all(map(math.isfinite, c)) or not 0.0 < radius < math.inf:
+        return False
+    if radius == 1.0:
+        a, err = list(c), 0.0  # err bounds the rounding error of every a_k
+    else:
+        a = [x * radius ** k for k, x in enumerate(c)]
+        err = len(a) * _EPS * max(map(abs, a))
+    while len(a) > 1:
+        an = abs(a[-1])
+        if an == 0.0:  # the leading coefficient underflowed
+            return _schur_exact(c, radius)
+        rho = a[0] / a[-1]
+        r = abs(rho)
+        rho_err = (1.0 + r) * err / an + _EPS * r
+        # within the band of 1, or inf or NaN after an overflow: decide exactly
+        if not abs(r - 1.0) > SCHUR_EXACT_BAND + 2.0 * rho_err:
+            return _schur_exact(c, radius)
+        if r > 1.0:
+            return False
+        err = (1.0 + r) * err + (rho_err + 3.0 * _EPS) * max(map(abs, a))
+        a = [a[k + 1] - rho * a[-2 - k] for k in range(len(a) - 1)]
+    return True
+
+
+def _schur_exact(c: tuple, radius: float) -> bool:
+    """The Schur-Cohn recursion on integers proportional to ``c[k] * radius**k``."""
+    rn, rd = radius.as_integer_ratio()
+    scaled = [(n * rn ** k, d * rd ** k)
+              for k, (n, d) in enumerate(x.as_integer_ratio() for x in c)]
+    den = math.lcm(*(d for _, d in scaled))
+    a = [n * (den // d) for n, d in scaled]
+    while len(a) > 1:
+        a0, an = a[0], a[-1]
+        if abs(a0) >= abs(an):
+            return False
+        a = [an * a[k + 1] - a0 * a[-2 - k] for k in range(len(a) - 1)]
+        g = math.gcd(*a)
+        a = [x // g for x in a]
+    return True
 
 
 def tf_eval(tf: RationalTF, *, omega: float | None = None, at: complex | None = None) -> complex:

@@ -1,4 +1,6 @@
+import io
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -475,3 +477,54 @@ def test_exit_contract_on_generated_configs(tmp_path_factory, case):
     if command == "simulate":
         argv += ["--out", str(workdir / "fuzz.csv")]
     assert main(argv) in (0, 1, 2)
+
+
+_SWEEP_VALID = {
+    "--param": ("alpha", "g_dob"),
+    "--from": ("0.5", "2", "3.5"),
+    "--to": ("5", "20", "1e4"),
+    "--points": ("2", "3", "6"),
+    "--spacing": ("linear", "log"),
+}
+_SWEEP_ABSURD = {
+    "--param": ("inertia", ""),
+    "--from": ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "abc", "30"),
+    "--to": ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "abc", "0.25"),
+    "--points": ("1", "0", "-3", "2.5", "x", str(MAX_POINTS + 1)),
+    "--spacing": ("cubic", ""),
+}
+
+
+@st.composite
+def _sweep_argv(draw):
+    """Mostly valid sweeps, each option absurd or left out one time in four."""
+    kind = draw(st.sampled_from(["acceleration", "velocity", "position"]))
+    argv = []
+    for option, valid in _SWEEP_VALID.items():
+        choice = draw(st.sampled_from(("valid",) * 6 + ("absurd", "omitted")))
+        if choice != "omitted":
+            menu = valid if choice == "valid" else _SWEEP_ABSURD[option]
+            argv += [option, draw(st.sampled_from(menu))]
+    return kind, argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sweep_argv())
+def test_sweep_exit_contract_on_generated_argv(tmp_path_factory, case):
+    kind, options = case
+    workdir = tmp_path_factory.getbasetemp()
+    path = workdir / "sweep.cfg"
+    path.write_text(BASE.replace("dob.kind = velocity", f"dob.kind = {kind}")
+                    + "dob.g_v = 1000\n")
+    out = workdir / "sweep.csv"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(["sweep", str(path), *options, "--out", str(out)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        points = int(options[options.index("--points") + 1])
+        assert len(out.read_text().splitlines()) == 1 + points
+    else:
+        assert not out.exists()

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dobkit.loops import (
     DobConfig,
@@ -135,6 +138,24 @@ def test_sensitivity_pair_identity(kind):
     inner = make_inner_loop(make_cfg(kind, alpha=1.7, g_dob=300.0))
     assert (inner.S + inner.T).almost_equal(RationalTF.one(inner.ts))
     assert inner.S.almost_equal(RationalTF(inner.L.den, inner.L.den + inner.L.num, inner.ts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(ALL_KINDS),
+    st.floats(0.01, 100.0),
+    st.floats(1.0, 1e5),
+    st.floats(1e-5, 1e-2),
+    st.floats(1.0, 1e5),
+    st.floats(1.0, 1e5),
+    st.floats(0.0, 1e3),
+)
+def test_sensitivity_pair_sums_to_one_exactly_on_generated_loops(kind, alpha, g_dob, Ts, g_v,
+                                                                 K_p, K_d):
+    inner = make_inner_loop(make_cfg(kind, alpha=alpha, g_dob=g_dob, Ts=Ts, g_v=g_v))
+    outer = make_outer_loop(inner, make_pd(OuterGains(K_p=K_p, K_d=K_d), Ts))
+    for loop in (inner, outer):
+        assert np.array_equal((loop.S.num + loop.T.num).coeffs, loop.S.den.coeffs)
 
 
 def test_nyquist_magnitudes():

@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dobkit.loops import make_inner_loop
+from dobkit import stability
+from dobkit.loops import make_inner_loop, make_outer_loop, make_pd
 from dobkit.stability import (
+    UNIT_CIRCLE_TOL,
     BindingConstraint,
     bisect_threshold,
     classify_poles,
+    config_for_sweep,
     constraint_check,
     position_non_osc_bound,
     root_locus,
 )
+from dobkit.zalg import Polynomial, RationalTF, poly_roots, schur_stable
 
 from conftest import make_cfg
 
@@ -97,6 +101,29 @@ def test_velocity_pole_classification(x, in_unit, real01):
     assert cls.all_in_unit is in_unit
     assert cls.all_real_in_0_1 is real01
     assert cls.max_mag == pytest.approx(abs(1.0 - x), abs=1e-12)
+
+
+def test_velocity_pole_exactly_at_minus_one_is_not_stable():
+    # alpha*g_dob*Ts = 2 puts the velocity inner pole 1 - alpha*g_dob*Ts on z = -1
+    inner = make_inner_loop(make_cfg("velocity", alpha=1.0, g_dob=2000.0, Ts=1e-3))
+    assert inner.T.den.coeffs.tolist() == [1.0, 1.0]
+    assert not schur_stable(inner.T.den)
+    poles = classify_poles(inner.T)
+    assert poles.max_mag == 1.0
+    assert not poles.all_in_unit
+
+
+def test_all_in_unit_keeps_the_unit_circle_tolerance():
+    near = Polynomial([-(1.0 - 0.5 * UNIT_CIRCLE_TOL), 1.0])
+    clear = Polynomial([-(1.0 - 2.0 * UNIT_CIRCLE_TOL), 1.0])
+    assert schur_stable(near) and not schur_stable(near, 1.0 - UNIT_CIRCLE_TOL)
+    assert schur_stable(clear, 1.0 - UNIT_CIRCLE_TOL)
+    assert not classify_poles(RationalTF([1.0], near, 1e-3)).all_in_unit
+    assert classify_poles(RationalTF([1.0], clear, 1e-3)).all_in_unit
+    # a conjugate pair inside by half the tolerance
+    r = 1.0 - 0.5 * UNIT_CIRCLE_TOL
+    pair = RationalTF([1.0], Polynomial.from_roots([0.6 * r + 0.8j * r, 0.6 * r - 0.8j * r]), 1e-3)
+    assert not classify_poles(pair).all_in_unit
 
 
 def test_classify_requires_discrete():
@@ -221,6 +248,34 @@ def test_velocity_exit_matches_marginal_inner_pole(locus_gains):
     base = make_cfg("velocity", alpha=1.0, g_dob=500.0, Ts=1e-3)
     branch = root_locus(base, locus_gains, "alpha", np.linspace(3.0, 5.0, 9))
     assert branch.exit_value == pytest.approx(4.0, rel=1e-5)
+
+
+@pytest.mark.parametrize("kind", ["velocity", "position"])
+def test_locus_roots_each_grid_point_once_and_never_while_bisecting(monkeypatch, locus_gains,
+                                                                    kind):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return poly_roots(p)
+
+    monkeypatch.setattr(stability, "poly_roots", counted)
+    base = make_cfg(kind, alpha=1.0, g_dob=500.0, Ts=1e-3, g_v=1000.0)
+    values = np.geomspace(0.01, 100.0, 21)
+    branch = root_locus(base, locus_gains, "alpha", values)
+    assert len(calls) == len(values)
+    assert branch.exit_value is not None
+
+    # the root-magnitude bisection the exit used to come from, as the reference
+    def inside(v):
+        cfg = config_for_sweep(base, "alpha", v)
+        outer = make_outer_loop(make_inner_loop(cfg), make_pd(locus_gains, cfg.Ts))
+        return max(abs(p) for p in poly_roots(outer.T.den).roots) < 1.0
+
+    mags = branch.max_mags
+    i = next(i for i in range(1, len(mags)) if mags[i - 1] < 1.0 <= mags[i])
+    reference = bisect_threshold(inside, values[i - 1], values[i])
+    assert branch.exit_value == pytest.approx(reference, rel=1e-6)
 
 
 def test_bandwidth_sweep_improves_then_degrades(locus_gains):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dobkit.zalg import (
@@ -12,7 +12,9 @@ from dobkit.zalg import (
     Polynomial,
     RationalTF,
     RootFindingError,
+    _schur_exact,
     poly_roots,
+    schur_stable,
     tf_eval,
 )
 
@@ -49,6 +51,51 @@ def test_taylor_shift():
     # p(z) = z^2 - 1 about z=1: (z-1)^2 + 2(z-1) + 0
     q = Polynomial([-1.0, 0.0, 1.0]).shifted(1.0)
     assert np.allclose(q.coeffs, [0.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("coeffs", [
+    [[1.0, 2.0], [3.0, 4.0]],
+    [[1.0], [2.0, 3.0]],
+    np.ones((2, 2)),
+    np.ones((3, 1)),
+])
+def test_polynomial_rejects_input_that_is_not_1d(coeffs):
+    with pytest.raises(ValueError):
+        Polynomial(coeffs)
+
+
+def test_coeffs_is_a_read_only_float_array():
+    p = Polynomial((1, 2.5, 0.0))
+    assert p.coeffs.dtype == float and p.coeffs.tolist() == [1.0, 2.5]
+    with pytest.raises(ValueError):
+        p.coeffs[0] = 3.0
+    assert Polynomial(np.float64(2.0)).coeffs.tolist() == [2.0]
+    assert Polynomial(np.array([0.5, 1.0, 0.0])).degree == 1
+
+
+_coeff_lists = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coeff_lists, _coeff_lists, st.floats(-1e3, 1e3))
+def test_arithmetic_matches_numpy(a, b, s):
+    pa, pb = Polynomial(a), Polynomial(b)
+    n = max(pa.coeffs.size, pb.coeffs.size)
+    ca = np.pad(pa.coeffs, (0, n - pa.coeffs.size))
+    cb = np.pad(pb.coeffs, (0, n - pb.coeffs.size))
+    # elementwise operations round exactly as numpy's do
+    assert np.array_equal((pa + pb).coeffs, Polynomial(ca + cb).coeffs)
+    assert np.array_equal((pa - pb).coeffs, Polynomial(ca - cb).coeffs)
+    assert np.array_equal((-pa).coeffs, Polynomial(-pa.coeffs).coeffs)
+    assert np.array_equal((pa * s).coeffs, Polynomial(pa.coeffs * s).coeffs)
+    assert np.array_equal(pa.derivative().coeffs,
+                          Polynomial(pa.coeffs[1:] * np.arange(1, pa.coeffs.size)).coeffs)
+    # products may sum in another order than np.convolve's BLAS dot
+    ref = Polynomial(np.convolve(pa.coeffs, pb.coeffs)).coeffs
+    got = (pa * pb).coeffs
+    scale = float(np.max(np.abs(pa.coeffs))) * float(np.max(np.abs(pb.coeffs)))
+    assert got.size == ref.size
+    assert np.allclose(got, ref, rtol=0.0, atol=1e-14 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +165,33 @@ def test_roots_roundtrip(roots):
         assert abs(recovered.pop(j) - r) < 1e-8
 
 
+@pytest.mark.parametrize("coeffs", [
+    [math.nan, 1.0],
+    [0.5, math.nan, 1.0],
+    [0.5, math.inf],
+    [-math.inf, 0.0, 1.0],
+    [1e300, 1e-300],  # the companion row overflows
+])
+def test_roots_of_non_finite_coefficients_raise(coeffs):
+    with pytest.raises(RootFindingError):
+        poly_roots(Polynomial(coeffs))
+
+
+def test_low_order_zeros_are_exact_roots_at_zero():
+    rs = poly_roots(Polynomial([0.0, 0.0, -0.25, 1.0]))
+    assert rs.roots == (0j, 0j, 0.25 + 0j)
+    assert rs.residual == 0.0
+
+
+def test_polish_stays_at_a_double_root():
+    # z (z - 1e-38) (z - 1)**2: from z = 1, Newton's step of exactly 1 lowers
+    # |p| to 0 by jumping onto the root at 0; the polish must not take it.
+    p = Polynomial([0.0, -1.1754943508222875e-38, 1.0, -2.0, 1.0])
+    rs = poly_roots(p).roots
+    assert [abs(r) for r in rs[:2]] == [0.0, pytest.approx(0.0, abs=1e-30)]
+    assert rs[2:] == (pytest.approx(1.0, abs=1e-7), pytest.approx(1.0, abs=1e-7))
+
+
 def test_conjugate_pairing_enforced():
     p = Polynomial.from_roots([0.3 + 0.7j, 0.3 - 0.7j, -0.9])
     rs = poly_roots(p)
@@ -129,6 +203,78 @@ def test_conjugate_pairing_enforced():
 def test_from_roots_requires_conjugate_closure():
     with pytest.raises(ValueError):
         Polynomial.from_roots([1j])
+
+
+# ---------------------------------------------------------------------------
+# Schur-Cohn stability verdicts
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(_conjugate_closed_roots(), st.sampled_from([1.0, 0.5, 1.0 - 1e-9]))
+def test_schur_agrees_with_roots_away_from_the_circle(roots, radius):
+    p = Polynomial.from_roots(roots)
+    mags = [abs(r) for r in poly_roots(p).roots]
+    assume(all(abs(m - radius) > 1e-6 for m in mags))
+    assert schur_stable(p, radius) == (max(mags) < radius)
+
+
+@st.composite
+def _roots_near_the_circle(draw):
+    """Roots at 1 +- delta from the circle, delta down to 1e-14, some repeated."""
+    roots = []
+    for _ in range(draw(st.integers(1, 4))):
+        mag = 1.0 + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-14, 1e-2))
+        theta = draw(st.sampled_from([0.0, math.pi, draw(st.floats(0.01, 3.1))]))
+        new = [mag * math.cos(theta) + 0j] if theta in (0.0, math.pi) else [
+            complex(mag * math.cos(theta), mag * math.sin(theta)),
+            complex(mag * math.cos(theta), -mag * math.sin(theta))]
+        roots += new * draw(st.integers(1, 2))
+    return roots
+
+
+@settings(max_examples=300, deadline=None)
+@given(_roots_near_the_circle(), st.floats(1e-3, 1e3), st.sampled_from([1.0, 1.0 - 1e-9]))
+def test_schur_float_recursion_matches_the_exact_one(roots, leading, radius):
+    # The exact recursion on the stored coefficients is the reference: the
+    # float one must either agree with it or hand the verdict over to it.
+    p = Polynomial.from_roots(roots, leading=leading)
+    assert schur_stable(p, radius) == _schur_exact(tuple(p.coeffs.tolist()), radius)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1.0, 1.0],             # z = -1
+    [-1.0, 1.0],            # z = 1
+    [1.0, -2.0, 1.0],       # double root at 1
+    [1.0, 2.0, 1.0],        # double root at -1
+    [1.0, 0.0, 1.0],        # +-j
+    [1.0, 0.0, 2.0, 0.0, 1.0],  # double pair at +-j
+    [-0.5, 0.5, 1.0],       # 0.5 and -1
+])
+def test_schur_roots_on_the_circle_are_not_stable(coeffs):
+    assert not schur_stable(Polynomial(coeffs))
+
+
+def test_schur_decides_at_the_last_bit():
+    inside = 1.0 - 2.0 ** -52
+    assert schur_stable(Polynomial([-inside, 1.0]))
+    assert schur_stable(Polynomial([-inside, 0.0, 1.0]))  # roots +-sqrt(inside)
+    assert not schur_stable(Polynomial([-1.0, 0.0, 1.0]))
+    assert not schur_stable(Polynomial([-(1.0 + 2.0 ** -52), 0.0, 1.0]))
+    assert schur_stable(Polynomial([3.0]))
+    assert not schur_stable(Polynomial.zero())
+
+
+@pytest.mark.parametrize("coeffs", [
+    [math.nan, 1.0],        # a naive recursion reads |nan| >= 1 as False: stable
+    [0.25, math.nan, 1.0],
+    [0.5, math.inf],
+    [math.inf, 1.0],
+    [0.1, -math.inf, 1.0],
+    [math.nan],
+])
+def test_schur_never_stable_on_non_finite_coefficients(coeffs):
+    assert schur_stable(Polynomial(coeffs)) is False
+    assert schur_stable(Polynomial(coeffs), 0.5) is False
 
 
 # ---------------------------------------------------------------------------
