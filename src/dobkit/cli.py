@@ -326,6 +326,8 @@ def cmd_sweep(args) -> int:
     pc = load_config(args.config)
     cfg = build_dob_config(pc)
     gains = build_gains(pc)
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise ConfigError("--from and --to must be finite")
     if not (args.start < args.stop):
         raise ConfigError("--from must be strictly less than --to")
     _check_points(args.points, 2)

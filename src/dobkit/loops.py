@@ -154,7 +154,15 @@ class LoopSet:
 
     @classmethod
     def from_open_loop(cls, L: RationalTF, C: RationalTF, G: RationalTF) -> "LoopSet":
+        """The loop set of L; raises ``OverflowError`` when a coefficient is not finite.
+
+        Finite but extreme parameters (say Ts = 1e300) can overflow the
+        coefficients; no result computed from such a loop would mean anything.
+        """
         closed = L.den + L.num
+        for poly in (L.num, closed, C.num, C.den):
+            if not poly.is_finite:
+                raise OverflowError(f"loop coefficients overflow: {poly!r}")
         S = RationalTF(L.den, closed, L.ts)
         T = RationalTF(L.num, closed, L.ts)
         return cls(L=L, S=S, T=T, C=C, G=G)

@@ -51,8 +51,14 @@ CIRCLE_TOL = 1e-9
 TRAPEZOID_START = 64
 TRAPEZOID_REL_TOL = 1e-12
 TRAPEZOID_MAX_POINTS = 2**20
+# A peak's value is known once the values at its bracket's ends agree with the
+# value inside to this, relative: a few ulps.
+PEAK_RTOL = 16.0 * 2.0**-53
+# The circle map's u = -ln(eps) is wanted to this: eps only places the
+# samples, and the point count is a power of two.
+MAP_UTOL = 1e-3
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden section of a segment, 0.382
 
 
 class IllPosedIntegralError(ValueError):
@@ -171,16 +177,64 @@ class _FactoredS:
         return (2.0 * h) ** self.m * _mag_at(self.q, self.den, w)
 
 
+def _bracketed_max(f, a: float, x: float, b: float, fa: float, fx: float, fb: float,
+                   rtol: float = 0.0, xtol: float = 0.0) -> tuple[float, float]:
+    """Maximum of f from a bracket a < x < b with f(x) >= f(a), f(b); returns (x, f(x)).
+
+    Each step evaluates f once: at the vertex of the parabola through the
+    three bracket points or, when the bracket has not halved in two steps, at
+    the golden-section point of its larger segment (safeguarded parabolic
+    interpolation; Brent, *Algorithms for Minimization without Derivatives*,
+    1973). A step is at least h from x, h the larger of xtol/2 and the
+    distance at which the parabola falls by a quarter of rtol*|f(x)|: once x
+    is that close to the vertex, the next steps close the bracket round it.
+    The search stops when the values at the bracket's ends agree with f(x) to
+    rtol*|f(x)|, so that the maximum is known to that precision, when the
+    bracket is narrower than xtol, or when a step falls below rounding.
+    """
+    older = old = math.inf  # the bracket's width two steps and one step back
+    while True:
+        tol = rtol * abs(fx)
+        da, db = fx - fa, fx - fb
+        if b - a <= xtol or (da <= tol and db <= tol):
+            return x, fx
+        left, right = x - a, b - x
+        if b - a <= 0.5 * older:
+            den = right * da + left * db
+            s = 0.5 * (right * right * da - left * left * db) / den  # vertex - x
+            h = 0.5 * max(xtol, math.sqrt(tol * left * right * (left + right) / den))
+            if abs(s) < h:  # close the end further below f(x)
+                s = min(h, 0.5 * right) if db > da else -min(h, 0.5 * left)
+        else:
+            s = _GOLDEN * right if right > left else -_GOLDEN * left
+        older, old = old, b - a
+        u = x + s
+        if u == x or not a < u < b:
+            return x, fx
+        fu = f(u)
+        if fu > fx:
+            if s > 0.0:
+                a, fa = x, fx
+            else:
+                b, fb = x, fx
+            x, fx = u, fu
+        elif s > 0.0:
+            b, fb = u, fu
+        else:
+            a, fa = u, fu
+
+
 def _map_eps(singular) -> float:
     """eps = 1 - r of the circle map z = (zeta + r) / (1 + r zeta) for the trapezoid rule.
 
     The rule converges at the rate set by the distance, in |ln|zeta||, of the
     nearest singularity of the mapped integrand: the images of ``singular``
-    and the Jacobian's poles at -r and -1/r. eps maximises that distance;
-    eps = 1 is the identity.
+    and the Jacobian's poles at -r and -1/r. eps = exp(-u) maximises that
+    distance over u in [0, 20], to ``MAP_UTOL`` in u; eps = 1 is the identity.
     """
 
-    def width(eps: float) -> float:
+    def width(u: float) -> float:
+        eps = math.exp(-u)
         r = 1.0 - eps
         d = -math.log1p(-eps) if eps < 1.0 else math.inf
         for s in singular:
@@ -189,8 +243,16 @@ def _map_eps(singular) -> float:
                 d = min(d, abs(math.log(a) - math.log(b)))
         return d
 
-    u, d = _golden_max(lambda u: width(math.exp(-u)), 0.0, 20.0, iters=30)
-    return math.exp(-u) if d > width(1.0) else 1.0
+    # A bracket needs an inner point wider than the identity at u = 0; the
+    # golden-section point of [0, hi] is tried, hi shrinking toward 0.
+    hi, f_0, f_hi = 20.0, width(0.0), width(20.0)
+    while hi > MAP_UTOL:
+        x = _GOLDEN * hi
+        fx = width(x)
+        if fx > f_0:
+            return math.exp(-_bracketed_max(width, 0.0, x, hi, f_0, fx, f_hi, xtol=MAP_UTOL)[0])
+        hi, f_hi = x, fx
+    return 1.0
 
 
 def _circle_integral(f, singular, ends=None) -> tuple[float, int, float]:
@@ -356,34 +418,36 @@ def bode_integral_continuous(loop: LoopSet) -> BodeIntegralReport:
 # frequency sweeps and peaks
 # ---------------------------------------------------------------------------
 
-def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    xm = 0.5 * (lo + hi)
-    return xm, f(xm)
+def _refined_peak(mag_at, nyquist: float, thetas: np.ndarray, mags: np.ndarray, ts: float,
+                  rounding_at=None) -> Peak:
+    """Grid argmax refined on its bracket by ``_bracketed_max``; z = -1 always a candidate.
 
-
-def _refined_peak(mag_at, nyquist: float, thetas: np.ndarray, mags: np.ndarray,
-                  ts: float) -> Peak:
-    """Grid argmax refined by golden-section search; z = -1 always a candidate."""
+    The search stops once the bracket's values agree to ``PEAK_RTOL``, plus
+    ``rounding_at(theta)`` if given: a bound on the relative rounding error of
+    ``mag_at`` near the grid argmax. At an end of the grid it runs only if a
+    point just inside is higher: the one at which a parabola with its apex at
+    the end, through the neighbouring grid point, falls by a quarter of that
+    tolerance.
+    """
     i = int(np.argmax(mags))
-    lo = thetas[max(i - 1, 0)]
-    hi = thetas[min(i + 1, thetas.size - 1)]
-    best_theta, best_val = thetas[i], float(mags[i])
-    if hi > lo and math.isfinite(best_val):
-        t, v = _golden_max(mag_at, lo, hi)
-        if v > best_val:
-            best_theta, best_val = t, v
+    best_theta, best_val = float(thetas[i]), float(mags[i])
+    if 0.0 < best_val < math.inf:
+        xtol = 8.0 * 2.0**-53 * math.pi  # a few ulps of theta
+        rtol = PEAK_RTOL + (rounding_at(best_theta) if rounding_at else 0.0)
+        if 0 < i < thetas.size - 1:
+            best_theta, best_val = _bracketed_max(
+                mag_at, float(thetas[i - 1]), best_theta, float(thetas[i + 1]),
+                float(mags[i - 1]), best_val, float(mags[i + 1]), rtol, xtol)
+        else:
+            j = 1 if i == 0 else i - 1
+            t_j, f_j = float(thetas[j]), float(mags[j])
+            drop, tol = best_val - f_j, rtol * best_val
+            h = 0.5 * (t_j - best_theta) * (math.sqrt(tol / drop) if drop > tol else 1.0)
+            u = best_theta + h
+            f_u = mag_at(u)
+            if f_u > best_val:
+                (a, fa), (b, fb) = sorted(((best_theta, best_val), (t_j, f_j)))
+                best_theta, best_val = _bracketed_max(mag_at, a, u, b, fa, f_u, fb, rtol, xtol)
     # ``nyquist`` is |.| at z = -1 exactly, not via exp(j*pi); a pole exactly
     # there gives an infinite peak. Ties at rounding level go to the endpoint,
     # whose location is exact.
@@ -411,6 +475,16 @@ def freq_sweep(loop: LoopSet, n_points: int = 512, spacing: str = "log") -> Freq
     ts = loop.ts
     fs = _FactoredS(loop.S)
     t_num, t_den = loop.T.num, loop.T.den
+
+    def t_at(theta: float) -> float:
+        return _mag_at(t_num, t_den, complex(math.cos(theta), math.sin(theta)))
+
+    def t_rounding(theta: float) -> float:
+        # |T| in z errs far beyond a few ulps near z = 1, where the terms of
+        # T.den cancel.
+        z = complex(math.cos(theta), math.sin(theta))
+        return t_num.rounding_bound(1.0) / abs(t_num(z)) + t_den.rounding_bound(1.0) / abs(t_den(z))
+
     mag_S = fs.mag(thetas)
     mag_T = _mag(t_num, t_den, np.exp(1j * thetas))
     return FreqSweep(
@@ -419,9 +493,7 @@ def freq_sweep(loop: LoopSet, n_points: int = 512, spacing: str = "log") -> Freq
         mag_T=mag_T,
         peak_S=_refined_peak(fs.mag_at, 2.0 ** fs.m * _mag_at(fs.q, fs.den, -2.0),
                              thetas, mag_S, ts),
-        peak_T=_refined_peak(
-            lambda th: _mag_at(t_num, t_den, complex(math.cos(th), math.sin(th))),
-            _mag_at(t_num, t_den, -1.0), thetas, mag_T, ts),
+        peak_T=_refined_peak(t_at, _mag_at(t_num, t_den, -1.0), thetas, mag_T, ts, t_rounding),
     )
 
 

@@ -231,13 +231,16 @@ def _trace(sc: Scenario, t, r, d, q, qd, qdd, I_des, I, noise=None,
     q, qd, qdd, I_des, I = (np.asarray(x, dtype=float) for x in (q, qd, qdd, I_des, I))
     eta_p, eta_v, eta_a = (0.0, 0.0, 0.0) if noise is None else (e[:n] for e in noise)
     kind = sc.cfg.kind
+    # Extreme gains can overflow both currents to the same infinity at a
+    # diverged run's last sample; the estimate there is NaN, undefined.
+    with np.errstate(invalid="ignore"):
+        tau_dis_hat = sc.cfg.plant.K_tn * (I - I_des)
     return SimTrace(
         t=t[:n], q_ref=r[:n], q=q, qd=qd, qdd=qdd,
         q_meas=q + eta_p,
         qd_meas=qd + eta_v if kind is MeasurementKind.VELOCITY else None,
         qdd_meas=qdd + eta_a if kind is MeasurementKind.ACCELERATION else None,
-        I_des=I_des, I=I, tau_d=d[:n], tau_dis_hat=sc.cfg.plant.K_tn * (I - I_des),
-        diverged=diverged,
+        I_des=I_des, I=I, tau_d=d[:n], tau_dis_hat=tau_dis_hat, diverged=diverged,
     )
 
 
@@ -367,7 +370,8 @@ def simulate_linear_oracle(sc: Scenario) -> SimTrace:
     their first states, which needs no algebraic solve because both plants
     are strictly proper. Without outer gains the PD block is the zero gain.
     The current and disturbance-estimate channels are recovered from exact
-    per-sample identities.
+    per-sample identities. A run that diverges stops as ``simulate`` does,
+    at the first sample with |q| beyond the guard limit, with ``diverged=True``.
     """
     if not sc.noise.silent:
         raise UnsupportedScenarioError("the linear oracle covers noise-free scenarios only")
@@ -388,6 +392,7 @@ def simulate_linear_oracle(sc: Scenario) -> SimTrace:
 
     q, qd, qdd, qdd_des = (array("d") for _ in range(4))
     p1 = p2 = c1 = c2 = s1 = s2 = g1 = g2 = v1 = v2 = 0.0
+    diverged = False
     for r_k, a_k, d_k in zip(r.tolist(), aref.tolist(), d.tolist()):
         q_k, qd_k = g1, v1
         e = r_k - q_k
@@ -410,11 +415,14 @@ def simulate_linear_oracle(sc: Scenario) -> SimTrace:
         qd.append(qd_k)
         qdd.append(acc_k)
         qdd_des.append(des_k)
+        if abs(q_k) > DIVERGENCE_LIMIT:
+            diverged = True
+            break
     qdd = np.asarray(qdd)
 
-    current = (J_m * qdd + d) / plant.K_t
+    current = (J_m * qdd + d[:qdd.size]) / plant.K_t
     I_des = (plant.J_mn / plant.K_tn) * np.asarray(qdd_des)
-    return _trace(sc, t, r, d, q, qd, qdd, I_des, current)
+    return _trace(sc, t, r, d, q, qd, qdd, I_des, current, diverged=diverged)
 
 
 def disturbance_rejection_metrics(
@@ -445,6 +453,16 @@ def disturbance_rejection_metrics(
     return RejectionMetrics(
         max_abs_error=float(err.max()),
         settle_time=settle,
-        est_error_rms=float(np.sqrt(np.mean(est_err**2))),
+        est_error_rms=_rms(est_err),
         diverged=trace.diverged,
     )
+
+
+def _rms(x: np.ndarray) -> float:
+    """Root mean square of x; values beyond 1e150, whose squares may overflow, are scaled first."""
+    big = float(np.max(np.abs(x)))
+    if big <= 1e150:
+        return float(np.sqrt(np.mean(x**2)))
+    if big < math.inf:
+        return big * float(np.sqrt(np.mean((x / big) ** 2)))
+    return big  # inf or NaN, as the mean of the squares would be

@@ -148,12 +148,31 @@ class Polynomial:
     def leading(self) -> float:
         return self._c[-1]
 
+    @property
+    def is_finite(self) -> bool:
+        return all(map(math.isfinite, self._c))
+
     def __call__(self, x):
         """Horner evaluation; accepts scalars or numpy arrays, real or complex."""
         acc = 0.0
         for c in reversed(self._c):
             acc = acc * x + c
         return acc
+
+    def rounding_bound(self, r: float) -> float:
+        """Bound on the rounding error of ``self(x)`` for complex x with |x| <= r.
+
+        Horner's rule in real arithmetic errs by at most gamma_2n * p~(|x|),
+        p~ the polynomial with the absolute values of the coefficients
+        (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+        section 5.1). A complex product errs by up to sqrt(2)*gamma_2, so
+        each step here counts four roundings: gamma_4n.
+        """
+        acc = 0.0
+        for c in reversed(self._c):
+            acc = acc * r + abs(c)
+        k = 4 * (len(self._c) - 1) * _EPS
+        return k / (1.0 - k) * acc
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -375,16 +394,18 @@ def poly_roots(p: Polynomial) -> RootSet:
     The companion matrix is the one ``np.roots`` builds, and zero low-order
     coefficients become exact roots at 0 as there. Complex roots come in exact
     conjugate pairs: the eigenvalues of a real companion matrix do, and the
-    polish treats both members of a pair alike. A polish step stays within
-    half the distance to the nearest other eigenvalue. Raises
+    polish treats both members of a pair alike. Newton polishes a root only
+    while its residual |p(x)| exceeds the rounding error of evaluating p
+    there (``Polynomial.rounding_bound``), for at most three steps, each
+    within half the distance to the nearest other eigenvalue. Raises
     ``RootFindingError`` for degree < 1, for a non-finite coefficient and when
     the eigenvalues cannot be computed (say, the companion row overflows).
     """
     if p.degree < 1:
         raise RootFindingError("roots are defined only for degree >= 1")
-    c = p._c
-    if not all(map(math.isfinite, c)):
+    if not p.is_finite:
         raise RootFindingError(f"non-finite coefficient in {p!r}")
+    c = p._c
     zeros = 0
     while c[zeros] == 0.0:
         zeros += 1
@@ -402,24 +423,29 @@ def poly_roots(p: Polynomial) -> RootSet:
     found = [complex(x) for x in roots] + [0j] * zeros
     dp = p.derivative()
     polished = []
+    residual = 0.0
     for i, x0 in enumerate(found[:n]):
-        # A step may not leave x0 for a neighbour's basin: near a multiple
-        # root, Newton can lower |p| by jumping to another root.
-        reach = 0.5 * min((abs(y - x0) for j, y in enumerate(found) if j != i), default=math.inf)
         x, fx = x0, p(x0)
-        for _ in range(3):
-            dfx = dp(x)
-            if dfx == 0.0:
-                break
-            x2 = x - fx / dfx
-            fx2 = p(x2)
-            if abs(fx2) >= abs(fx) or not abs(x2 - x0) < reach:
-                break
-            x, fx = x2, fx2
+        if abs(fx) > p.rounding_bound(abs(x)):
+            # A step may not leave x0 for a neighbour's basin: near a multiple
+            # root, Newton can lower |p| by jumping to another root.
+            reach = 0.5 * min((abs(y - x0) for j, y in enumerate(found) if j != i),
+                              default=math.inf)
+            for _ in range(3):
+                dfx = dp(x)
+                if dfx == 0.0:
+                    break
+                x2 = x - fx / dfx
+                fx2 = p(x2)
+                if abs(fx2) >= abs(fx) or not abs(x2 - x0) < reach:
+                    break
+                x, fx = x2, fx2
+                if abs(fx) <= p.rounding_bound(abs(x)):
+                    break
         polished.append(x)
+        residual = max(residual, abs(fx))
     polished += found[n:]
     polished.sort(key=lambda v: (v.real, v.imag))
-    residual = max(abs(p(x)) for x in polished)
     return RootSet(tuple(polished), residual)
 
 
@@ -438,7 +464,7 @@ def schur_stable(poly: Polynomial, radius: float = 1.0) -> bool:
     with a non-finite coefficient.
     """
     c = poly._c
-    if poly.is_zero or not all(map(math.isfinite, c)) or not 0.0 < radius < math.inf:
+    if poly.is_zero or not poly.is_finite or not 0.0 < radius < math.inf:
         return False
     if radius == 1.0:
         a, err = list(c), 0.0  # err bounds the rounding error of every a_k

@@ -225,6 +225,17 @@ def test_continuous_inner_rejects_non_finite_gain(value):
         make_continuous_inner(PlantParams.from_alpha(1.0), value)
 
 
+@pytest.mark.parametrize("kind, Ts, g_dob", [
+    # finite and positive parameters whose loop coefficients overflow
+    ("position", 1e300, 500.0),
+    ("velocity", 1e300, 1e10),
+    ("acceleration", 1e300, 1e10),
+])
+def test_overflowing_loop_coefficients_raise(kind, Ts, g_dob):
+    with pytest.raises(OverflowError):
+        make_inner_loop(make_cfg(kind, g_dob=g_dob, Ts=Ts))
+
+
 def test_discrete_pole_matches_continuous_decay():
     # 1 - a*Ts approximates exp(-a*Ts) to second order
     for x in (0.01, 0.1, 0.3, 0.5):

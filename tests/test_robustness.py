@@ -455,6 +455,32 @@ def test_velocity_peak_value():
     assert sweep.peak_S.value == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("outer, spacing, expected, most", [
+    # velocity inner loop: |S| peaks at the grid's last point, z = -1
+    (False, "log", 4.0 / 3.0, 2),
+    (False, "linear", 4.0 / 3.0, 2),
+    # lightly damped outer loop (closed-loop pair at |z| = 0.9937): interior
+    # peak; the values are those of a 60-step golden-section search
+    (True, "log", 5.696941980014084, 25),
+    (True, "linear", 5.696941980014087, 25),
+])
+def test_peak_search_stops_at_rounding_level(monkeypatch, outer, spacing, expected, most):
+    loop = make_inner_loop(make_cfg("velocity"))
+    if outer:
+        loop = make_outer_loop(loop, make_pd(OuterGains(K_p=5000.0, K_d=10.0), 1e-3))
+    mag_at = _FactoredS.mag_at
+    calls = []
+
+    def counted(self, theta):
+        calls.append(theta)
+        return mag_at(self, theta)
+
+    monkeypatch.setattr(_FactoredS, "mag_at", counted)
+    peak = freq_sweep(loop, n_points=512, spacing=spacing).peak_S
+    assert peak.value == pytest.approx(expected, rel=1e-14)
+    assert 1 <= len(calls) <= most
+
+
 def test_dc_limits():
     sweep = freq_sweep(make_inner_loop(make_cfg("velocity")), n_points=256)
     assert sweep.mag_T[0] == pytest.approx(1.0, abs=1e-2)

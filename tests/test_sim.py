@@ -277,6 +277,19 @@ def test_divergence_truncates_all_channels():
     assert abs(trace.q[-1]) > 1e6
 
 
+def test_oracle_truncates_where_the_simulator_diverges():
+    # criterion 5's divergent position case: the oracle used to step all 6001
+    # samples, to |q| ~ 1.6e187, with diverged=False
+    sc = _regulation_scenario("position", alpha=3.9, duration=3.0)
+    trace, oracle = simulate(sc), simulate_linear_oracle(sc)
+    assert trace.diverged and oracle.diverged
+    assert oracle.t.size == trace.t.size == 242
+    assert abs(oracle.q[-1]) > 1e6 and np.all(np.abs(oracle.q[:-1]) <= 1e6)
+    for name in CHANNELS:
+        a, b = getattr(trace, name), getattr(oracle, name)
+        assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) <= 1e-9, name
+
+
 def test_divergence_boundary_matches_sampling_limit():
     # open-outer velocity loop, forced by a constant load; the divergence flag
     # flips within 1% of alpha*g_dob = 2/Ts
@@ -541,6 +554,19 @@ def test_metrics_settle_time_edges(err, window, settle):
         assert math.isnan(m.settle_time)
     else:
         assert m.settle_time == pytest.approx(settle, abs=1e-15)
+
+
+@pytest.mark.parametrize("est_err, rms", [
+    ([3.0, -4.0], math.sqrt(12.5)),
+    ([3e200, -4e200], math.sqrt(12.5) * 1e200),  # the squares overflow
+    ([1e300, math.inf], math.inf),
+    ([1e300, math.nan], math.nan),
+])
+def test_metrics_estimate_rms_without_overflow(est_err, rms):
+    trace = _error_trace(np.zeros(len(est_err)))
+    trace.tau_d = np.array(est_err)
+    m = disturbance_rejection_metrics(trace, (0.0, 0.001))
+    assert m.est_error_rms == pytest.approx(rms, rel=1e-15, nan_ok=True)
 
 
 def test_metrics_settle_time_matches_reverse_scan():

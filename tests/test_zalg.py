@@ -159,6 +159,11 @@ def test_roots_roundtrip(roots):
     assert len(rs.roots) == p.degree
     scale = max(1.0, float(np.max(np.abs(p.coeffs))))
     assert rs.residual < 1e-8 * scale
+    # a root Newton left where the eigenvalues put it is one to rounding
+    eigenvalues = np.roots(p.coeffs[::-1]).tolist()
+    for x in rs.roots:
+        if x in eigenvalues:
+            assert abs(p(x)) <= p.rounding_bound(abs(x))
     recovered = list(rs.roots)
     for r in roots:
         j = min(range(len(recovered)), key=lambda k: abs(recovered[k] - r))
