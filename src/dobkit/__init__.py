@@ -59,7 +59,6 @@ from .stability import (
     root_locus,
 )
 from .zalg import (
-    DegenerateLoopError,
     DomainMismatchError,
     PoleEvaluationError,
     Polynomial,
@@ -67,6 +66,7 @@ from .zalg import (
     RootFindingError,
     RootSet,
     poly_roots,
+    schur_stable,
     tf_eval,
 )
 

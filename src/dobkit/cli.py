@@ -231,7 +231,7 @@ def load_config(path: str) -> ParsedConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     return parse_config(text)
 
@@ -286,7 +286,7 @@ def cmd_analyze(args) -> int:
     build_gains(pc)  # validated even though analyze reports the inner loop
     inner = make_inner_loop(cfg)
     verdict = constraint_check(cfg)
-    sweep = freq_sweep(inner, n_points=512, spacing="log")
+    sweep = freq_sweep(inner, n_points=512)
     report = None
     report_note = ""
     try:
@@ -337,6 +337,8 @@ def cmd_sweep(args) -> int:
         values = np.geomspace(args.start, args.stop, args.points)
     else:
         values = np.linspace(args.start, args.stop, args.points)
+    if not np.all(np.diff(values) > 0.0):
+        raise ConfigError("sweep values repeat: widen --from/--to or use fewer --points")
 
     branch = root_locus(cfg, gains, args.param, values)
 
@@ -349,7 +351,7 @@ def cmd_sweep(args) -> int:
     for value, poles, mag in zip(branch.param_values, branch.pole_sets, branch.max_mags):
         cfg_v = config_for_sweep(cfg, args.param, value)
         inner = make_inner_loop(cfg_v)
-        peak = freq_sweep(inner, n_points=256, spacing="log").peak_S.value
+        peak = freq_sweep(inner, n_points=256).peak_S.value
         try:
             rep = bode_integral_discrete(inner)
             numeric, analytic = rep.numeric_value, rep.analytic_value
@@ -404,8 +406,8 @@ def cmd_bode(args) -> int:
     _check_points(args.points, 16)
     inner = make_inner_loop(cfg)
     outer = make_outer_loop(inner, make_pd(gains, cfg.Ts))
-    sw_i = freq_sweep(inner, n_points=args.points, spacing="log")
-    sw_o = freq_sweep(outer, n_points=args.points, spacing="log")
+    sw_i = freq_sweep(inner, n_points=args.points)
+    sw_o = freq_sweep(outer, n_points=args.points)
 
     footer = []
     for name, loop in (("inner", inner), ("outer", outer)):

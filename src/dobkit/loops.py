@@ -272,15 +272,15 @@ def make_outer_loop(inner: LoopSet, pd: RationalTF) -> LoopSet:
     return LoopSet.from_open_loop(L, RationalTF.one(ts), G_p)
 
 
-def classify_compensator(cfg: DobConfig, omega_frac: float = 1e-4) -> str:
+def classify_compensator(cfg: DobConfig) -> str:
     """Lead/lag/neutral classification of the inner-loop compensator.
 
     Decided by the sign of the compensator phase at a frequency well below
-    Nyquist (omega = omega_frac * pi / Ts). For the acceleration kind this
+    Nyquist (omega = 1e-4 * pi / Ts). For the acceleration kind this
     reduces to alpha > 1, for the velocity kind to alpha > 1/(1 + g_dob*Ts).
     """
     inner = make_inner_loop(cfg)
-    phase = cmath.phase(tf_eval(inner.C, omega=omega_frac * math.pi / cfg.Ts))
+    phase = cmath.phase(tf_eval(inner.C, omega=1e-4 * math.pi / cfg.Ts))
     if phase > 1e-12:
         return "lead"
     if phase < -1e-12:

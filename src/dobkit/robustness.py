@@ -456,8 +456,8 @@ def _refined_peak(mag_at, nyquist: float, thetas: np.ndarray, mags: np.ndarray, 
     return Peak(value=best_val, freq=best_theta / ts)
 
 
-def freq_sweep(loop: LoopSet, n_points: int = 512, spacing: str = "log") -> FreqSweep:
-    """Sample |S| and |T| on (0, pi/Ts] and locate the refined magnitude peaks.
+def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
+    """Sample |S| and |T| on a log grid over [1e-4, 1]*pi/Ts and locate the refined peaks.
 
     |S| comes from its factored form; |T| is evaluated in z, where nothing
     cancels since T(1) = 1.
@@ -466,12 +466,7 @@ def freq_sweep(loop: LoopSet, n_points: int = 512, spacing: str = "log") -> Freq
         raise ValueError("discrete loop required")
     if n_points < 16:
         raise ValueError("need at least 16 points")
-    if spacing == "log":
-        thetas = np.geomspace(math.pi * 1e-4, math.pi, n_points)
-    elif spacing == "linear":
-        thetas = np.linspace(math.pi / n_points, math.pi, n_points)
-    else:
-        raise ValueError(f"unknown spacing {spacing!r}")
+    thetas = np.geomspace(math.pi * 1e-4, math.pi, n_points)
     ts = loop.ts
     fs = _FactoredS(loop.S)
     t_num, t_den = loop.T.num, loop.T.den
@@ -516,7 +511,7 @@ def waterbed_report(
             raise ValueError("all configs must share measurement kind and Ts")
     rows = []
     for cfg in cfgs:
-        sweep = freq_sweep(make_inner_loop(cfg), n_points=n_points, spacing="log")
+        sweep = freq_sweep(make_inner_loop(cfg), n_points=n_points)
         rows.append(
             WaterbedRow(
                 alpha_g=cfg.alpha_g,

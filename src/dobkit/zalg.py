@@ -6,8 +6,7 @@ in seconds for discrete time (z-domain) or ``None`` for continuous time
 (s-domain); the two domains never mix in one operation.
 
 No pole/zero cancellation is ever performed automatically: near-cancellations
-are kept visible. Equality of transfer functions is decided by
-cross-multiplication, which is insensitive to common factors and scaling.
+are kept visible.
 """
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ import numpy as np
 __all__ = [
     "DomainMismatchError",
     "PoleEvaluationError",
-    "DegenerateLoopError",
     "RootFindingError",
     "Polynomial",
     "RationalTF",
@@ -30,8 +28,6 @@ __all__ = [
     "tf_eval",
 ]
 
-# Relative tolerance for coefficient comparison after monic scaling.
-COEFF_RTOL = 1e-10
 # schur_stable decides exactly when a step's |a_0/a_n| is within this, plus
 # its rounding-error bound, of 1.
 SCHUR_EXACT_BAND = 1e-12
@@ -48,10 +44,6 @@ class PoleEvaluationError(ArithmeticError):
     def __init__(self, point: complex):
         self.point = point
         super().__init__(f"evaluation at pole {point}")
-
-
-class DegenerateLoopError(ValueError):
-    """Unity feedback closure 1 + L == 0 has no meaning as a transfer function."""
 
 
 class RootFindingError(ArithmeticError):
@@ -102,26 +94,6 @@ class Polynomial:
     @classmethod
     def zero(cls) -> "Polynomial":
         return cls._of([0.0])
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls._of([1.0])
-
-    @classmethod
-    def from_roots(cls, roots, leading: float = 1.0) -> "Polynomial":
-        """Monic-times-``leading`` polynomial with the given roots.
-
-        Complex roots must come in conjugate pairs (within tolerance); the
-        imaginary residue of the expanded product is checked and discarded.
-        """
-        c = np.array([1.0 + 0.0j])
-        for r in roots:
-            c = np.convolve(c, np.array([-complex(r), 1.0 + 0.0j]))
-        c = c * leading
-        scale = max(1.0, float(np.max(np.abs(c))))
-        if float(np.max(np.abs(c.imag))) > 1e-8 * scale:
-            raise ValueError("root set is not closed under conjugation")
-        return cls(c.real)
 
     # -- basic queries -----------------------------------------------------
     @property
@@ -178,12 +150,6 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial._of([a + b for a, b in zip_longest(self._c, other._c, fillvalue=0.0)])
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial._of([a - b for a, b in zip_longest(self._c, other._c, fillvalue=0.0)])
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._of([-a for a in self._c])
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             s = float(other)
@@ -208,12 +174,6 @@ class Polynomial:
             return Polynomial.zero()
         return Polynomial._of([a * k for k, a in enumerate(self._c) if k])
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise ValueError("zero polynomial has no monic form")
-        lead = self._c[-1]
-        return Polynomial._of([a / lead for a in self._c])
-
     def shifted(self, a: float) -> "Polynomial":
         """Taylor coefficients about ``a``: returns q with p(x) = sum q[k] (x-a)^k."""
         work = list(reversed(self._c))  # descending
@@ -225,17 +185,6 @@ class Polynomial:
             taylor.append(b[-1])
             work = b[:-1]
         return Polynomial(taylor)
-
-    def almost_equal(self, other: "Polynomial", rtol: float = COEFF_RTOL) -> bool:
-        """Coefficient-wise comparison after monic normalization."""
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        if self.degree != other.degree:
-            return False
-        a = self.monic()._c
-        b = other.monic()._c
-        tol = rtol * max(1.0, *map(abs, a), *map(abs, b))
-        return all(abs(x - y) <= tol for x, y in zip(a, b))
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self._c)})"
@@ -253,9 +202,8 @@ class RationalTF:
     """Ratio of two real polynomials with a domain tag.
 
     ``ts`` is the sampling time in seconds for a discrete-time (z-domain)
-    transfer function, or ``None`` for continuous time (s-domain). Stored
-    numerator/denominator are kept as built; monic scaling is applied only
-    for comparisons.
+    transfer function, or ``None`` for continuous time (s-domain). The
+    numerator and denominator are kept as built.
     """
 
     __slots__ = ("num", "den", "ts")
@@ -285,10 +233,6 @@ class RationalTF:
     def is_discrete(self) -> bool:
         return self.ts is not None
 
-    @property
-    def is_continuous(self) -> bool:
-        return self.ts is None
-
     def limit_at_infinity(self) -> float:
         """lim of the TF as the transform variable grows without bound."""
         if self.num.is_zero:
@@ -300,84 +244,14 @@ class RationalTF:
             raise ValueError("improper transfer function has no finite limit")
         return self.num.leading / self.den.leading
 
-    def monic_normalized(self) -> "RationalTF":
-        lead = self.den.leading
-        num = Polynomial._of([a / lead for a in self.num._c])
-        return RationalTF(num, self.den.monic(), self.ts)
-
     # -- algebra ------------------------------------------------------------
-    def _check_domain(self, other: "RationalTF"):
-        if self.ts is None and other.ts is None:
-            return
-        if self.ts is None or other.ts is None or self.ts != other.ts:
+    def __mul__(self, other: "RationalTF") -> "RationalTF":
+        """Series connection; both factors must share the domain."""
+        if self.ts != other.ts:
             raise DomainMismatchError(
                 f"cannot combine domains ts={self.ts} and ts={other.ts}"
             )
-
-    def _coerce(self, other) -> "RationalTF":
-        if isinstance(other, RationalTF):
-            self._check_domain(other)
-            return other
-        return RationalTF.constant(float(other), self.ts)
-
-    def __mul__(self, other) -> "RationalTF":
-        o = self._coerce(other)
-        return RationalTF(self.num * o.num, self.den * o.den, self.ts)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalTF":
-        o = self._coerce(other)
-        if o.num.is_zero:
-            raise ZeroDivisionError("division by the zero transfer function")
-        return RationalTF(self.num * o.den, self.den * o.num, self.ts)
-
-    def __rtruediv__(self, other) -> "RationalTF":
-        o = self._coerce(other)
-        return o / self
-
-    def __add__(self, other) -> "RationalTF":
-        o = self._coerce(other)
-        return RationalTF(self.num * o.den + o.num * self.den, self.den * o.den, self.ts)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RationalTF":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RationalTF":
-        return self._coerce(other) - self
-
-    def __neg__(self) -> "RationalTF":
-        return RationalTF(-self.num, self.den, self.ts)
-
-    def feedback_unity(self) -> "RationalTF":
-        """Closed loop self / (1 + self); raises if 1 + self vanishes identically."""
-        closed_den = self.den + self.num
-        if closed_den.is_zero:
-            raise DegenerateLoopError("1 + L is identically zero")
-        return RationalTF(self.num, closed_den, self.ts)
-
-    def almost_equal(self, other: "RationalTF", rtol: float = COEFF_RTOL) -> bool:
-        """Equality as rational functions via cross-multiplication.
-
-        Robust to overall scaling and to uncancelled common factors.
-        """
-        if not isinstance(other, RationalTF) or (self.ts != other.ts):
-            return False
-        a = self.monic_normalized()
-        b = other.monic_normalized()
-        lhs = a.num * b.den
-        rhs = b.num * a.den
-        diff = lhs - rhs
-        if diff.is_zero:
-            return True
-        scale = max(
-            1e-300,
-            float(np.max(np.abs(lhs.coeffs))),
-            float(np.max(np.abs(rhs.coeffs))),
-        )
-        return float(np.max(np.abs(diff.coeffs))) <= rtol * scale
+        return RationalTF(self.num * other.num, self.den * other.den, self.ts)
 
     def __repr__(self) -> str:
         tag = "s" if self.ts is None else f"z, ts={self.ts}"

@@ -355,6 +355,28 @@ def test_points_capped(tmp_path, capsys, command, options, points):
     assert "Traceback" not in err
 
 
+def test_sweep_grid_with_repeated_values_is_a_config_error(tmp_path, capsys):
+    # 100 points between neighbouring floats: linspace repeats values
+    code = main(["sweep", _write(tmp_path, BASE), "--param", "alpha",
+                 "--from", "1", "--to", "1.0000000000000002", "--points", "100",
+                 "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:")
+    assert "repeat" in err
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(BASE.replace("dob.kind = velocity", "# Tr\xe4gheit\ndob.kind = velocity")
+                     .encode("latin-1"))
+    code = main(["analyze", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: cannot read config")
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["sweep", _write(tmp_path, BASE), "--param", "inertia",
                  "--from", "1", "--to", "2", "--points", "4",

@@ -22,7 +22,7 @@ from dobkit.loops import (
 )
 from dobkit.zalg import DomainMismatchError, RationalTF, poly_roots, tf_eval
 
-from conftest import make_cfg
+from conftest import assert_same_tf, at, degree, make_cfg
 
 ALL_KINDS = list(MeasurementKind)
 
@@ -136,8 +136,9 @@ def test_sensitivity_vanishes_at_dc(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_sensitivity_pair_identity(kind):
     inner = make_inner_loop(make_cfg(kind, alpha=1.7, g_dob=300.0))
-    assert (inner.S + inner.T).almost_equal(RationalTF.one(inner.ts))
-    assert inner.S.almost_equal(RationalTF(inner.L.den, inner.L.den + inner.L.num, inner.ts))
+    T, L = at(inner.T), at(inner.L)
+    assert_same_tf(inner.S, lambda z: 1.0 - T(z), degree(inner.T))
+    assert_same_tf(inner.S, lambda z: 1.0 / (1.0 + L(z)), degree(inner.L))
 
 
 @settings(max_examples=150, deadline=None)
@@ -167,9 +168,15 @@ def test_nyquist_magnitudes():
 
 def test_plant_models_attached_per_kind():
     Ts = 1e-3
-    assert make_inner_loop(make_cfg("acceleration")).G.almost_equal(RationalTF.one(Ts))
-    assert make_inner_loop(make_cfg("velocity")).G.almost_equal(discrete_velocity_plant(Ts))
-    assert make_inner_loop(make_cfg("position")).G.almost_equal(discrete_position_plant(Ts))
+    models = {
+        "acceleration": (lambda z: 1.0, 0),
+        "velocity": (lambda z: Ts / (z - 1.0), 1),
+        "position": (lambda z: Ts * Ts * (z + 1.0) / (2.0 * (z - 1.0) ** 2), 2),
+    }
+    for kind, (G, n) in models.items():
+        loop = make_inner_loop(make_cfg(kind, Ts=Ts))
+        assert loop.G.ts == Ts
+        assert_same_tf(loop.G, G, n)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -205,7 +212,7 @@ def test_acceleration_alpha_one_neutral():
 
 def test_continuous_alpha_one_compensator_is_unity():
     loop = make_continuous_inner(PlantParams.from_alpha(1.0), 500.0)
-    assert loop.C.almost_equal(RationalTF.one(None))
+    assert_same_tf(loop.C, lambda s: 1.0, 0)
 
 
 def test_continuous_pole_location():
@@ -248,7 +255,7 @@ def test_discrete_pole_matches_continuous_decay():
 
 def test_pd_pure_proportional():
     pd = make_pd(OuterGains(K_p=5000.0, K_d=0.0), 1e-3)
-    assert pd.almost_equal(RationalTF.constant(5000.0, 1e-3))
+    assert_same_tf(pd, lambda z: 5000.0, 0)
 
 
 def test_pd_dc_gain_is_kp():
@@ -258,7 +265,10 @@ def test_pd_dc_gain_is_kp():
 
 def test_pd_closed_form_coefficients():
     pd = make_pd(OuterGains(K_p=5000.0, K_d=25.0), 1e-3)
-    assert pd.almost_equal(RationalTF([-25000.0, 30000.0], [0.0, 1.0], 1e-3))
+    assert pd.ts == 1e-3
+    assert_same_tf(pd, RationalTF([-25000.0, 30000.0], [0.0, 1.0], 1e-3))
+    # K_p + K_d (z - 1) / (Ts z)
+    assert_same_tf(pd, lambda z: 5000.0 + 25.0 * (z - 1.0) / (1e-3 * z), 1)
 
 
 @pytest.mark.parametrize("value", [*NON_FINITE, 0.0, -1e-3])
@@ -283,8 +293,9 @@ def test_outer_loop_alpha_one_acceleration_reduces_to_pd_plant():
     inner = make_inner_loop(make_cfg("acceleration", alpha=1.0))
     pd = make_pd(OuterGains(K_p=5000.0, K_d=25.0), Ts)
     outer = make_outer_loop(inner, pd)
-    assert inner.C.almost_equal(RationalTF.one(Ts))
-    assert outer.L.almost_equal(pd * discrete_position_plant(Ts))
+    G_p = discrete_position_plant(Ts)
+    assert_same_tf(inner.C, lambda z: 1.0, 0)
+    assert_same_tf(outer.L, lambda z: at(pd)(z) * at(G_p)(z), degree(pd) + degree(G_p))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -302,7 +313,8 @@ def test_outer_loop_domain_checks():
 
 
 # ---------------------------------------------------------------------------
-# block-diagram consistency: explicit reduction equals the closed forms
+# block-diagram consistency: the closed forms equal the block compositions,
+# evaluated pointwise in complex arithmetic
 # ---------------------------------------------------------------------------
 
 PARAM_GRID = [(0.5, 300.0, 1e-3, 800.0), (1.0, 500.0, 1e-3, 1000.0),
@@ -313,37 +325,51 @@ PARAM_GRID = [(0.5, 300.0, 1e-3, 800.0), (1.0, 500.0, 1e-3, 1000.0),
 def test_acceleration_loop_from_blocks(alpha, g_dob, Ts, g_v):
     cfg = make_cfg("acceleration", alpha=alpha, g_dob=g_dob, Ts=Ts)
     inner = make_inner_loop(cfg)
-    Q = q_filter(g_dob, Ts)
-    one = RationalTF.one(Ts)
-    L_blocks = alpha * Q / (one - Q)
-    assert L_blocks.almost_equal(inner.L)
-    assert (one / (one + L_blocks)).almost_equal(inner.S)
-    assert L_blocks.feedback_unity().almost_equal(inner.T)
+    block = q_filter(g_dob, Ts)
+    Q = at(block)
+
+    def L(z):
+        return alpha * Q(z) / (1.0 - Q(z))
+
+    n = degree(block)
+    assert_same_tf(inner.L, L, n)
+    assert_same_tf(inner.S, lambda z: 1.0 / (1.0 + L(z)), n)
+    assert_same_tf(inner.T, lambda z: L(z) / (1.0 + L(z)), n)
 
 
 @pytest.mark.parametrize("alpha,g_dob,Ts,g_v", PARAM_GRID)
 def test_velocity_loop_from_blocks(alpha, g_dob, Ts, g_v):
     cfg = make_cfg("velocity", alpha=alpha, g_dob=g_dob, Ts=Ts)
     inner = make_inner_loop(cfg)
-    Q = q_filter(g_dob, Ts)
-    one = RationalTF.one(Ts)
-    # observer feedback path: the filter dynamics cancel, leaving a pure gain
-    feedback = (g_dob * one - g_dob * Q) / (one - Q)
-    L_blocks = alpha * feedback * discrete_velocity_plant(Ts)
-    assert L_blocks.almost_equal(inner.L)
-    assert L_blocks.feedback_unity().almost_equal(inner.T)
+    blocks = (q_filter(g_dob, Ts), discrete_velocity_plant(Ts))
+    Q, G = map(at, blocks)
+
+    def L(z):
+        # observer feedback path: the filter dynamics cancel, leaving a pure gain
+        feedback = (g_dob - g_dob * Q(z)) / (1.0 - Q(z))
+        return alpha * feedback * G(z)
+
+    n = sum(map(degree, blocks))
+    assert_same_tf(inner.L, L, n)
+    assert_same_tf(inner.S, lambda z: 1.0 / (1.0 + L(z)), n)
+    assert_same_tf(inner.T, lambda z: L(z) / (1.0 + L(z)), n)
 
 
 @pytest.mark.parametrize("alpha,g_dob,Ts,g_v", PARAM_GRID)
 def test_position_loop_from_blocks(alpha, g_dob, Ts, g_v):
     cfg = make_cfg("position", alpha=alpha, g_dob=g_dob, Ts=Ts, g_v=g_v)
     inner = make_inner_loop(cfg)
-    Q = q_filter(g_dob, Ts)
-    one = RationalTF.one(Ts)
-    feedback = (g_dob * one - g_dob * Q) / (one - Q)
-    L_blocks = alpha * feedback * velocity_estimator(g_v, Ts) * discrete_position_plant(Ts)
-    assert L_blocks.almost_equal(inner.L)
-    assert L_blocks.feedback_unity().almost_equal(inner.T)
+    blocks = (q_filter(g_dob, Ts), velocity_estimator(g_v, Ts), discrete_position_plant(Ts))
+    Q, V, G = map(at, blocks)
+
+    def L(z):
+        feedback = (g_dob - g_dob * Q(z)) / (1.0 - Q(z))
+        return alpha * feedback * V(z) * G(z)
+
+    n = sum(map(degree, blocks))
+    assert_same_tf(inner.L, L, n)
+    assert_same_tf(inner.S, lambda z: 1.0 / (1.0 + L(z)), n)
+    assert_same_tf(inner.T, lambda z: L(z) / (1.0 + L(z)), n)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -352,6 +378,24 @@ def test_compensator_equals_filtered_sensitivity(kind, alpha, g_dob, Ts, g_v):
     # C = alpha * S / (1 - Q) holds for every measurement kind
     cfg = make_cfg(kind, alpha=alpha, g_dob=g_dob, Ts=Ts, g_v=g_v)
     inner = make_inner_loop(cfg)
-    Q = q_filter(g_dob, Ts)
-    one = RationalTF.one(Ts)
-    assert (alpha * inner.S / (one - Q)).almost_equal(inner.C)
+    blocks = (inner.S, q_filter(g_dob, Ts))
+    S, Q = map(at, blocks)
+    assert_same_tf(inner.C, lambda z: alpha * S(z) / (1.0 - Q(z)), sum(map(degree, blocks)))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("alpha,g_dob,Ts,g_v", PARAM_GRID)
+def test_outer_loop_from_blocks(kind, alpha, g_dob, Ts, g_v, locus_gains):
+    # L = pd * C * G_p, closed by unity feedback on position
+    inner = make_inner_loop(make_cfg(kind, alpha=alpha, g_dob=g_dob, Ts=Ts, g_v=g_v))
+    blocks = (make_pd(locus_gains, Ts), inner.C, discrete_position_plant(Ts))
+    outer = make_outer_loop(inner, blocks[0])
+    pd, C, G = map(at, blocks)
+
+    def L(z):
+        return pd(z) * C(z) * G(z)
+
+    n = sum(map(degree, blocks))
+    assert_same_tf(outer.L, L, n)
+    assert_same_tf(outer.S, lambda z: 1.0 / (1.0 + L(z)), n)
+    assert_same_tf(outer.T, lambda z: L(z) / (1.0 + L(z)), n)

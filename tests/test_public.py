@@ -1,0 +1,42 @@
+"""The public surface: the package's re-exports and the README's examples."""
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import dobkit
+from dobkit.cli import build_dob_config, build_gains, build_scenario, parse_config
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("module", ["zalg", "loops", "robustness", "stability", "sim"])
+def test_every_public_name_is_re_exported(module):
+    mod = importlib.import_module(f"dobkit.{module}")
+    for name in mod.__all__:
+        assert getattr(dobkit, name) is getattr(mod, name), name
+
+
+def _block(lang: str) -> str:
+    (block,) = re.findall(rf"^```{lang}\n(.*?)^```", README, flags=re.M | re.S)
+    return block
+
+
+def test_python_quickstart_runs(capsys):
+    namespace = {}
+    exec(compile(_block("python"), "README.md", "exec"), namespace)
+    assert not namespace["trace"].diverged
+    assert "stable=True" in capsys.readouterr().out
+
+
+def test_ini_config_builds_a_scenario():
+    pc = parse_config(_block("ini"))
+    cfg = build_dob_config(pc)
+    gains = build_gains(pc)
+    scenario = build_scenario(pc, cfg, gains)
+    assert cfg.kind is dobkit.MeasurementKind.VELOCITY
+    assert cfg.g_v == 2000.0
+    assert gains == dobkit.OuterGains(K_p=4000.0, K_d=200.0)
+    assert scenario.duration == 10.0 and scenario.seed == 7
+    assert scenario.disturbances == (dobkit.DisturbancePulse(4.0, 6.0, 4.0),)

@@ -27,7 +27,7 @@ from dobkit.robustness import (
     waterbed_report,
 )
 from dobkit.stability import classify_poles, position_non_osc_bound
-from dobkit.zalg import Polynomial, RationalTF, poly_roots
+from dobkit.zalg import RationalTF, poly_roots
 
 from conftest import make_cfg
 
@@ -338,7 +338,8 @@ def test_continuous_analysis_misses_discrete_instability():
 
 def _continuous_loop(zeros, poles, gain):
     """Continuous unity-feedback loop L = gain * prod(s - zeros) / prod(s - poles)."""
-    L = RationalTF(Polynomial.from_roots(zeros, leading=gain), Polynomial.from_roots(poles), None)
+    num = gain * np.atleast_1d(np.poly(zeros))[::-1]
+    L = RationalTF(num, np.poly(poles)[::-1], None)
     return LoopSet.from_open_loop(L, L, RationalTF.one(None))
 
 
@@ -455,16 +456,14 @@ def test_velocity_peak_value():
     assert sweep.peak_S.value == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("outer, spacing, expected, most", [
+@pytest.mark.parametrize("outer, expected, most", [
     # velocity inner loop: |S| peaks at the grid's last point, z = -1
-    (False, "log", 4.0 / 3.0, 2),
-    (False, "linear", 4.0 / 3.0, 2),
+    (False, 4.0 / 3.0, 2),
     # lightly damped outer loop (closed-loop pair at |z| = 0.9937): interior
-    # peak; the values are those of a 60-step golden-section search
-    (True, "log", 5.696941980014084, 25),
-    (True, "linear", 5.696941980014087, 25),
+    # peak; the value is that of a 60-step golden-section search
+    (True, 5.696941980014084, 25),
 ])
-def test_peak_search_stops_at_rounding_level(monkeypatch, outer, spacing, expected, most):
+def test_peak_search_stops_at_rounding_level(monkeypatch, outer, expected, most):
     loop = make_inner_loop(make_cfg("velocity"))
     if outer:
         loop = make_outer_loop(loop, make_pd(OuterGains(K_p=5000.0, K_d=10.0), 1e-3))
@@ -476,7 +475,7 @@ def test_peak_search_stops_at_rounding_level(monkeypatch, outer, spacing, expect
         return mag_at(self, theta)
 
     monkeypatch.setattr(_FactoredS, "mag_at", counted)
-    peak = freq_sweep(loop, n_points=512, spacing=spacing).peak_S
+    peak = freq_sweep(loop, n_points=512).peak_S
     assert peak.value == pytest.approx(expected, rel=1e-14)
     assert 1 <= len(calls) <= most
 
@@ -494,15 +493,7 @@ def test_sweep_validation():
     with pytest.raises(ValueError):
         freq_sweep(loop, n_points=8)
     with pytest.raises(ValueError):
-        freq_sweep(loop, spacing="cubic")
-    with pytest.raises(ValueError):
         freq_sweep(make_continuous_inner(PlantParams.from_alpha(1.0), 100.0))
-
-
-def test_linear_spacing_supported():
-    sweep = freq_sweep(make_inner_loop(make_cfg("velocity")), n_points=32,
-                       spacing="linear")
-    assert sweep.freqs.size == 32
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dobkit.loops import LoopSet
 from dobkit.zalg import (
-    DegenerateLoopError,
     DomainMismatchError,
     PoleEvaluationError,
     Polynomial,
@@ -18,6 +18,8 @@ from dobkit.zalg import (
     tf_eval,
 )
 
+from conftest import assert_same_tf, at
+
 
 # ---------------------------------------------------------------------------
 # polynomial arithmetic
@@ -27,17 +29,17 @@ def test_difference_of_squares():
     z_minus = Polynomial([-1.0, 1.0])
     z_plus = Polynomial([1.0, 1.0])
     prod = z_minus * z_plus
-    assert prod.almost_equal(Polynomial([-1.0, 0.0, 1.0]))
+    assert prod.coeffs.tolist() == [-1.0, 0.0, 1.0]
 
 
 def test_multiplicative_identity():
     p = Polynomial([2.0, -3.0, 1.0])
-    assert (p * Polynomial.one()).almost_equal(p)
+    assert (p * Polynomial([1.0])).coeffs.tolist() == p.coeffs.tolist()
 
 
 def test_add_cancels_constant():
     total = Polynomial([-1.0, 1.0]) + Polynomial([1.0])
-    assert total.almost_equal(Polynomial([0.0, 1.0]))
+    assert total.coeffs.tolist() == [0.0, 1.0]
 
 
 def test_normalization_trims_trailing_zeros():
@@ -85,8 +87,6 @@ def test_arithmetic_matches_numpy(a, b, s):
     cb = np.pad(pb.coeffs, (0, n - pb.coeffs.size))
     # elementwise operations round exactly as numpy's do
     assert np.array_equal((pa + pb).coeffs, Polynomial(ca + cb).coeffs)
-    assert np.array_equal((pa - pb).coeffs, Polynomial(ca - cb).coeffs)
-    assert np.array_equal((-pa).coeffs, Polynomial(-pa.coeffs).coeffs)
     assert np.array_equal((pa * s).coeffs, Polynomial(pa.coeffs * s).coeffs)
     assert np.array_equal(pa.derivative().coeffs,
                           Polynomial(pa.coeffs[1:] * np.arange(1, pa.coeffs.size)).coeffs)
@@ -154,7 +154,7 @@ def _conjugate_closed_roots(draw):
 def test_roots_roundtrip(roots):
     if not _separated(roots):
         return
-    p = Polynomial.from_roots(roots)
+    p = Polynomial(np.poly(roots)[::-1])
     rs = poly_roots(p)
     assert len(rs.roots) == p.degree
     scale = max(1.0, float(np.max(np.abs(p.coeffs))))
@@ -198,16 +198,11 @@ def test_polish_stays_at_a_double_root():
 
 
 def test_conjugate_pairing_enforced():
-    p = Polynomial.from_roots([0.3 + 0.7j, 0.3 - 0.7j, -0.9])
+    p = Polynomial(np.poly([0.3 + 0.7j, 0.3 - 0.7j, -0.9])[::-1])
     rs = poly_roots(p)
     cplx = [r for r in rs.roots if r.imag != 0.0]
     assert len(cplx) == 2
     assert cplx[0] == cplx[1].conjugate()
-
-
-def test_from_roots_requires_conjugate_closure():
-    with pytest.raises(ValueError):
-        Polynomial.from_roots([1j])
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +212,7 @@ def test_from_roots_requires_conjugate_closure():
 @settings(max_examples=200, deadline=None)
 @given(_conjugate_closed_roots(), st.sampled_from([1.0, 0.5, 1.0 - 1e-9]))
 def test_schur_agrees_with_roots_away_from_the_circle(roots, radius):
-    p = Polynomial.from_roots(roots)
+    p = Polynomial(np.poly(roots)[::-1])
     mags = [abs(r) for r in poly_roots(p).roots]
     assume(all(abs(m - radius) > 1e-6 for m in mags))
     assert schur_stable(p, radius) == (max(mags) < radius)
@@ -242,7 +237,7 @@ def _roots_near_the_circle(draw):
 def test_schur_float_recursion_matches_the_exact_one(roots, leading, radius):
     # The exact recursion on the stored coefficients is the reference: the
     # float one must either agree with it or hand the verdict over to it.
-    p = Polynomial.from_roots(roots, leading=leading)
+    p = Polynomial(leading * np.poly(roots)[::-1])
     assert schur_stable(p, radius) == _schur_exact(tuple(p.coeffs.tolist()), radius)
 
 
@@ -361,29 +356,35 @@ def test_series_evaluation_is_multiplicative(num_a, num_b, re, im):
 
 def test_series_with_identity():
     tf = RationalTF([1.0, 2.0], [3.0, 1.0], 1e-3)
-    assert (tf * RationalTF.one(1e-3)).almost_equal(tf)
+    prod = tf * RationalTF.one(1e-3)
+    assert prod.ts == 1e-3
+    assert prod.num.coeffs.tolist() == tf.num.coeffs.tolist()
+    assert prod.den.coeffs.tolist() == tf.den.coeffs.tolist()
 
 
 def test_parallel_builds_pd_form():
     Ts, K_p, K_d = 1e-3, 5000.0, 25.0
     prop = RationalTF.constant(K_p, Ts)
     deriv = RationalTF([-K_d, K_d], [0.0, Ts], Ts)
-    combined = prop + deriv
     expected = RationalTF([-K_d / Ts, K_p + K_d / Ts], [0.0, 1.0], Ts)
-    assert combined.almost_equal(expected)
+    assert_same_tf(expected, lambda z: at(prop)(z) + at(deriv)(z), 1)
 
 
 def test_feedback_unity_closes_integrating_loop():
     # L = a*z/(z-1) closes to a*z / ((1+a) z - 1)
     a = 0.5
     L = RationalTF([0.0, a], [-1.0, 1.0], 1e-3)
-    closed = L.feedback_unity()
-    assert closed.almost_equal(RationalTF([0.0, a], [-1.0, 1.0 + a], 1e-3))
+    closed = LoopSet.from_open_loop(L, L, RationalTF.one(1e-3)).T
+    assert closed.den.coeffs.tolist() == [-1.0, 1.0 + a]
+    assert_same_tf(closed, RationalTF([0.0, a], [-1.0, 1.0 + a], 1e-3))
+    assert_same_tf(closed, lambda z: at(L)(z) / (1.0 + at(L)(z)), 1)
 
 
 def test_feedback_unity_degenerate():
-    with pytest.raises(DegenerateLoopError):
-        RationalTF.constant(-1.0, 1e-3).feedback_unity()
+    # 1 + L vanishes identically: no closed loop exists
+    L = RationalTF.constant(-1.0, 1e-3)
+    with pytest.raises(ZeroDivisionError):
+        LoopSet.from_open_loop(L, L, RationalTF.one(1e-3))
 
 
 def test_mixed_domains_rejected():
@@ -392,7 +393,9 @@ def test_mixed_domains_rejected():
     with pytest.raises(DomainMismatchError):
         disc * cont
     with pytest.raises(DomainMismatchError):
-        disc + RationalTF([1.0], [1.0], 2e-3)
+        cont * disc
+    with pytest.raises(DomainMismatchError):
+        disc * RationalTF([1.0], [1.0], 2e-3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -405,25 +408,26 @@ def test_sensitivity_pair_sums_to_one(num, den):
     num_p = Polynomial(num)
     if den_p.is_zero or num_p.degree > den_p.degree:
         return
-    if abs(den_p.leading) < 1e-3:  # keep coefficient products away from underflow
-        return
-    L = RationalTF(num_p, den_p, 1e-3)
-    closed_den = L.den + L.num
+    closed_den = den_p + num_p
     if closed_den.is_zero:
         return
-    S = RationalTF(L.den, closed_den, 1e-3)
-    T = L.feedback_unity()
-    total = S + T
-    assert total.almost_equal(RationalTF.one(1e-3))
-    # exact polynomial identity when sharing the closed-loop denominator
-    assert (S.num + T.num).almost_equal(closed_den, rtol=0.0)
+    loop = LoopSet.from_open_loop(RationalTF(num_p, den_p, 1e-3), RationalTF.one(1e-3),
+                                  RationalTF.one(1e-3))
+    # an exact polynomial identity: S and T share the closed-loop denominator
+    assert np.array_equal((loop.S.num + loop.T.num).coeffs, closed_den.coeffs)
+    assert np.array_equal(loop.S.den.coeffs, closed_den.coeffs)
+    assert np.array_equal(loop.T.den.coeffs, closed_den.coeffs)
 
 
 def test_equality_ignores_common_factors():
+    # the pointwise comparison that the closed-form tests rely on
     Ts = 1e-3
     base = RationalTF([1.0, 1.0], [0.5, 1.0], Ts)
     extra = Polynomial([-0.2, 1.0])
     padded = RationalTF(base.num * extra, base.den * extra, Ts)
-    assert base.almost_equal(padded)
-    assert padded.almost_equal(base)
-    assert not base.almost_equal(RationalTF([1.0, 1.1], [0.5, 1.0], Ts))
+    assert_same_tf(base, padded)
+    assert_same_tf(padded, base)
+    with pytest.raises(AssertionError):
+        assert_same_tf(base, RationalTF([1.0, 1.1], [0.5, 1.0], Ts))
+    with pytest.raises(AssertionError):
+        assert_same_tf(base, RationalTF([1.0, 1.0], [0.5, 1.0], 2e-3))
