@@ -264,11 +264,9 @@ def make_outer_loop(inner: LoopSet, pd: RationalTF) -> LoopSet:
     """
     if not inner.L.is_discrete or not pd.is_discrete:
         raise DomainMismatchError("outer loop requires discrete inner loop and PD")
-    if pd.ts != inner.ts:
-        raise DomainMismatchError("inner loop and PD must share the sampling time")
     ts = pd.ts
     G_p = discrete_position_plant(ts)
-    L = pd * inner.C * G_p
+    L = pd * inner.C * G_p  # raises DomainMismatchError unless the sampling times agree
     return LoopSet.from_open_loop(L, RationalTF.one(ts), G_p)
 
 

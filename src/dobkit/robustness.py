@@ -57,6 +57,8 @@ PEAK_RTOL = 16.0 * 2.0**-53
 # The circle map's u = -ln(eps) is wanted to this: eps only places the
 # samples, and the point count is a power of two.
 MAP_UTOL = 1e-3
+# Frequency-grid points of each waterbed_report sweep.
+WATERBED_POINTS = 256
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden section of a segment, 0.382
 
@@ -126,13 +128,27 @@ def _leading_zero_order(tf: RationalTF, at: float) -> tuple[int, np.ndarray]:
     return m, taylor
 
 
-def _open_loop_instability_sum(poles) -> float:
-    """Sum of ln|p| over the open-loop poles strictly outside the unit circle."""
-    total = 0.0
-    for p in poles:
-        if abs(p) > 1.0 + CIRCLE_TOL:
-            total += math.log(abs(p))
-    return total
+def _singular_points(S: RationalTF, q: Polynomial, at: float, image, where: str):
+    """The open-loop poles off ``at``, and the images of S's poles and of them.
+
+    S = den(L) / (den(L) + num(L)): its zeros are the open-loop poles, the m
+    structural ones at ``at`` and ``at`` + roots(q), q being S's numerator
+    with those m divided out, in x - at. ``image`` maps a point into the
+    plane of the unit circle (None: far from it). Raises
+    ``IllPosedIntegralError`` for an image on the circle (a point on ``where``).
+    """
+    poles = poly_roots(S.den).roots
+    open_loop_poles = [at + x for x in poly_roots(q).roots] if q.degree >= 1 else []
+    images = []
+    for what, points in (("pole", poles), ("zero", open_loop_poles)):
+        for p in points:
+            z = image(p)
+            if z is None:
+                continue
+            if abs(abs(z) - 1.0) < CIRCLE_TOL:
+                raise IllPosedIntegralError(f"sensitivity {what} on the {where}: {p}")
+            images.append(z)
+    return open_loop_poles, images
 
 
 # ---------------------------------------------------------------------------
@@ -320,25 +336,15 @@ def bode_integral_discrete(loop: LoopSet) -> BodeIntegralReport:
     if not S.is_discrete:
         raise ValueError("discrete loop required")
 
-    poles = poly_roots(S.den).roots
-    for p in poles:
-        if abs(abs(p) - 1.0) < CIRCLE_TOL:
-            raise IllPosedIntegralError(f"sensitivity pole on the unit circle: {p}")
-    # S = den(L) / (den(L) + num(L)): its zeros are the open-loop poles.
     fs = _FactoredS(S)
-    open_loop_poles = [1.0 + w for w in poly_roots(fs.q).roots] if fs.q.degree >= 1 else []
-    for z in open_loop_poles:
-        if abs(abs(z) - 1.0) < CIRCLE_TOL:
-            raise IllPosedIntegralError(
-                f"sensitivity zero on the unit circle away from z=1: {z}"
-            )
-    numeric, points, difference = _circle_integral(fs, [*poles, *open_loop_poles])
+    open_loop_poles, singular = _singular_points(S, fs.q, 1.0, lambda z: z, "unit circle")
+    numeric, points, difference = _circle_integral(fs, singular)
 
     psi = L.limit_at_infinity()
     if abs(1.0 + psi) == 0.0:
         raise IllPosedIntegralError("1 + lim L vanishes")
-    analytic = 2.0 * math.pi * (_open_loop_instability_sum(open_loop_poles)
-                               - math.log(abs(1.0 + psi)))
+    unstable = sum(math.log(abs(p)) for p in open_loop_poles if abs(p) > 1.0 + CIRCLE_TOL)
+    analytic = 2.0 * math.pi * (unstable - math.log(abs(1.0 + psi)))
 
     return BodeIntegralReport(
         numeric_value=numeric,
@@ -373,20 +379,12 @@ def bode_integral_continuous(loop: LoopSet) -> BodeIntegralReport:
     b = ((num[n - 2] if n >= 2 else 0.0) - a * den[n - 1]) / den[n]
     c = abs(a)
 
-    # S's zeros are the open-loop poles; the m at s = 0 are divided out.
-    # s = p maps to z = (c + p)/(c - p), the imaginary axis onto the circle.
+    # s = p maps to z = (c + p)/(c - p), the imaginary axis onto the circle;
+    # p = c maps to z = inf, far from it.
     m, taylor = _leading_zero_order(S, 0.0)
-    poles = poly_roots(S.den).roots
-    zeros = poly_roots(Polynomial(taylor[m:])).roots if taylor.size - m > 1 else ()
-    singular = []
-    for what, roots in (("pole", poles), ("zero", zeros)):
-        for p in roots:
-            if p == c:
-                continue  # z = inf, far from the circle
-            z = (c + p) / (c - p)
-            if abs(abs(z) - 1.0) < CIRCLE_TOL:
-                raise IllPosedIntegralError(f"sensitivity {what} on the imaginary axis: {p}")
-            singular.append(z)
+    zeros, singular = _singular_points(
+        S, Polynomial(taylor[m:]), 0.0,
+        lambda p: None if p == c else (c + p) / (c - p), "imaginary axis")
 
     def remainder(w):
         """(ln|S| - m*ln sin(theta/2)) * (1 + t**2)/2 at omega = c*t, in units of c."""
@@ -492,11 +490,7 @@ def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
     )
 
 
-def waterbed_report(
-    cfgs: list[DobConfig],
-    threshold: float = 2.0,
-    n_points: int = 256,
-) -> list[WaterbedRow]:
+def waterbed_report(cfgs: list[DobConfig], threshold: float = 2.0) -> list[WaterbedRow]:
     """Peak sensitivity versus alpha*g_dob across a shared-kind config grid.
 
     Rows are sorted by alpha*g_dob; rows whose sensitivity peak exceeds the
@@ -511,7 +505,7 @@ def waterbed_report(
             raise ValueError("all configs must share measurement kind and Ts")
     rows = []
     for cfg in cfgs:
-        sweep = freq_sweep(make_inner_loop(cfg), n_points=n_points)
+        sweep = freq_sweep(make_inner_loop(cfg), n_points=WATERBED_POINTS)
         rows.append(
             WaterbedRow(
                 alpha_g=cfg.alpha_g,

@@ -55,6 +55,8 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e6  # metres; beyond this the trace truncates with a flag
 # Longest run, in sample periods; a run holds about 0.4 kB per sample at its peak.
 MAX_SAMPLES = 1_000_000
+# Position error (metres) below which a run counts as settled.
+SETTLE_THRESHOLD = 1e-6
 
 
 class UnsupportedScenarioError(ValueError):
@@ -425,15 +427,12 @@ def simulate_linear_oracle(sc: Scenario) -> SimTrace:
     return _trace(sc, t, r, d, q, qd, qdd, I_des, current, diverged=diverged)
 
 
-def disturbance_rejection_metrics(
-    trace: SimTrace,
-    window: tuple[float, float],
-    settle_threshold: float = 1e-6,
-) -> RejectionMetrics:
+def disturbance_rejection_metrics(trace: SimTrace,
+                                  window: tuple[float, float]) -> RejectionMetrics:
     """Tracking-error and estimation metrics over [t_a, t_b].
 
     ``settle_time`` is the time after the window start from which the
-    position error stays below the threshold for the rest of the window
+    position error stays below ``SETTLE_THRESHOLD`` for the rest of the window
     (NaN if it never does). On a diverged trace the metrics cover the
     pre-divergence prefix and the flag is propagated; a window the trace
     never reaches yields NaN metrics.
@@ -447,7 +446,7 @@ def disturbance_rejection_metrics(
     err = np.abs(trace.q_ref[mask] - trace.q[mask])
     est_err = trace.tau_d[mask] - trace.tau_dis_hat[mask]
     # first index from which the error stays below the threshold; past the end: never
-    above = np.flatnonzero(~(err < settle_threshold))
+    above = np.flatnonzero(~(err < SETTLE_THRESHOLD))
     ok_from = int(above[-1]) + 1 if above.size else 0
     settle = float(trace.t[mask][ok_from] - t_a) if ok_from < err.size else math.nan
     return RejectionMetrics(

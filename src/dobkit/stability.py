@@ -177,9 +177,15 @@ def bisect_threshold(predicate, lo: float, hi: float, rel_tol: float = 1e-6) -> 
 
 
 def _bisect(predicate, lo: float, hi: float, rel_tol: float) -> float:
-    """Bisect a bracket already known to hold at lo and fail at hi."""
+    """Bisect a bracket already known to hold at lo and fail at hi.
+
+    Stops once the bracket is no wider than rel_tol*|hi|, or once its ends
+    are adjacent floats, where the midpoint rounds to one of them.
+    """
     while hi - lo > rel_tol * abs(hi):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if predicate(mid):
             lo = mid
         else:
@@ -206,8 +212,10 @@ def root_locus(
     values = [float(v) for v in values]
     if len(values) < 2:
         raise ValueError("need at least 2 sweep values")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError("sweep values must be strictly increasing")
+    for a, b in zip(values, values[1:]):
+        if b <= a:
+            what = f"{a!r} repeats" if b == a else f"{b!r} follows {a!r}"
+            raise ValueError(f"sweep values must be strictly increasing: {what}")
 
     def characteristic(v: float):
         cfg = config_for_sweep(base_cfg, param, v)

@@ -526,7 +526,7 @@ def test_metrics_validation_and_divergence():
 
 def test_metrics_settle_time_relative_to_window():
     trace = simulate(_regulation_scenario("velocity"))
-    m = disturbance_rejection_metrics(trace, (6.0, 10.0), settle_threshold=1e-6)
+    m = disturbance_rejection_metrics(trace, (6.0, 10.0))
     assert 0.0 < m.settle_time < 1.0  # recovers within a second of release
 
 

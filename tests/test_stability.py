@@ -223,6 +223,25 @@ def test_bisect_threshold_validates_bracket():
         bisect_threshold(lambda x: True, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("predicate, lo, hi, rel_tol, expected", [
+    (lambda x: x < 0.5, 0.0, 1.0, 0.0, 0.5),
+    (lambda x: x < 0.5, 0.0, 1.0, 1e-20, 0.5),
+    (lambda x: x < 0.0, -1.0, 0.0, 1e-6, 0.0),  # hi = 0: the tolerance is 0
+], ids=["rel_tol=0", "rel_tol=1e-20", "boundary_at_0"])
+def test_bisect_threshold_stops_at_adjacent_floats(predicate, lo, hi, rel_tol, expected):
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        if calls > 2000:
+            raise RuntimeError("bisection does not stop")
+        return predicate(x)
+
+    found = bisect_threshold(counted, lo, hi, rel_tol=rel_tol)
+    assert abs(found - expected) <= 2.0**-52 * max(1.0, abs(expected))
+
+
 # ---------------------------------------------------------------------------
 # root locus
 # ---------------------------------------------------------------------------
