@@ -28,11 +28,9 @@ from .robustness import (
     FreqSweep,
     IllPosedIntegralError,
     Peak,
-    WaterbedRow,
     bode_integral_continuous,
     bode_integral_discrete,
     freq_sweep,
-    waterbed_report,
 )
 from .sim import (
     DisturbancePulse,

@@ -32,6 +32,8 @@ __all__ = [
     "classify_compensator",
 ]
 
+_INTEGRATOR = Polynomial([-1.0, 1.0])  # z - 1; a Polynomial is immutable, so one is shared
+
 
 def _finite_positive(value: float) -> bool:
     return math.isfinite(value) and value > 0.0
@@ -139,7 +141,9 @@ class LoopSet:
     """Open loop L, sensitivities S and T, series compensator C, plant model G.
 
     S and T share one denominator polynomial (den(L) + num(L)), so S + T = 1
-    is exact by construction.
+    is exact by construction. ``poles`` are the roots of den(L), written from
+    the factors the constructor multiplied: those at z = 1 (s = 0), one per
+    integrator, are exact, and complex ones come in exact conjugate pairs.
     """
 
     L: RationalTF
@@ -147,46 +151,75 @@ class LoopSet:
     T: RationalTF
     C: RationalTF
     G: RationalTF
+    poles: tuple
 
     @property
     def ts(self) -> float | None:
         return self.L.ts
 
     @classmethod
-    def from_open_loop(cls, L: RationalTF, C: RationalTF, G: RationalTF) -> "LoopSet":
+    def from_open_loop(cls, L: RationalTF, C: RationalTF, G: RationalTF, poles: tuple) -> "LoopSet":
         """The loop set of L; raises ``OverflowError`` when a coefficient is not finite.
 
         Finite but extreme parameters (say Ts = 1e300) can overflow the
         coefficients; no result computed from such a loop would mean anything.
         """
+        if len(poles) != L.den.degree:
+            raise ValueError(f"{len(poles)} poles given for a denominator of degree {L.den.degree}")
         closed = L.den + L.num
         for poly in (L.num, closed, C.num, C.den):
             if not poly.is_finite:
                 raise OverflowError(f"loop coefficients overflow: {poly!r}")
         S = RationalTF(L.den, closed, L.ts)
         T = RationalTF(L.num, closed, L.ts)
-        return cls(L=L, S=S, T=T, C=C, G=G)
+        return cls(L=L, S=S, T=T, C=C, G=G, poles=tuple(poles))
+
+
+def _roots(p: Polynomial) -> tuple:
+    """Roots of a real polynomial of degree at most 2, in closed form.
+
+    Real roots come from the formula that does not cancel -b against the root
+    of the discriminant, scaled so that no square overflows; complex ones as an
+    exact conjugate pair.
+    """
+    c = p._c  # the coefficient tuple; ``coeffs`` would build an array
+    if len(c) <= 2:  # "0.0 -" makes a root at the origin +0.0, not -0.0
+        return (0.0 - c[0] / c[1],) if len(c) == 2 else ()
+    h, k = -0.5 * c[1] / c[2], c[0] / c[2]  # x**2 - 2 h x + k
+    t = max(abs(h), math.sqrt(abs(k)))
+    if t == 0.0:
+        return (0.0, 0.0)
+    d = (h / t) ** 2 - k / t / t  # (h*h - k) / t**2
+    if d < 0.0:
+        im = t * math.sqrt(-d)
+        return (complex(h, im), complex(h, -im))
+    q = h + math.copysign(t * math.sqrt(d), h)
+    return (q, k / q)
 
 
 # ---------------------------------------------------------------------------
 # elementary blocks
 # ---------------------------------------------------------------------------
 
+def _lag(x: float) -> Polynomial:
+    """(1 + x) z - 1, the denominator of both first-order filters below (x = gain*Ts)."""
+    return Polynomial([-1.0, 1.0 + x])
+
+
 def q_filter(g_dob: float, Ts: float) -> RationalTF:
     """First-order observer low-pass g*Ts*z / ((1+g*Ts) z - 1)."""
     a = g_dob * Ts
-    return RationalTF([0.0, a], [-1.0, 1.0 + a], Ts)
+    return RationalTF([0.0, a], _lag(a), Ts)
 
 
 def velocity_estimator(g_v: float, Ts: float) -> RationalTF:
     """Pseudo-velocity filter g_v (z-1) / ((1+g_v*Ts) z - 1) on measured position."""
-    b = g_v * Ts
-    return RationalTF([-g_v, g_v], [-1.0, 1.0 + b], Ts)
+    return RationalTF([-g_v, g_v], _lag(g_v * Ts), Ts)
 
 
 def discrete_velocity_plant(Ts: float) -> RationalTF:
     """Sampled rigid-body map from acceleration to velocity: Ts / (z-1)."""
-    return RationalTF([Ts], [-1.0, 1.0], Ts)
+    return RationalTF([Ts], _INTEGRATOR, Ts)
 
 
 def discrete_position_plant(Ts: float) -> RationalTF:
@@ -211,28 +244,24 @@ def make_inner_loop(cfg: DobConfig) -> LoopSet:
     alpha = cfg.plant.alpha
     g, Ts = cfg.g_dob, cfg.Ts
     a = alpha * g * Ts
-    gq = g * Ts  # observer filter gain
+    poles = (1.0,)  # the integrator's
+    c_num = _lag(g * Ts)  # den(Q)
 
     if cfg.kind is MeasurementKind.ACCELERATION:
-        L = RationalTF([0.0, a], [-1.0, 1.0], Ts)
-        C = RationalTF([-alpha, alpha * (1.0 + gq)], [-1.0, 1.0 + a], Ts)
+        L = RationalTF([0.0, a], _INTEGRATOR, Ts)
         G = RationalTF.one(Ts)
     elif cfg.kind is MeasurementKind.VELOCITY:
-        L = RationalTF([a], [-1.0, 1.0], Ts)
-        C = RationalTF([-alpha, alpha * (1.0 + gq)], [a - 1.0, 1.0], Ts)
+        L = RationalTF([a], _INTEGRATOR, Ts)
         G = discrete_velocity_plant(Ts)
     else:
-        gv = cfg.g_v
-        b = cfg.beta * gv * g
-        gvTs = gv * Ts
-        den_L = Polynomial([-1.0, 1.0]) * Polynomial([-1.0, 1.0 + gvTs])
-        L = RationalTF([b, b], den_L, Ts)
-        num_C = alpha * (
-            Polynomial([-1.0, 1.0 + gq]) * Polynomial([-1.0, 1.0 + gvTs])
-        )
-        C = RationalTF(num_C, den_L + L.num, Ts)
+        v_den = _lag(cfg.g_v * Ts)  # den(velocity estimator)
+        b = cfg.beta * cfg.g_v * g
+        L = RationalTF([b, b], _INTEGRATOR * v_den, Ts)
+        poles += _roots(v_den)
+        c_num = c_num * v_den
         G = discrete_position_plant(Ts)
-    return LoopSet.from_open_loop(L, C, G)
+    C = RationalTF(alpha * c_num, L.den + L.num, Ts)
+    return LoopSet.from_open_loop(L, C, G, poles)
 
 
 def make_continuous_inner(plant: PlantParams, g_dob: float) -> LoopSet:
@@ -244,7 +273,7 @@ def make_continuous_inner(plant: PlantParams, g_dob: float) -> LoopSet:
     L = RationalTF([ag], [0.0, 1.0], None)
     C = RationalTF([alpha * g_dob, alpha], [ag, 1.0], None)
     G = RationalTF.one(None)
-    return LoopSet.from_open_loop(L, C, G)
+    return LoopSet.from_open_loop(L, C, G, (0.0,))
 
 
 def make_pd(gains: OuterGains, Ts: float) -> RationalTF:
@@ -260,14 +289,16 @@ def make_outer_loop(inner: LoopSet, pd: RationalTF) -> LoopSet:
 
     The outer loop is always closed on position, so the open loop composes the
     PD controller, the inner-loop compensator and the sampled position plant,
-    whatever measurement the observer itself uses.
+    whatever measurement the observer itself uses. L's poles have closed forms
+    as the PD's denominator has degree <= 2 (else ValueError), as C's has.
     """
     if not inner.L.is_discrete or not pd.is_discrete:
         raise DomainMismatchError("outer loop requires discrete inner loop and PD")
     ts = pd.ts
     G_p = discrete_position_plant(ts)
     L = pd * inner.C * G_p  # raises DomainMismatchError unless the sampling times agree
-    return LoopSet.from_open_loop(L, RationalTF.one(ts), G_p)
+    poles = (*_roots(pd.den), *_roots(inner.C.den), 1.0, 1.0)  # G_p: h (z+1)/(z-1)**2
+    return LoopSet.from_open_loop(L, RationalTF.one(ts), G_p, poles)
 
 
 def classify_compensator(cfg: DobConfig) -> str:

@@ -1,7 +1,7 @@
-"""Sensitivity-integral verification, frequency sweeps and waterbed reporting.
+"""Sensitivity-integral verification and frequency sweeps.
 
 S is factored once per loop about z = 1: with w = z - 1 and m structural zeros
-there (one per open-loop integrator), S = w**m * q(w) / den(w). On the circle
+there (its open-loop poles at z = 1), S = w**m * q(w) / den(w). On the circle
 w = -2 sin(theta/2)**2 + j sin(theta) and |w| = 2 sin(theta/2) are formed
 without cancellation. This one form gives |S| for sweeps and peaks.
 
@@ -13,8 +13,8 @@ come close to the circle.
 - Discrete: the integral of ln|S| over the circle is that of g = ln|q / den|
   alone, since m*ln|w| integrates to exactly 0 (Jensen). The analytic side is
   2*pi*(sum of ln|p| over the open-loop poles outside the circle -
-  ln|1 + lim L|); those poles are the m exact ones at z = 1, on the circle,
-  and 1 + roots(q).
+  ln|1 + lim L|), the poles the loop carries; the m at z = 1 are exact and
+  on the circle. Only S's poles, the roots of den(L) + num(L), are rooted.
 - Continuous: j*omega = c*w/(w + 2), i.e. omega = c*tan(theta/2) with
   c = |lim s*L|, takes [0, inf) onto half the circle. With
   m*ln sin(theta/2) split off (its integral is -m*c*pi/2), ln|S| times the
@@ -29,19 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import DobConfig, LoopSet, make_inner_loop
-from .zalg import Polynomial, RationalTF, poly_roots
+from .loops import LoopSet
+from .zalg import Polynomial, poly_roots
 
 __all__ = [
     "IllPosedIntegralError",
     "BodeIntegralReport",
     "Peak",
     "FreqSweep",
-    "WaterbedRow",
     "bode_integral_discrete",
     "bode_integral_continuous",
     "freq_sweep",
-    "waterbed_report",
 ]
 
 # Pole-on-circle detection tolerance.
@@ -57,8 +55,6 @@ PEAK_RTOL = 16.0 * 2.0**-53
 # The circle map's u = -ln(eps) is wanted to this: eps only places the
 # samples, and the point count is a power of two.
 MAP_UTOL = 1e-3
-# Frequency-grid points of each waterbed_report sweep.
-WATERBED_POINTS = 256
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden section of a segment, 0.382
 
@@ -99,46 +95,20 @@ class FreqSweep:
     peak_T: Peak
 
 
-@dataclass(frozen=True)
-class WaterbedRow:
-    alpha_g: float
-    peak_S: float
-    peak_T: float
-    flagged: bool
-
-
 # ---------------------------------------------------------------------------
 # quadrature machinery
 # ---------------------------------------------------------------------------
 
-def _leading_zero_order(tf: RationalTF, at: float) -> tuple[int, np.ndarray]:
-    """Order m of the numerator's zero at ``at``, with its Taylor coefficients there.
-
-    m is the index of the first non-negligible Taylor coefficient, so
-    ``taylor[m:]`` is the numerator with its m zeros at the point divided out,
-    as a polynomial in x - at.
-    """
-    taylor = tf.num.shifted(at).coeffs
-    scale = float(np.max(np.abs(taylor)))
-    if scale == 0.0:
-        raise IllPosedIntegralError("transfer function is identically zero")
-    m = 0
-    while m < taylor.size and abs(taylor[m]) <= 1e-9 * scale:
-        m += 1
-    return m, taylor
-
-
-def _singular_points(S: RationalTF, q: Polynomial, at: float, image, where: str):
+def _singular_points(loop: LoopSet, at: float, image, where: str):
     """The open-loop poles off ``at``, and the images of S's poles and of them.
 
-    S = den(L) / (den(L) + num(L)): its zeros are the open-loop poles, the m
-    structural ones at ``at`` and ``at`` + roots(q), q being S's numerator
-    with those m divided out, in x - at. ``image`` maps a point into the
-    plane of the unit circle (None: far from it). Raises
+    S = den(L) / (den(L) + num(L)): its zeros are the loop's open-loop poles,
+    those exactly at ``at`` structural; its poles are rooted here. ``image``
+    maps a point into the plane of the unit circle (None: far from it). Raises
     ``IllPosedIntegralError`` for an image on the circle (a point on ``where``).
     """
-    poles = poly_roots(S.den).roots
-    open_loop_poles = [at + x for x in poly_roots(q).roots] if q.degree >= 1 else []
+    poles = poly_roots(loop.S.den).roots
+    open_loop_poles = [p for p in loop.poles if p != at]
     images = []
     for what, points in (("pole", poles), ("zero", open_loop_poles)):
         for p in points:
@@ -169,14 +139,14 @@ def _mag_at(num: Polynomial, den: Polynomial, x: complex) -> float:
 
 
 class _FactoredS:
-    """S(z) = w**m * q(w) / den(w), w = z - 1."""
+    """S(z) = w**m * q(w) / den(w), w = z - 1, m the loop's poles at z = 1."""
 
     __slots__ = ("m", "q", "den")
 
-    def __init__(self, S: RationalTF):
-        self.m, taylor = _leading_zero_order(S, 1.0)
-        self.q = Polynomial(taylor[self.m:])
-        self.den = S.den.shifted(1.0)
+    def __init__(self, loop: LoopSet):
+        self.m = loop.poles.count(1.0)
+        self.q = Polynomial(loop.S.num.shifted(1.0).coeffs[self.m:])
+        self.den = loop.S.den.shifted(1.0)
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         """g = ln|q(w) / den(w)|, ln|S| without its m*ln|w| part."""
@@ -326,18 +296,18 @@ def bode_integral_discrete(loop: LoopSet) -> BodeIntegralReport:
     The numeric side is the trapezoid rule on g (module docstring and
     ``_circle_integral``). The analytic side is 2*pi*(sum ln|p_u| -
     ln|1 + lim L|) with p_u the open-loop poles outside the unit circle; the
-    limit term drops for strictly proper open loops. Those poles are the zeros
-    of S: the m at z = 1, exact and on the circle, and 1 + roots(q).
-    Raises ``IllPosedIntegralError`` when S has poles on the unit circle or
-    zeros on it away from z = 1, when g is not finite, or when the trapezoid
-    rule reaches ``TRAPEZOID_MAX_POINTS`` without converging.
+    limit term drops for strictly proper open loops. Those poles are the ones
+    the loop carries; the m at z = 1 are exact and on the circle. Raises
+    ``IllPosedIntegralError`` when S has poles on the unit circle or zeros on
+    it away from z = 1, when g is not finite, or when the trapezoid rule
+    reaches ``TRAPEZOID_MAX_POINTS`` without converging.
     """
     S, L = loop.S, loop.L
     if not S.is_discrete:
         raise ValueError("discrete loop required")
 
-    fs = _FactoredS(S)
-    open_loop_poles, singular = _singular_points(S, fs.q, 1.0, lambda z: z, "unit circle")
+    fs = _FactoredS(loop)
+    open_loop_poles, singular = _singular_points(loop, 1.0, lambda z: z, "unit circle")
     numeric, points, difference = _circle_integral(fs, singular)
 
     psi = L.limit_at_infinity()
@@ -361,7 +331,7 @@ def bode_integral_continuous(loop: LoopSet) -> BodeIntegralReport:
     The numeric side is the trapezoid rule on the circle under
     j*omega = c*w/(w + 2), c = |a|, a = lim s*L (module docstring). The
     analytic value is pi*sum Re(p_u) - (pi/2)*a over the open-loop
-    right-half-plane poles p_u, the zeros of S off s = 0. Raises
+    right-half-plane poles p_u, which the loop carries. Raises
     ``IllPosedIntegralError`` when S has poles on the imaginary axis or zeros
     on it away from s = 0, when the integrand is not finite, or when the
     trapezoid rule reaches ``TRAPEZOID_MAX_POINTS`` without converging.
@@ -381,10 +351,9 @@ def bode_integral_continuous(loop: LoopSet) -> BodeIntegralReport:
 
     # s = p maps to z = (c + p)/(c - p), the imaginary axis onto the circle;
     # p = c maps to z = inf, far from it.
-    m, taylor = _leading_zero_order(S, 0.0)
+    m = loop.poles.count(0.0)
     zeros, singular = _singular_points(
-        S, Polynomial(taylor[m:]), 0.0,
-        lambda p: None if p == c else (c + p) / (c - p), "imaginary axis")
+        loop, 0.0, lambda p: None if p == c else (c + p) / (c - p), "imaginary axis")
 
     def remainder(w):
         """(ln|S| - m*ln sin(theta/2)) * (1 + t**2)/2 at omega = c*t, in units of c."""
@@ -396,7 +365,7 @@ def bode_integral_continuous(loop: LoopSet) -> BodeIntegralReport:
             return (log_s + 0.5 * m * np.log1p(1.0 / (t * t))) * (0.5 * (1.0 + t * t))
 
     # limits: |S| ~ c_S*omega**m at omega = 0, ln|S| ~ (2b - a**2)/(2 omega**2) at inf
-    c_s = abs(float(taylor[m]) / S.den(0.0))
+    c_s = abs(den[m] / S.den(0.0))
     ends = (0.5 * (math.log(c_s) + m * math.log(c)), (2.0 * b - a * a + m * c * c) / (4.0 * c * c))
     total, points, difference = _circle_integral(remainder, singular, ends)
     numeric = 0.5 * c * (total - m * math.pi)
@@ -466,7 +435,7 @@ def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
         raise ValueError("need at least 16 points")
     thetas = np.geomspace(math.pi * 1e-4, math.pi, n_points)
     ts = loop.ts
-    fs = _FactoredS(loop.S)
+    fs = _FactoredS(loop)
     t_num, t_den = loop.T.num, loop.T.den
 
     def t_at(theta: float) -> float:
@@ -488,31 +457,3 @@ def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
                              thetas, mag_S, ts),
         peak_T=_refined_peak(t_at, _mag_at(t_num, t_den, -1.0), thetas, mag_T, ts, t_rounding),
     )
-
-
-def waterbed_report(cfgs: list[DobConfig], threshold: float = 2.0) -> list[WaterbedRow]:
-    """Peak sensitivity versus alpha*g_dob across a shared-kind config grid.
-
-    Rows are sorted by alpha*g_dob; rows whose sensitivity peak exceeds the
-    threshold (default 2.0, about 6 dB) are flagged.
-    """
-    if not cfgs:
-        return []
-    kind = cfgs[0].kind
-    ts = cfgs[0].Ts
-    for cfg in cfgs:
-        if cfg.kind is not kind or cfg.Ts != ts:
-            raise ValueError("all configs must share measurement kind and Ts")
-    rows = []
-    for cfg in cfgs:
-        sweep = freq_sweep(make_inner_loop(cfg), n_points=WATERBED_POINTS)
-        rows.append(
-            WaterbedRow(
-                alpha_g=cfg.alpha_g,
-                peak_S=sweep.peak_S.value,
-                peak_T=sweep.peak_T.value,
-                flagged=sweep.peak_S.value > threshold,
-            )
-        )
-    rows.sort(key=lambda r: r.alpha_g)
-    return rows

@@ -313,6 +313,64 @@ def test_outer_loop_domain_checks():
 
 
 # ---------------------------------------------------------------------------
+# open-loop poles, written from the factors
+# ---------------------------------------------------------------------------
+
+def _assert_poles_of(loop, rel=1e-14):
+    """leading * prod(z - p) over the loop's poles is den(L); complex poles pair up."""
+    den = loop.L.den.coeffs
+    assert len(loop.poles) == loop.L.den.degree
+    rebuilt = loop.L.den.leading * np.poly(loop.poles)[::-1]
+    assert np.max(np.abs(rebuilt - den)) <= rel * np.max(np.abs(den))
+    for p in loop.poles:
+        if isinstance(p, complex) and p.imag != 0.0:
+            assert loop.poles.count(p.conjugate()) == loop.poles.count(p)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_KINDS), _log_uniform(0.1, 10.0), _log_uniform(50.0, 5000.0),
+       _log_uniform(1e-4, 1e-2), _log_uniform(100.0, 1e4), _log_uniform(400.0, 4e4),
+       _log_uniform(5.0, 500.0))
+def test_loop_poles_are_the_roots_of_the_open_loop_denominator(kind, alpha, g_dob, Ts, g_v,
+                                                               K_p, K_d):
+    inner = make_inner_loop(make_cfg(kind, alpha=alpha, g_dob=g_dob, Ts=Ts, g_v=g_v))
+    outer = make_outer_loop(inner, make_pd(OuterGains(K_p, K_d), Ts))
+    _assert_poles_of(inner)
+    _assert_poles_of(outer)
+    # one integrator in the inner loop; the position plant adds two
+    assert inner.poles.count(1.0) == 1 and outer.poles.count(1.0) == 2
+
+
+@pytest.mark.parametrize("g_dob, Ts, g_v", [(1.0, 1e10, 1e150), (1e100, 1e-10, 1e150),
+                                            (1e300, 1e-10, 1.0)])
+def test_loop_poles_of_extreme_position_loops_are_finite(g_dob, Ts, g_v):
+    # the compensator's quadratic has coefficients beyond 1e154, whose
+    # squares in its discriminant would overflow unless scaled
+    inner = make_inner_loop(make_cfg("position", g_dob=g_dob, Ts=Ts, g_v=g_v))
+    outer = make_outer_loop(inner, make_pd(OuterGains(4000.0, 200.0), Ts))
+    assert all(math.isfinite(abs(p)) for p in outer.poles)
+    _assert_poles_of(outer, rel=1e-12)
+
+
+def test_continuous_and_pd_poles():
+    assert make_continuous_inner(PlantParams.from_alpha(1.0), 500.0).poles == (0.0,)
+    inner = make_inner_loop(make_cfg("velocity"))
+    pd_pole = make_outer_loop(inner, make_pd(OuterGains(1.0, 1.0), 1e-3)).poles[0]
+    assert pd_pole == 0.0 and math.copysign(1.0, pd_pole) == 1.0  # +0.0, not -0.0
+
+
+def test_outer_loop_refuses_a_controller_without_closed_form_poles():
+    inner = make_inner_loop(make_cfg("velocity"))
+    third_order = RationalTF([1.0], [0.1, 0.2, 0.3, 1.0], 1e-3)
+    with pytest.raises(ValueError, match="poles given"):
+        make_outer_loop(inner, third_order)
+
+
+# ---------------------------------------------------------------------------
 # block-diagram consistency: the closed forms equal the block compositions,
 # evaluated pointwise in complex arithmetic
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""The public surface: the package's re-exports and the README's examples."""
+"""The public surface: the package's re-exports, the README's examples and
+the names the benchmark's in-process workers import."""
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -8,7 +10,8 @@ import pytest
 import dobkit
 from dobkit.cli import build_dob_config, build_gains, build_scenario, parse_config
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("module", ["zalg", "loops", "robustness", "stability", "sim"])
@@ -16,6 +19,17 @@ def test_every_public_name_is_re_exported(module):
     mod = importlib.import_module(f"dobkit.{module}")
     for name in mod.__all__:
         assert getattr(dobkit, name) is getattr(mod, name), name
+
+
+def test_benchmark_worker_imports_resolve():
+    # a name the workers import but the package lacks kills the worker
+    # process outside any benchmark op
+    tree = ast.parse((ROOT / "bench" / "inprocess.py").read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "dobkit"
+             for alias in node.names]
+    assert names
+    assert [name for name in names if not hasattr(dobkit, name)] == []
 
 
 def _block(lang: str) -> str:

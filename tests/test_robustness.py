@@ -15,16 +15,15 @@ from dobkit.loops import (
     make_outer_loop,
     make_pd,
 )
+from dobkit import robustness
 from dobkit.robustness import (
     TRAPEZOID_MAX_POINTS,
     IllPosedIntegralError,
     _circle_integral,
     _FactoredS,
-    _leading_zero_order,
     bode_integral_continuous,
     bode_integral_discrete,
     freq_sweep,
-    waterbed_report,
 )
 from dobkit.stability import classify_poles, position_non_osc_bound
 from dobkit.zalg import RationalTF, poly_roots
@@ -115,7 +114,7 @@ def test_overflowing_integrand_is_ill_posed():
     # |S| on the circle overflows to inf/inf = NaN; refining it used to run
     # every panel to the depth cap, which takes minutes
     L = RationalTF([0.25e308, 1.5e308, 1e308], [-1.0, 1.0], 1e-3)
-    loop = LoopSet.from_open_loop(L, L, RationalTF.one(1e-3))
+    loop = LoopSet.from_open_loop(L, L, RationalTF.one(1e-3), (1.0,))
     with np.errstate(all="ignore"), pytest.raises(IllPosedIntegralError, match="not finite"):
         bode_integral_discrete(loop)
 
@@ -125,7 +124,7 @@ def test_circle_map_changes_little():
     # and the rule is the plain trapezoid rule in theta
     loop = make_inner_loop(make_cfg("acceleration", alpha=1.5, g_dob=500.0))
     mapped = bode_integral_discrete(loop).numeric_value
-    plain, points, _ = _circle_integral(_FactoredS(loop.S), [])
+    plain, points, _ = _circle_integral(_FactoredS(loop), [])
     assert points <= 256
     assert abs(mapped - plain) < 1e-13
 
@@ -261,7 +260,7 @@ def _exact_mag(tf, t):
 def test_factored_sensitivity_is_exact_near_one(kind, regulation_gains):
     # the expanded Horner sum loses up to 1.9e-8 relative at theta ~ 3e-4
     _, outer = _regulation_loops(kind, regulation_gains)
-    fs = _FactoredS(outer.S)
+    fs = _FactoredS(outer)
     for t in (1e-5, 1e-4, 1e-3, 0.5):
         theta = 2.0 * math.atan(t)
         exact = _exact_mag(outer.S, t)
@@ -272,8 +271,43 @@ def test_factored_sensitivity_is_exact_near_one(kind, regulation_gains):
 @pytest.mark.parametrize("kind", KINDS)
 def test_structural_order_at_one(kind, regulation_gains):
     inner, outer = _regulation_loops(kind, regulation_gains)
-    assert _leading_zero_order(inner.S, 1.0)[0] == 1
-    assert _leading_zero_order(outer.S, 1.0)[0] == 2
+    assert inner.poles.count(1.0) == 1
+    assert outer.poles.count(1.0) == 2
+    assert _FactoredS(inner).m == 1 and _FactoredS(outer).m == 2
+
+
+@pytest.mark.parametrize("kind", ["acceleration", "velocity"])
+@pytest.mark.parametrize("a", [1e-10, 1e-12])
+def test_structural_order_at_vanishing_gain(kind, a, regulation_gains):
+    # a = alpha*g_dob*Ts puts the compensator's pole at 1 - a (velocity) or
+    # 1/(1 + a) (acceleration), which a 1e-9 threshold on S's Taylor
+    # coefficients at z = 1 would count as a third integrator; the closed
+    # loop has a pole as close to the circle, so the integral is ill-posed
+    cfg = make_cfg(kind, alpha=1.0, g_dob=a / 0.5e-3, Ts=0.5e-3)
+    outer = make_outer_loop(make_inner_loop(cfg), make_pd(regulation_gains, cfg.Ts))
+    assert outer.poles.count(1.0) == 2
+    assert _FactoredS(outer).m == 2
+    with pytest.raises(IllPosedIntegralError, match="sensitivity pole on the unit circle"):
+        bode_integral_discrete(outer)
+
+
+def test_each_integral_roots_only_the_closed_loop_polynomial(monkeypatch, regulation_gains):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return poly_roots(p)
+
+    monkeypatch.setattr(robustness, "poly_roots", counted)
+    for kind in KINDS:
+        for loop in _regulation_loops(kind, regulation_gains):
+            calls.clear()
+            bode_integral_discrete(loop)
+            assert calls == [loop.S.den]
+    loop = make_continuous_inner(PlantParams.from_alpha(1.0), 500.0)
+    calls.clear()
+    bode_integral_continuous(loop)
+    assert calls == [loop.S.den]
 
 
 @settings(max_examples=100, deadline=None)
@@ -340,7 +374,7 @@ def _continuous_loop(zeros, poles, gain):
     """Continuous unity-feedback loop L = gain * prod(s - zeros) / prod(s - poles)."""
     num = gain * np.atleast_1d(np.poly(zeros))[::-1]
     L = RationalTF(num, np.poly(poles)[::-1], None)
-    return LoopSet.from_open_loop(L, L, RationalTF.one(None))
+    return LoopSet.from_open_loop(L, L, RationalTF.one(None), poles)
 
 
 def _pair(zeta, omega):
@@ -497,47 +531,41 @@ def test_sweep_validation():
 
 
 # ---------------------------------------------------------------------------
-# waterbed report
+# waterbed: the sensitivity peak against alpha*g_dob
 # ---------------------------------------------------------------------------
 
+def _sweep_peaks(kind, g_grid, Ts=1e-3):
+    return [freq_sweep(make_inner_loop(make_cfg(kind, alpha=1.0, g_dob=g, Ts=Ts)),
+                       n_points=256).peak_S.value for g in g_grid]
+
+
 def test_waterbed_velocity_grid():
-    Ts = 1e-3
-    cfgs = [make_cfg("velocity", alpha=1.0, g_dob=g, Ts=Ts) for g in (900.0, 100.0, 500.0)]
-    rows = waterbed_report(cfgs)
-    assert [r.alpha_g for r in rows] == [100.0, 500.0, 900.0]
+    peaks = _sweep_peaks("velocity", (100.0, 500.0, 900.0))
     expected = [2.0 / 1.9, 2.0 / 1.5, 2.0 / 1.1]
-    for row, want in zip(rows, expected):
-        assert row.peak_S == pytest.approx(want, abs=1e-12)
-    assert [r.peak_S for r in rows] == sorted(r.peak_S for r in rows)
-    assert not rows[0].flagged and not rows[1].flagged
-    assert not rows[2].flagged  # 1.818 < default threshold 2.0
-    assert waterbed_report(cfgs, threshold=1.5)[2].flagged
+    for peak, want in zip(peaks, expected):
+        assert peak == pytest.approx(want, abs=1e-12)
+    assert peaks == sorted(peaks)
+    assert 1.5 < peaks[2] < 2.0
 
 
 def test_waterbed_acceleration_grid_monotone_down():
-    cfgs = [make_cfg("acceleration", alpha=1.0, g_dob=g) for g in (100.0, 500.0, 900.0)]
-    rows = waterbed_report(cfgs)
-    peaks = [r.peak_S for r in rows]
+    peaks = _sweep_peaks("acceleration", (100.0, 500.0, 900.0))
     assert peaks == sorted(peaks, reverse=True)
     assert all(p <= 1.0 for p in peaks)
 
 
-def test_waterbed_empty_grid():
-    assert waterbed_report([]) == []
-
-
-def test_waterbed_mixed_kinds_rejected():
-    with pytest.raises(ValueError):
-        waterbed_report([make_cfg("velocity"), make_cfg("acceleration")])
-
-
 def test_waterbed_monotonicity_dense():
+    # with a = alpha*g_dob*Ts, |S| peaks at z = -1: 2/(2 - a) for velocity
+    # measurement, rising with a; 2/(2 + a) <= 1 for acceleration, falling
     Ts = 1e-3
     grid = np.linspace(100.0, 1900.0, 20)
-    rows = waterbed_report([make_cfg("velocity", alpha=1.0, g_dob=g, Ts=Ts) for g in grid])
-    peaks = [r.peak_S for r in rows]
-    assert all(b > a for a, b in zip(peaks, peaks[1:]))
-    rows_a = waterbed_report([make_cfg("acceleration", alpha=1.0, g_dob=g, Ts=Ts) for g in grid])
-    peaks_a = [r.peak_S for r in rows_a]
-    assert all(b < a for a, b in zip(peaks_a, peaks_a[1:]))
-    assert all(p <= 1.0 for p in peaks_a)
+    for kind, peak, sign in (("velocity", lambda a: 2.0 / (2.0 - a), 1.0),
+                             ("acceleration", lambda a: 2.0 / (2.0 + a), -1.0)):
+        peaks = []
+        for g_dob in grid:
+            cfg = make_cfg(kind, alpha=1.0, g_dob=g_dob, Ts=Ts)
+            value = freq_sweep(make_inner_loop(cfg), n_points=256).peak_S.value
+            assert value == pytest.approx(peak(cfg.alpha_g * Ts), rel=1e-12), (kind, g_dob)
+            peaks.append(value)
+        assert all(sign * (b - a) > 0.0 for a, b in zip(peaks, peaks[1:])), kind
+        assert kind == "velocity" or max(peaks) <= 1.0
