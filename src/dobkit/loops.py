@@ -232,6 +232,17 @@ def discrete_position_plant(Ts: float) -> RationalTF:
 # loop constructors
 # ---------------------------------------------------------------------------
 
+def _inner_num(cfg: DobConfig, alpha: float, g: float) -> Polynomial:
+    """num(L) of the inner loop at (alpha, g_dob); at (1, 1) it is num(L) per unit alpha*g_dob."""
+    Ts = cfg.Ts
+    if cfg.kind is MeasurementKind.ACCELERATION:
+        return Polynomial._of([0.0, alpha * g * Ts])
+    if cfg.kind is MeasurementKind.VELOCITY:
+        return Polynomial._of([alpha * g * Ts])
+    b = 0.5 * alpha * Ts * Ts * cfg.g_v * g  # beta * g_v * g_dob
+    return Polynomial._of([b, b])
+
+
 def make_inner_loop(cfg: DobConfig) -> LoopSet:
     """Inner observer loop for the configured measurement kind.
 
@@ -243,25 +254,23 @@ def make_inner_loop(cfg: DobConfig) -> LoopSet:
     """
     alpha = cfg.plant.alpha
     g, Ts = cfg.g_dob, cfg.Ts
-    a = alpha * g * Ts
+    num = _inner_num(cfg, alpha, g)
+    den = _INTEGRATOR
     poles = (1.0,)  # the integrator's
     c_num = _lag(g * Ts)  # den(Q)
 
     if cfg.kind is MeasurementKind.ACCELERATION:
-        L = RationalTF([0.0, a], _INTEGRATOR, Ts)
         G = RationalTF.one(Ts)
     elif cfg.kind is MeasurementKind.VELOCITY:
-        L = RationalTF([a], _INTEGRATOR, Ts)
         G = discrete_velocity_plant(Ts)
     else:
         v_den = _lag(cfg.g_v * Ts)  # den(velocity estimator)
-        b = cfg.beta * cfg.g_v * g
-        L = RationalTF([b, b], _INTEGRATOR * v_den, Ts)
+        den = den * v_den
         poles += _roots(v_den)
         c_num = c_num * v_den
         G = discrete_position_plant(Ts)
-    C = RationalTF(alpha * c_num, L.den + L.num, Ts)
-    return LoopSet.from_open_loop(L, C, G, poles)
+    C = RationalTF(alpha * c_num, den + num, Ts)
+    return LoopSet.from_open_loop(RationalTF(num, den, Ts), C, G, poles)
 
 
 def make_continuous_inner(plant: PlantParams, g_dob: float) -> LoopSet:
@@ -299,6 +308,36 @@ def make_outer_loop(inner: LoopSet, pd: RationalTF) -> LoopSet:
     L = pd * inner.C * G_p  # raises DomainMismatchError unless the sampling times agree
     poles = (*_roots(pd.den), *_roots(inner.C.den), 1.0, 1.0)  # G_p: h (z+1)/(z-1)**2
     return LoopSet.from_open_loop(L, RationalTF.one(ts), G_p, poles)
+
+
+def _locus_pencil(cfg: DobConfig, gains: OuterGains, param: str) -> tuple:
+    """(A, B) with T.den = A + v*B for the outer loop of cfg with ``param`` set to v.
+
+    ``param`` is "alpha" or "g_dob"; the other parameters are cfg's. With
+    P = den(pd)*den(G_p), N = num(pd)*num(G_p), D = den(L) of the inner loop,
+    n its num(L) per unit alpha*g_dob and V the velocity estimator's
+    denominator (1 unless position),
+    T.den = P*(D + alpha*g_dob*n) + N*alpha*den(Q)*V, den(Q) = (z-1) + g_dob*Ts*z,
+    affine in alpha and in g_dob. Raises ``OverflowError`` when a coefficient
+    of A or B is not finite.
+    """
+    alpha, g, Ts = cfg.alpha, cfg.g_dob, cfg.Ts
+    pd, G_p = make_pd(gains, Ts), discrete_position_plant(Ts)
+    P, N = pd.den * G_p.den, pd.num * G_p.num
+    D, n = _INTEGRATOR, _inner_num(cfg, 1.0, 1.0)
+    if cfg.kind is MeasurementKind.POSITION:
+        v_den = _lag(cfg.g_v * Ts)
+        D, N = D * v_den, N * v_den
+    if param == "alpha":
+        A, B = P * D, P * (n * g) + N * _lag(g * Ts)
+    else:  # den(Q) = _lag(g*Ts) = _lag(0) + g*Ts*(_lag(1) - _lag(0)), exactly
+        lag0 = _lag(0.0)
+        A = P * D + N * (lag0 * alpha)
+        B = (P * n + N * ((_lag(1.0) + lag0 * -1.0) * Ts)) * alpha
+    for poly in (A, B):
+        if not poly.is_finite:
+            raise OverflowError(f"locus pencil coefficients overflow: {poly!r}")
+    return A, B
 
 
 def classify_compensator(cfg: DobConfig) -> str:

@@ -11,17 +11,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .loops import (
-    DobConfig,
-    MeasurementKind,
-    OuterGains,
-    PlantParams,
-    make_inner_loop,
-    make_outer_loop,
-    make_pd,
-)
-from .zalg import RationalTF, poly_roots, schur_stable
+from .loops import DobConfig, MeasurementKind, OuterGains, PlantParams, _locus_pencil
+from .zalg import Polynomial, RationalTF, poly_roots, schur_stable
 
 __all__ = [
     "BindingConstraint",
@@ -63,9 +56,30 @@ class StabilityVerdict:
 
 @dataclass(frozen=True)
 class PoleClassification:
-    max_mag: float
+    """Poles of a discrete TF, the roots of ``den``, against the unit circle.
+
+    ``all_in_unit`` is decided without roots; ``max_mag`` and
+    ``all_real_in_0_1`` root ``den`` on the first read of either.
+    """
+
+    den: Polynomial
     all_in_unit: bool
-    all_real_in_0_1: bool
+
+    @cached_property
+    def _roots(self) -> tuple:
+        return poly_roots(self.den).roots if self.den.degree >= 1 else ()
+
+    @property
+    def max_mag(self) -> float:
+        return max((abs(p) for p in self._roots), default=0.0)
+
+    @property
+    def all_real_in_0_1(self) -> bool:
+        return all(
+            abs(p.imag) <= UNIT_CIRCLE_TOL * max(1.0, abs(p))
+            and 0.0 < p.real < 1.0 - UNIT_CIRCLE_TOL
+            for p in self._roots
+        )
 
 
 @dataclass(frozen=True)
@@ -120,22 +134,14 @@ def classify_poles(tf: RationalTF) -> PoleClassification:
     Poles within UNIT_CIRCLE_TOL of the circle are classified as not inside:
     ``all_in_unit`` is the Schur-Cohn verdict on the disc of radius
     1 - UNIT_CIRCLE_TOL, exact for the denominator as stored. ``max_mag`` and
-    ``all_real_in_0_1`` come from the roots; the latter demands every pole
-    real (tiny imaginary part allowed) and strictly between 0 and 1.
+    ``all_real_in_0_1`` come from the roots, taken when first read; the latter
+    demands every pole real (tiny imaginary part allowed) and strictly between
+    0 and 1. A constant denominator has no poles: all three hold trivially.
     """
     if not tf.is_discrete:
         raise ValueError("discrete transfer function required")
-    if tf.den.degree < 1:
-        return PoleClassification(0.0, True, True)
-    roots = poly_roots(tf.den).roots
-    max_mag = max(abs(p) for p in roots)
-    all_in = schur_stable(tf.den, 1.0 - UNIT_CIRCLE_TOL)
-    all_real = all(
-        abs(p.imag) <= UNIT_CIRCLE_TOL * max(1.0, abs(p))
-        and 0.0 < p.real < 1.0 - UNIT_CIRCLE_TOL
-        for p in roots
-    )
-    return PoleClassification(max_mag, all_in, all_real)
+    all_in = tf.den.degree < 1 or schur_stable(tf.den, 1.0 - UNIT_CIRCLE_TOL)
+    return PoleClassification(tf.den, all_in)
 
 
 def config_for_sweep(base: DobConfig, param: str, value: float) -> DobConfig:
@@ -201,13 +207,19 @@ def root_locus(
 ) -> LocusBranch:
     """Closed outer-loop pole branches over an increasing parameter grid.
 
-    For each value the outer loop is rebuilt and the characteristic roots
-    extracted; consecutive pole sets are branch-matched by nearest neighbour.
-    ``exit_value`` refines, by bisection to 1e-6 relative, the first parameter
-    value at which the largest pole magnitude crosses the unit circle from
-    inside to outside; it is None when no such crossing occurs on the grid.
-    The bisection trusts the grid's verdicts at the bracket's ends and decides
-    each point strictly inside it by ``schur_stable``, without roots.
+    The outer loop's characteristic polynomial is affine in the swept
+    parameter, T.den = A + x*B (``loops._locus_pencil``), so A and B are
+    formed once. Each value goes through ``config_for_sweep``, which
+    validates it and gives the exact x the loop would carry, and the roots of
+    A + x*B are its poles; consecutive pole sets are branch-matched by nearest
+    neighbour. ``exit_value`` refines, by bisection to 1e-6 relative, the
+    first parameter value at which the largest pole magnitude crosses the
+    unit circle from inside to outside; it is None when no such crossing
+    occurs on the grid. The bisection trusts the grid's verdicts at the
+    bracket's ends and decides each point strictly inside it by
+    ``schur_stable(A + x*B)``, without roots. Raises ``ValueError`` for an
+    invalid grid or value before any root is taken, and an
+    ``ArithmeticError`` when a coefficient overflows.
     """
     values = [float(v) for v in values]
     if len(values) < 2:
@@ -217,13 +229,16 @@ def root_locus(
             what = f"{a!r} repeats" if b == a else f"{b!r} follows {a!r}"
             raise ValueError(f"sweep values must be strictly increasing: {what}")
 
-    def characteristic(v: float):
+    def carried(v: float) -> float:
         cfg = config_for_sweep(base_cfg, param, v)
-        return make_outer_loop(make_inner_loop(cfg), make_pd(gains, cfg.Ts)).T.den
+        return cfg.alpha if param == "alpha" else cfg.g_dob
+
+    xs = [carried(v) for v in values]
+    A, B = _locus_pencil(base_cfg, gains, param)
 
     pole_sets = []
-    for v in values:
-        poles = poly_roots(characteristic(v)).roots
+    for x in xs:
+        poles = poly_roots(A + B * x).roots
         if pole_sets:
             poles = _match_branches(pole_sets[-1], poles)
         pole_sets.append(tuple(poles))
@@ -232,7 +247,7 @@ def root_locus(
     exit_value = None
     for (v0, m0), (v1, m1) in zip(zip(values, max_mags), zip(values[1:], max_mags[1:])):
         if m0 < 1.0 <= m1:
-            exit_value = _bisect(lambda v: schur_stable(characteristic(v)), v0, v1, 1e-6)
+            exit_value = _bisect(lambda v: schur_stable(A + B * carried(v)), v0, v1, 1e-6)
             break
 
     return LocusBranch(

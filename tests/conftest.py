@@ -17,6 +17,11 @@ def regulation_gains():
     return OuterGains(K_p=4000.0, K_d=200.0)
 
 
+# (alpha, g_dob, Ts, g_v) rows at which the closed forms are checked against their blocks.
+PARAM_GRID = [(0.5, 300.0, 1e-3, 800.0), (1.0, 500.0, 1e-3, 1000.0),
+              (2.0, 900.0, 5e-4, 1500.0)]
+
+
 def make_cfg(kind, alpha=1.0, g_dob=500.0, Ts=1e-3, g_v=None, J_m=0.003, K_t=0.25):
     kind = MeasurementKind(kind)
     if kind is MeasurementKind.POSITION and g_v is None:

@@ -442,6 +442,18 @@ def test_numerical_failure_exit_one(tmp_path, capsys):
     assert err.startswith("numerical error:")
 
 
+def test_sweep_numerical_failure_exit_one(tmp_path, capsys):
+    # the same overflow reaches the root locus's pencil
+    text = BASE.replace("dob.kind = velocity", "dob.kind = position\ndob.g_v = 750")
+    code = main(["sweep", _write(tmp_path, text.replace("dob.Ts = 0.001", "dob.Ts = 1e300")),
+                 "--param", "alpha", "--from", "0.5", "--to", "2", "--points", "3",
+                 "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("numerical error:")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unwritable_output_exit_one(tmp_path, capsys):
     code = main(["simulate", _write(tmp_path, SIM), "--out", str(tmp_path / "no" / "t.csv")])
     assert code == 1

@@ -22,7 +22,7 @@ from dobkit.loops import (
 )
 from dobkit.zalg import DomainMismatchError, RationalTF, poly_roots, tf_eval
 
-from conftest import assert_same_tf, at, degree, make_cfg
+from conftest import PARAM_GRID, assert_same_tf, at, degree, make_cfg
 
 ALL_KINDS = list(MeasurementKind)
 
@@ -374,10 +374,6 @@ def test_outer_loop_refuses_a_controller_without_closed_form_poles():
 # block-diagram consistency: the closed forms equal the block compositions,
 # evaluated pointwise in complex arithmetic
 # ---------------------------------------------------------------------------
-
-PARAM_GRID = [(0.5, 300.0, 1e-3, 800.0), (1.0, 500.0, 1e-3, 1000.0),
-              (2.0, 900.0, 5e-4, 1500.0)]
-
 
 @pytest.mark.parametrize("alpha,g_dob,Ts,g_v", PARAM_GRID)
 def test_acceleration_loop_from_blocks(alpha, g_dob, Ts, g_v):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dobkit import stability
-from dobkit.loops import make_inner_loop, make_outer_loop, make_pd
+from dobkit import loops, stability
+from dobkit.loops import MeasurementKind, make_inner_loop, make_outer_loop, make_pd
 from dobkit.stability import (
     UNIT_CIRCLE_TOL,
     BindingConstraint,
@@ -19,7 +19,7 @@ from dobkit.stability import (
 )
 from dobkit.zalg import Polynomial, RationalTF, poly_roots, schur_stable
 
-from conftest import make_cfg
+from conftest import PARAM_GRID, make_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +124,15 @@ def test_all_in_unit_keeps_the_unit_circle_tolerance():
     r = 1.0 - 0.5 * UNIT_CIRCLE_TOL
     pair = RationalTF([1.0], np.poly([0.6 * r + 0.8j * r, 0.6 * r - 0.8j * r])[::-1], 1e-3)
     assert not classify_poles(pair).all_in_unit
+
+
+def test_classify_roots_only_when_a_root_figure_is_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr(stability, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
+    cls = classify_poles(make_inner_loop(make_cfg("position", alpha=1.0, g_dob=500.0)).T)
+    assert cls.all_in_unit and calls == []
+    assert cls.max_mag < 1.0 and len(calls) == 1
+    assert not cls.all_real_in_0_1 and len(calls) == 1
 
 
 def test_classify_requires_discrete():
@@ -295,6 +304,61 @@ def test_locus_roots_each_grid_point_once_and_never_while_bisecting(monkeypatch,
     i = next(i for i in range(1, len(mags)) if mags[i - 1] < 1.0 <= mags[i])
     reference = bisect_threshold(inside, values[i - 1], values[i])
     assert branch.exit_value == pytest.approx(reference, rel=1e-6)
+
+
+@pytest.mark.parametrize("param", ["alpha", "g_dob"])
+@pytest.mark.parametrize("kind", list(MeasurementKind))
+@pytest.mark.parametrize("alpha,g_dob,Ts,g_v", PARAM_GRID)
+def test_locus_pencil_is_the_outer_characteristic_polynomial(kind, alpha, g_dob, Ts, g_v, param,
+                                                            locus_gains):
+    base = make_cfg(kind, alpha=alpha, g_dob=g_dob, Ts=Ts, g_v=g_v)
+    A, B = loops._locus_pencil(base, locus_gains, param)
+    start = alpha if param == "alpha" else g_dob
+    for v in np.geomspace(0.01 * start, 100.0 * start, 9):
+        cfg = config_for_sweep(base, param, float(v))
+        x = cfg.alpha if param == "alpha" else cfg.g_dob
+        built = make_outer_loop(make_inner_loop(cfg), make_pd(locus_gains, Ts)).T.den.coeffs
+        pencil = (A + B * x).coeffs
+        assert pencil.shape == built.shape
+        assert np.max(np.abs(pencil - built)) <= 2e-15 * np.max(np.abs(built)), (v, pencil, built)
+
+
+@pytest.mark.parametrize("param", ["alpha", "g_dob"])
+@pytest.mark.parametrize("kind", ["velocity", "position"])
+def test_locus_builds_no_loop(monkeypatch, locus_gains, kind, param):
+    calls = []
+    for name in ("make_inner_loop", "make_outer_loop"):
+        real = getattr(loops, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        for module in (loops, stability):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    base = make_cfg(kind, alpha=1.0, g_dob=500.0, Ts=1e-3, g_v=1000.0)
+    values = np.geomspace(0.01, 100.0, 21) * (1.0 if param == "alpha" else 500.0)
+    branch = root_locus(base, locus_gains, param, values)
+    assert branch.exit_value is not None
+    assert calls == []
+
+
+@pytest.mark.parametrize("param", ["alpha", "g_dob"])
+def test_locus_rejects_a_value_before_taking_any_root(monkeypatch, locus_gains, param):
+    calls = []
+    monkeypatch.setattr(stability, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
+    base = make_cfg("velocity", alpha=1.0, g_dob=500.0, Ts=1e-3)
+    with pytest.raises(ValueError):
+        root_locus(base, locus_gains, param, [0.5, 2.0, math.inf])
+    assert calls == []
+
+
+@pytest.mark.parametrize("param", ["alpha", "g_dob"])
+def test_locus_on_overflowing_coefficients_raises(locus_gains, param):
+    # finite and positive, yet h = Ts**2 / 2 of the position plant overflows
+    base = make_cfg("position", alpha=1.0, g_dob=500.0, Ts=1e300, g_v=1000.0)
+    with pytest.raises(ArithmeticError):
+        root_locus(base, locus_gains, param, [0.5, 2.0])
 
 
 def test_bandwidth_sweep_improves_then_degrades(locus_gains):
