@@ -64,6 +64,7 @@ from .zalg import (
     RootFindingError,
     RootSet,
     poly_roots,
+    poly_roots_batch,
     schur_stable,
     tf_eval,
 )

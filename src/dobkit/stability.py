@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .loops import DobConfig, MeasurementKind, OuterGains, PlantParams, _locus_pencil
-from .zalg import Polynomial, RationalTF, poly_roots, schur_stable
+from .zalg import Polynomial, RationalTF, poly_roots, poly_roots_batch, schur_stable
 
 __all__ = [
     "BindingConstraint",
@@ -151,18 +151,19 @@ def config_for_sweep(base: DobConfig, param: str, value: float) -> DobConfig:
     leaving true plant values and the nominal thrust coefficient untouched;
     ``g_dob`` is replaced directly.
     """
+    plant, g_dob = base.plant, base.g_dob
     if param == "alpha":
-        plant = base.plant
-        new_plant = PlantParams(
+        plant = PlantParams(
             J_m=plant.J_m,
             K_t=plant.K_t,
             J_mn=value * plant.J_m * plant.K_t / plant.K_tn,
             K_tn=plant.K_tn,
         )
-        return replace(base, plant=new_plant)
-    if param == "g_dob":
-        return replace(base, g_dob=value)
-    raise ValueError(f"unknown sweep parameter {param!r}")
+    elif param == "g_dob":
+        g_dob = value
+    else:
+        raise ValueError(f"unknown sweep parameter {param!r}")
+    return DobConfig(base.kind, plant, g_dob, base.Ts, base.g_v)
 
 
 def _match_branches(prev: tuple, new: tuple) -> tuple:
@@ -170,7 +171,11 @@ def _match_branches(prev: tuple, new: tuple) -> tuple:
     remaining = list(new)
     ordered = []
     for p in prev:
-        j = min(range(len(remaining)), key=lambda k: abs(remaining[k] - p))
+        j, best = 0, abs(remaining[0] - p)
+        for k in range(1, len(remaining)):
+            d = abs(remaining[k] - p)
+            if d < best:  # the first of equally near candidates wins
+                j, best = k, d
         ordered.append(remaining.pop(j))
     return tuple(ordered)
 
@@ -211,12 +216,13 @@ def root_locus(
     parameter, T.den = A + x*B (``loops._locus_pencil``), so A and B are
     formed once. Each value goes through ``config_for_sweep``, which
     validates it and gives the exact x the loop would carry, and the roots of
-    A + x*B are its poles; consecutive pole sets are branch-matched by nearest
-    neighbour. ``exit_value`` refines, by bisection to 1e-6 relative, the
-    first parameter value at which the largest pole magnitude crosses the
-    unit circle from inside to outside; it is None when no such crossing
-    occurs on the grid. The bisection trusts the grid's verdicts at the
-    bracket's ends and decides each point strictly inside it by
+    A + x*B are its poles, taken for the whole grid in one
+    ``poly_roots_batch`` call; consecutive pole sets are branch-matched by
+    nearest neighbour. ``exit_value`` refines, by bisection to 1e-6
+    relative, the first parameter value at which the largest pole magnitude
+    crosses the unit circle from inside to outside; it is None when no such
+    crossing occurs on the grid. The bisection trusts the grid's verdicts at
+    the bracket's ends and decides each point strictly inside it by
     ``schur_stable(A + x*B)``, without roots. Raises ``ValueError`` for an
     invalid grid or value before any root is taken, and an
     ``ArithmeticError`` when a coefficient overflows.
@@ -237,8 +243,8 @@ def root_locus(
     A, B = _locus_pencil(base_cfg, gains, param)
 
     pole_sets = []
-    for x in xs:
-        poles = poly_roots(A + B * x).roots
+    for found in poly_roots_batch([A + B * x for x in xs]):
+        poles = found.roots
         if pole_sets:
             poles = _match_branches(pole_sets[-1], poles)
         pole_sets.append(tuple(poles))

@@ -24,6 +24,7 @@ __all__ = [
     "RationalTF",
     "RootSet",
     "poly_roots",
+    "poly_roots_batch",
     "schur_stable",
     "tf_eval",
 ]
@@ -265,37 +266,73 @@ class RationalTF:
 def poly_roots(p: Polynomial) -> RootSet:
     """All complex roots via companion-matrix eigenvalues plus Newton polish.
 
-    The companion matrix is the one ``np.roots`` builds, and zero low-order
-    coefficients become exact roots at 0 as there. Complex roots come in exact
-    conjugate pairs: the eigenvalues of a real companion matrix do, and the
-    polish treats both members of a pair alike. Newton polishes a root only
-    while its residual |p(x)| exceeds the rounding error of evaluating p
-    there (``Polynomial.rounding_bound``), for at most three steps, each
-    within half the distance to the nearest other eigenvalue. Raises
-    ``RootFindingError`` for degree < 1, for a non-finite coefficient and when
-    the eigenvalues cannot be computed (say, the companion row overflows).
+    The batch of one of ``poly_roots_batch``, which documents the method.
     """
-    if p.degree < 1:
-        raise RootFindingError("roots are defined only for degree >= 1")
-    if not p.is_finite:
-        raise RootFindingError(f"non-finite coefficient in {p!r}")
-    c = p._c
-    zeros = 0
-    while c[zeros] == 0.0:
-        zeros += 1
-    nonzero = c[zeros:]
-    n = len(nonzero) - 1
-    roots = []
-    if n:
-        lead = nonzero[-1]
-        companion = np.eye(n, k=-1)
-        companion[0] = [-a / lead for a in reversed(nonzero[:-1])]
+    return poly_roots_batch((p,))[0]
+
+
+def poly_roots_batch(polys) -> list:
+    """The ``RootSet`` of each polynomial, with one eigensolve per matrix size.
+
+    Each polynomial gets the companion matrix ``np.roots`` builds, zero
+    low-order coefficients becoming exact roots at 0 as there. The companion
+    matrices of one size are stacked and go through a single
+    ``np.linalg.eigvals`` call, which gives each matrix the eigenvalues it
+    gets alone, so a polynomial's roots do not depend on the rest of the
+    batch. Complex roots come in exact conjugate pairs: the eigenvalues of a
+    real companion matrix do, and the polish treats both members of a pair
+    alike. Newton polishes a root only while its residual |p(x)| exceeds the
+    rounding error of evaluating p there (``Polynomial.rounding_bound``), for
+    at most three steps, each within half the distance to the nearest other
+    eigenvalue. Raises ``RootFindingError``, before any eigensolve, for a
+    degree < 1 or a non-finite coefficient anywhere in the batch, and when
+    the eigenvalues cannot be computed (say, a companion row overflows).
+    """
+    polys = tuple(polys)
+    zeros, by_size = [], {}
+    for i, p in enumerate(polys):
+        if p.degree < 1:
+            raise RootFindingError("roots are defined only for degree >= 1")
+        if not p.is_finite:
+            raise RootFindingError(f"non-finite coefficient in {p!r}")
+        c = p._c
+        k = 0
+        while c[k] == 0.0:
+            k += 1
+        zeros.append(k)
+        if len(c) - k > 1:
+            lead = c[-1]
+            members, rows = by_size.setdefault(len(c) - k - 1, ([], []))
+            members.append(i)
+            rows.append([-a / lead for a in reversed(c[k:-1])])
+    eigs = [()] * len(polys)
+    for n, (members, rows) in by_size.items():
+        m = len(members)
+        # each matrix flat: the companion row, then ones on the subdiagonal
+        # at flat indices n, 2n+1, ...
+        stack = np.zeros((m, n * n))
+        stack[:, :n] = rows
+        stack[:, n::n + 1] = 1.0
         try:
-            roots = np.linalg.eigvals(companion).tolist()
+            if m == 1:  # as a 2-D matrix, where eigvals costs about 1 us less
+                eigs[members[0]] = np.linalg.eigvals(stack.reshape(n, n)).tolist()
+            else:
+                values = np.linalg.eigvals(stack.reshape(m, n, n)).tolist()
+                for i, w in zip(members, values):
+                    eigs[i] = w
         except np.linalg.LinAlgError as exc:
             raise RootFindingError(f"companion eigenvalues failed: {exc}") from exc
-    found = [complex(x) for x in roots] + [0j] * zeros
-    dp = p.derivative()
+    return [_polish(p, w, k) for p, w, k in zip(polys, eigs, zeros)]
+
+
+def _polish(p: Polynomial, eigenvalues: list, zeros: int) -> RootSet:
+    """Newton-polish the companion eigenvalues of ``p``; add its ``zeros`` roots at 0.
+
+    The derivative is formed only once a root needs a step.
+    """
+    n = len(eigenvalues)
+    found = [complex(x) for x in eigenvalues] + [0j] * zeros
+    dp = None
     polished = []
     residual = 0.0
     for i, x0 in enumerate(found[:n]):
@@ -305,6 +342,8 @@ def poly_roots(p: Polynomial) -> RootSet:
             # root, Newton can lower |p| by jumping to another root.
             reach = 0.5 * min((abs(y - x0) for j, y in enumerate(found) if j != i),
                               default=math.inf)
+            if dp is None:
+                dp = p.derivative()
             for _ in range(3):
                 dfx = dp(x)
                 if dfx == 0.0:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from dobkit.stability import (
     position_non_osc_bound,
     root_locus,
 )
-from dobkit.zalg import Polynomial, RationalTF, poly_roots, schur_stable
+from dobkit.zalg import Polynomial, RationalTF, poly_roots, poly_roots_batch, schur_stable
 
 from conftest import PARAM_GRID, make_cfg
 
@@ -281,17 +282,20 @@ def test_velocity_exit_matches_marginal_inner_pole(locus_gains):
 @pytest.mark.parametrize("kind", ["velocity", "position"])
 def test_locus_roots_each_grid_point_once_and_never_while_bisecting(monkeypatch, locus_gains,
                                                                     kind):
-    calls = []
+    batches = []
 
-    def counted(p):
-        calls.append(p)
-        return poly_roots(p)
+    def counted(polys):
+        polys = list(polys)
+        batches.append(len(polys))
+        return poly_roots_batch(polys)
 
-    monkeypatch.setattr(stability, "poly_roots", counted)
+    monkeypatch.setattr(stability, "poly_roots_batch", counted)
+    monkeypatch.setattr(stability, "poly_roots", lambda p: batches.append(1) or poly_roots(p))
     base = make_cfg(kind, alpha=1.0, g_dob=500.0, Ts=1e-3, g_v=1000.0)
     values = np.geomspace(0.01, 100.0, 21)
     branch = root_locus(base, locus_gains, "alpha", values)
-    assert len(calls) == len(values)
+    # one polynomial per grid value, all in one batch; none while bisecting
+    assert batches == [len(values)]
     assert branch.exit_value is not None
 
     # the root-magnitude bisection the exit used to come from, as the reference
@@ -346,11 +350,16 @@ def test_locus_builds_no_loop(monkeypatch, locus_gains, kind, param):
 @pytest.mark.parametrize("param", ["alpha", "g_dob"])
 def test_locus_rejects_a_value_before_taking_any_root(monkeypatch, locus_gains, param):
     calls = []
+    monkeypatch.setattr(stability, "poly_roots_batch",
+                        lambda polys: calls.extend(polys) or poly_roots_batch(polys))
     monkeypatch.setattr(stability, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
     base = make_cfg("velocity", alpha=1.0, g_dob=500.0, Ts=1e-3)
     with pytest.raises(ValueError):
         root_locus(base, locus_gains, param, [0.5, 2.0, math.inf])
     assert calls == []
+    # the same patch does see the roots of a valid grid
+    root_locus(base, locus_gains, param, [0.5, 2.0, 3.0])
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("param", ["alpha", "g_dob"])
@@ -404,6 +413,21 @@ def test_locus_validation(locus_gains):
         root_locus(base, locus_gains, "alpha", [2.0, 1.0])
     with pytest.raises(ValueError):
         root_locus(base, locus_gains, "J_m", [1.0, 2.0])
+
+
+@pytest.mark.parametrize("kind", list(MeasurementKind))
+@pytest.mark.parametrize("alpha,g_dob,Ts,g_v", PARAM_GRID)
+def test_config_for_sweep_is_the_replaced_config(kind, alpha, g_dob, Ts, g_v):
+    base = make_cfg(kind, alpha=alpha, g_dob=g_dob, Ts=Ts, g_v=g_v)
+    plant = base.plant
+    for v in (0.01, 0.7, 1.0, 3.3, 250.0):
+        J_mn = v * plant.J_m * plant.K_t / plant.K_tn
+        assert config_for_sweep(base, "alpha", v) == replace(base, plant=replace(plant, J_mn=J_mn))
+        assert config_for_sweep(base, "g_dob", v * g_dob) == replace(base, g_dob=v * g_dob)
+    for v in (0.0, -1.0, math.inf, math.nan):
+        for param in ("alpha", "g_dob"):
+            with pytest.raises(ValueError):
+                config_for_sweep(base, param, v)
 
 
 def test_alpha_sweep_rebuilds_through_nominal_inertia(locus_gains):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dobkit.loops import LoopSet
+from dobkit.loops import LoopSet, OuterGains, make_inner_loop, make_outer_loop, make_pd
 from dobkit.zalg import (
     DomainMismatchError,
     PoleEvaluationError,
@@ -14,11 +14,12 @@ from dobkit.zalg import (
     RootFindingError,
     _schur_exact,
     poly_roots,
+    poly_roots_batch,
     schur_stable,
     tf_eval,
 )
 
-from conftest import assert_same_tf, at
+from conftest import assert_same_tf, at, make_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +181,63 @@ def test_roots_roundtrip(roots):
 def test_roots_of_non_finite_coefficients_raise(coeffs):
     with pytest.raises(RootFindingError):
         poly_roots(Polynomial(coeffs))
+
+
+def _batch_mix():
+    """Polynomials of degrees 1-8, several of each companion size."""
+    def from_roots(roots):
+        return Polynomial(np.poly(roots)[::-1])
+
+    pair = [0.3 + 0.7j, 0.3 - 0.7j]
+    on_circle = [np.exp(0.4j), np.exp(-0.4j)]
+    polys = [
+        Polynomial([-0.5, 1.0]),
+        from_roots(pair),
+        from_roots([1.0, 1.0, -0.5]),        # double root on the circle
+        from_roots(on_circle * 2),           # double conjugate pair on it
+        from_roots(pair + [-0.9, 0.2, 0.95]),
+        from_roots(pair + on_circle + [0.1, -0.4]),
+        from_roots(pair + [-0.3 + 0.2j, -0.3 - 0.2j, 0.5, 0.6, 0.7]),
+        from_roots(on_circle + pair + [0.9 + 0.1j, 0.9 - 0.1j, -1.0, 0.0]),
+        Polynomial([0.0, 0.0, -0.25, 1.0]),
+        Polynomial([0.0, 0.0, 3.0]),            # every root at 0: no companion matrix
+    ]
+    # with K_d = 0 the PD's numerator has the factor z, so T.den(0) = 0
+    for kind in ("acceleration", "velocity", "position"):
+        cfg = make_cfg(kind)
+        outer = make_outer_loop(make_inner_loop(cfg), make_pd(OuterGains(5000.0, 0.0), cfg.Ts))
+        polys.append(outer.T.den)
+        polys.append(outer.L.den + outer.L.num * 1.5)
+    return polys
+
+
+def test_batch_is_exactly_each_polynomial_alone():
+    polys = _batch_mix()
+    assert {p.degree for p in polys} >= set(range(1, 9))
+    assert any(p(0.0) == 0.0 and p.degree > 3 for p in polys)
+    batch = poly_roots_batch(polys)
+    assert len(batch) == len(polys)
+    for p, together in zip(polys, batch):
+        alone = poly_roots(p)
+        assert together.roots == alone.roots, p
+        assert together.residual == alone.residual, p
+    # and in the reverse order, which stacks each size differently
+    assert poly_roots_batch(polys[::-1]) == batch[::-1]
+
+
+@pytest.mark.parametrize("bad", [[0.5, math.nan, 1.0], [math.inf, 1.0], [0.5, 1.0, -math.inf]])
+@pytest.mark.parametrize("where", [0, 3, -1])
+def test_batch_rejects_a_non_finite_coefficient_before_any_eigensolve(monkeypatch, bad, where):
+    calls = []
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or real(a))
+    polys = _batch_mix()[:5]
+    polys.insert(where % (len(polys) + 1), Polynomial(bad))
+    with pytest.raises(RootFindingError):
+        poly_roots_batch(polys)
+    assert calls == []
+    poly_roots_batch(polys[:1] if where else polys[1:2])
+    assert len(calls) == 1
 
 
 def test_low_order_zeros_are_exact_roots_at_zero():
