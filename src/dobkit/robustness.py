@@ -3,7 +3,9 @@
 S is factored once per loop about z = 1: with w = z - 1 and m structural zeros
 there (its open-loop poles at z = 1), S = w**m * q(w) / den(w). On the circle
 w = -2 sin(theta/2)**2 + j sin(theta) and |w| = 2 sin(theta/2) are formed
-without cancellation. This one form gives |S| for sweeps and peaks.
+without cancellation. T = num(L) / (den(L) + num(L)) shares S's den(w) and
+has no zero at z = 1 (m = 0): this one form gives |S| and |T| for sweeps and
+peaks.
 
 Both Bode integrals are smooth, periodic integrals over the unit circle, summed
 by one periodic trapezoid rule that converges on them geometrically; a map of
@@ -125,42 +127,50 @@ def _singular_points(loop: LoopSet, at: float, image, where: str):
 # rational functions on the unit circle
 # ---------------------------------------------------------------------------
 
-def _mag(num: Polynomial, den: Polynomial, x: np.ndarray) -> np.ndarray:
-    """|num(x) / den(x)| over an array; inf where the denominator vanishes."""
-    n, d = np.abs(num(x)), np.abs(den(x))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(d > 0.0, n / np.where(d > 0.0, d, 1.0), np.inf)
+class _Factored:
+    """F(z) = w**m * q(w) / den(w), w = z - 1: S or T of a loop, factored about z = 1.
 
-
-def _mag_at(num: Polynomial, den: Polynomial, x: complex) -> float:
-    """|num(x) / den(x)| in Python arithmetic, which numpy scalars make slow."""
-    d = abs(den(x))
-    return abs(num(x)) / d if d > 0.0 else math.inf
-
-
-class _FactoredS:
-    """S(z) = w**m * q(w) / den(w), w = z - 1, m the loop's poles at z = 1."""
+    ``num`` is F's numerator in z, with m zeros at z = 1 that the Taylor shift
+    divides out; ``den`` is den(L) + num(L) already shifted, shared by S and T.
+    """
 
     __slots__ = ("m", "q", "den")
 
-    def __init__(self, loop: LoopSet):
-        self.m = loop.poles.count(1.0)
-        self.q = Polynomial(loop.S.num.shifted(1.0).coeffs[self.m:])
-        self.den = loop.S.den.shifted(1.0)
+    def __init__(self, num: Polynomial, m: int, den: Polynomial):
+        self.m = m
+        self.q = Polynomial(num.shifted(1.0).coeffs[m:])
+        self.den = den
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
-        """g = ln|q(w) / den(w)|, ln|S| without its m*ln|w| part."""
+        """g = ln|q(w) / den(w)|, ln|F| without its m*ln|w| part."""
         with np.errstate(all="ignore"):
             return np.log(np.abs(self.q(w) / self.den(w)))
 
     def mag(self, theta: np.ndarray) -> np.ndarray:
+        """|F| over an array of angles; inf where den vanishes."""
         h = np.sin(0.5 * theta)
-        return (2.0 * h) ** self.m * _mag(self.q, self.den, -2.0 * h * h + 1j * np.sin(theta))
+        w = -2.0 * h * h + 1j * np.sin(theta)
+        n, d = np.abs(self.q(w)), np.abs(self.den(w))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (2.0 * h) ** self.m * np.where(d > 0.0, n / np.where(d > 0.0, d, 1.0), np.inf)
 
     def mag_at(self, theta: float) -> float:
+        """|F| at one angle in Python arithmetic, which numpy scalars make slow."""
         h = math.sin(0.5 * theta)
-        w = complex(-2.0 * h * h, math.sin(theta))
-        return (2.0 * h) ** self.m * _mag_at(self.q, self.den, w)
+        return (2.0 * h) ** self.m * self._ratio(complex(-2.0 * h * h, math.sin(theta)))
+
+    def nyquist(self) -> float:
+        """|F| at z = -1 exactly, w = -2, not via exp(j*pi); inf for a pole there."""
+        return 2.0 ** self.m * self._ratio(-2.0)
+
+    def _ratio(self, w) -> float:
+        d = abs(self.den(w))
+        return abs(self.q(w)) / d if d > 0.0 else math.inf
+
+
+def _sensitivity(loop: LoopSet) -> _Factored:
+    """S = den(L) / (den(L) + num(L)) factored; m counts the open-loop poles at z = 1."""
+    return _Factored(loop.S.num, loop.poles.count(1.0), loop.S.den.shifted(1.0))
 
 
 def _bracketed_max(f, a: float, x: float, b: float, fa: float, fx: float, fb: float,
@@ -306,7 +316,7 @@ def bode_integral_discrete(loop: LoopSet) -> BodeIntegralReport:
     if not S.is_discrete:
         raise ValueError("discrete loop required")
 
-    fs = _FactoredS(loop)
+    fs = _sensitivity(loop)
     open_loop_poles, singular = _singular_points(loop, 1.0, lambda z: z, "unit circle")
     numeric, points, difference = _circle_integral(fs, singular)
 
@@ -385,39 +395,36 @@ def bode_integral_continuous(loop: LoopSet) -> BodeIntegralReport:
 # frequency sweeps and peaks
 # ---------------------------------------------------------------------------
 
-def _refined_peak(mag_at, nyquist: float, thetas: np.ndarray, mags: np.ndarray, ts: float,
-                  rounding_at=None) -> Peak:
-    """Grid argmax refined on its bracket by ``_bracketed_max``; z = -1 always a candidate.
+def _refined_peak(f: _Factored, thetas: np.ndarray, mags: np.ndarray, ts: float) -> Peak:
+    """Grid argmax of |f| refined on its bracket by ``_bracketed_max``; z = -1 always a candidate.
 
-    The search stops once the bracket's values agree to ``PEAK_RTOL``, plus
-    ``rounding_at(theta)`` if given: a bound on the relative rounding error of
-    ``mag_at`` near the grid argmax. At an end of the grid it runs only if a
-    point just inside is higher: the one at which a parabola with its apex at
-    the end, through the neighbouring grid point, falls by a quarter of that
-    tolerance.
+    The search stops once the bracket's values agree to ``PEAK_RTOL``. At an
+    end of the grid it runs only if a point just inside is higher: the one at
+    which a parabola with its apex at the end, through the neighbouring grid
+    point, falls by a quarter of that tolerance.
     """
     i = int(np.argmax(mags))
     best_theta, best_val = float(thetas[i]), float(mags[i])
     if 0.0 < best_val < math.inf:
         xtol = 8.0 * 2.0**-53 * math.pi  # a few ulps of theta
-        rtol = PEAK_RTOL + (rounding_at(best_theta) if rounding_at else 0.0)
         if 0 < i < thetas.size - 1:
             best_theta, best_val = _bracketed_max(
-                mag_at, float(thetas[i - 1]), best_theta, float(thetas[i + 1]),
-                float(mags[i - 1]), best_val, float(mags[i + 1]), rtol, xtol)
+                f.mag_at, float(thetas[i - 1]), best_theta, float(thetas[i + 1]),
+                float(mags[i - 1]), best_val, float(mags[i + 1]), PEAK_RTOL, xtol)
         else:
             j = 1 if i == 0 else i - 1
             t_j, f_j = float(thetas[j]), float(mags[j])
-            drop, tol = best_val - f_j, rtol * best_val
+            drop, tol = best_val - f_j, PEAK_RTOL * best_val
             h = 0.5 * (t_j - best_theta) * (math.sqrt(tol / drop) if drop > tol else 1.0)
             u = best_theta + h
-            f_u = mag_at(u)
+            f_u = f.mag_at(u)
             if f_u > best_val:
                 (a, fa), (b, fb) = sorted(((best_theta, best_val), (t_j, f_j)))
-                best_theta, best_val = _bracketed_max(mag_at, a, u, b, fa, f_u, fb, rtol, xtol)
-    # ``nyquist`` is |.| at z = -1 exactly, not via exp(j*pi); a pole exactly
-    # there gives an infinite peak. Ties at rounding level go to the endpoint,
-    # whose location is exact.
+                best_theta, best_val = _bracketed_max(
+                    f.mag_at, a, u, b, fa, f_u, fb, PEAK_RTOL, xtol)
+    # A pole exactly at z = -1 gives an infinite peak. Ties at rounding level
+    # go to the endpoint, whose location is exact.
+    nyquist = f.nyquist()
     if nyquist >= best_val * (1.0 - 1e-13):
         best_theta, best_val = math.pi, max(nyquist, best_val)
     return Peak(value=best_val, freq=best_theta / ts)
@@ -426,8 +433,9 @@ def _refined_peak(mag_at, nyquist: float, thetas: np.ndarray, mags: np.ndarray, 
 def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
     """Sample |S| and |T| on a log grid over [1e-4, 1]*pi/Ts and locate the refined peaks.
 
-    |S| comes from its factored form; |T| is evaluated in z, where nothing
-    cancels since T(1) = 1.
+    Both come from the factored form about z = 1 over the one shifted
+    den(L) + num(L): S with its m zeros there, T = num(L) / (den(L) + num(L))
+    with none. In z the terms of that denominator cancel near z = 1.
     """
     if not loop.L.is_discrete:
         raise ValueError("discrete loop required")
@@ -435,25 +443,13 @@ def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
         raise ValueError("need at least 16 points")
     thetas = np.geomspace(math.pi * 1e-4, math.pi, n_points)
     ts = loop.ts
-    fs = _FactoredS(loop)
-    t_num, t_den = loop.T.num, loop.T.den
-
-    def t_at(theta: float) -> float:
-        return _mag_at(t_num, t_den, complex(math.cos(theta), math.sin(theta)))
-
-    def t_rounding(theta: float) -> float:
-        # |T| in z errs far beyond a few ulps near z = 1, where the terms of
-        # T.den cancel.
-        z = complex(math.cos(theta), math.sin(theta))
-        return t_num.rounding_bound(1.0) / abs(t_num(z)) + t_den.rounding_bound(1.0) / abs(t_den(z))
-
-    mag_S = fs.mag(thetas)
-    mag_T = _mag(t_num, t_den, np.exp(1j * thetas))
+    fs = _sensitivity(loop)
+    ft = _Factored(loop.T.num, 0, fs.den)
+    mag_S, mag_T = fs.mag(thetas), ft.mag(thetas)
     return FreqSweep(
         freqs=thetas / ts,
         mag_S=mag_S,
         mag_T=mag_T,
-        peak_S=_refined_peak(fs.mag_at, 2.0 ** fs.m * _mag_at(fs.q, fs.den, -2.0),
-                             thetas, mag_S, ts),
-        peak_T=_refined_peak(t_at, _mag_at(t_num, t_den, -1.0), thetas, mag_T, ts, t_rounding),
+        peak_S=_refined_peak(fs, thetas, mag_S, ts),
+        peak_T=_refined_peak(ft, thetas, mag_T, ts),
     )

@@ -20,7 +20,8 @@ from dobkit.robustness import (
     TRAPEZOID_MAX_POINTS,
     IllPosedIntegralError,
     _circle_integral,
-    _FactoredS,
+    _Factored,
+    _sensitivity,
     bode_integral_continuous,
     bode_integral_discrete,
     freq_sweep,
@@ -111,8 +112,8 @@ def test_marginal_pole_is_ill_posed():
 
 
 def test_overflowing_integrand_is_ill_posed():
-    # |S| on the circle overflows to inf/inf = NaN; refining it used to run
-    # every panel to the depth cap, which takes minutes
+    # |S| on the circle overflows to inf/inf = NaN; the trapezoid rule must
+    # reject its first samples rather than double the point count to the cap
     L = RationalTF([0.25e308, 1.5e308, 1e308], [-1.0, 1.0], 1e-3)
     loop = LoopSet.from_open_loop(L, L, RationalTF.one(1e-3), (1.0,))
     with np.errstate(all="ignore"), pytest.raises(IllPosedIntegralError, match="not finite"):
@@ -124,7 +125,7 @@ def test_circle_map_changes_little():
     # and the rule is the plain trapezoid rule in theta
     loop = make_inner_loop(make_cfg("acceleration", alpha=1.5, g_dob=500.0))
     mapped = bode_integral_discrete(loop).numeric_value
-    plain, points, _ = _circle_integral(_FactoredS(loop), [])
+    plain, points, _ = _circle_integral(_sensitivity(loop), [])
     assert points <= 256
     assert abs(mapped - plain) < 1e-13
 
@@ -257,15 +258,18 @@ def _exact_mag(tf, t):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_factored_sensitivity_is_exact_near_one(kind, regulation_gains):
-    # the expanded Horner sum loses up to 1.9e-8 relative at theta ~ 3e-4
+@pytest.mark.parametrize("tf", ["S", "T"])
+def test_factored_sensitivity_is_exact_near_one(tf, kind, regulation_gains):
+    # the expanded Horner sums in z lose up to 1.9e-8 relative for S and
+    # 1.5e-12 for T at theta ~ 3e-4; T shares S's shifted denominator
     _, outer = _regulation_loops(kind, regulation_gains)
-    fs = _FactoredS(outer)
+    fs = _sensitivity(outer)
+    f = fs if tf == "S" else _Factored(outer.T.num, 0, fs.den)
     for t in (1e-5, 1e-4, 1e-3, 0.5):
         theta = 2.0 * math.atan(t)
-        exact = _exact_mag(outer.S, t)
-        assert fs.mag(np.array([theta]))[0] == pytest.approx(exact, rel=1e-13), t
-        assert fs.mag_at(theta) == pytest.approx(exact, rel=1e-13), t
+        exact = _exact_mag(getattr(outer, tf), t)
+        assert f.mag(np.array([theta]))[0] == pytest.approx(exact, rel=1e-13), t
+        assert f.mag_at(theta) == pytest.approx(exact, rel=1e-13), t
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -273,7 +277,7 @@ def test_structural_order_at_one(kind, regulation_gains):
     inner, outer = _regulation_loops(kind, regulation_gains)
     assert inner.poles.count(1.0) == 1
     assert outer.poles.count(1.0) == 2
-    assert _FactoredS(inner).m == 1 and _FactoredS(outer).m == 2
+    assert _sensitivity(inner).m == 1 and _sensitivity(outer).m == 2
 
 
 @pytest.mark.parametrize("kind", ["acceleration", "velocity"])
@@ -286,7 +290,7 @@ def test_structural_order_at_vanishing_gain(kind, a, regulation_gains):
     cfg = make_cfg(kind, alpha=1.0, g_dob=a / 0.5e-3, Ts=0.5e-3)
     outer = make_outer_loop(make_inner_loop(cfg), make_pd(regulation_gains, cfg.Ts))
     assert outer.poles.count(1.0) == 2
-    assert _FactoredS(outer).m == 2
+    assert _sensitivity(outer).m == 2
     with pytest.raises(IllPosedIntegralError, match="sensitivity pole on the unit circle"):
         bode_integral_discrete(outer)
 
@@ -491,27 +495,49 @@ def test_velocity_peak_value():
 
 
 @pytest.mark.parametrize("outer, expected, most", [
-    # velocity inner loop: |S| peaks at the grid's last point, z = -1
+    # velocity inner loop: |S| peaks at the grid's last point, z = -1, |T| at
+    # its first
     (False, 4.0 / 3.0, 2),
     # lightly damped outer loop (closed-loop pair at |z| = 0.9937): interior
-    # peak; the value is that of a 60-step golden-section search
+    # peaks; the |S| value is that of a 60-step golden-section search
     (True, 5.696941980014084, 25),
 ])
 def test_peak_search_stops_at_rounding_level(monkeypatch, outer, expected, most):
     loop = make_inner_loop(make_cfg("velocity"))
     if outer:
         loop = make_outer_loop(loop, make_pd(OuterGains(K_p=5000.0, K_d=10.0), 1e-3))
-    mag_at = _FactoredS.mag_at
-    calls = []
+    mag_at = _Factored.mag_at
+    calls = {"S": 0, "T": 0}
 
     def counted(self, theta):
-        calls.append(theta)
+        calls["S" if self.m else "T"] += 1  # T has no zero at z = 1
         return mag_at(self, theta)
 
-    monkeypatch.setattr(_FactoredS, "mag_at", counted)
+    monkeypatch.setattr(_Factored, "mag_at", counted)
     peak = freq_sweep(loop, n_points=512).peak_S
     assert peak.value == pytest.approx(expected, rel=1e-14)
-    assert 1 <= len(calls) <= most
+    assert 1 <= calls["S"] <= most
+    assert 1 <= calls["T"] <= most
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9, 1.1, 1.5, 1.9])
+def test_complementary_peak_closed_forms(a):
+    # a = alpha*g_dob*Ts. Velocity: T = a/(z - 1 + a), |T|**2 =
+    # a**2/(a**2 + 4(1 - a) sin(theta/2)**2), highest at z = -1 for a > 1
+    # and at the grid's first point below. Acceleration: T = a z/((1 + a) z - 1),
+    # |T|**2 = a**2/(a**2 + 4(1 + a) sin(theta/2)**2), highest at the first point.
+    Ts, theta_0 = 1e-3, math.pi * 1e-4
+    h = math.sin(0.5 * theta_0)
+    for kind, sign in (("velocity", -1.0), ("acceleration", 1.0)):
+        cfg = make_cfg(kind, alpha=1.0, g_dob=a / Ts, Ts=Ts)
+        x = cfg.alpha_g * Ts  # a as the config rounds it
+        peak = freq_sweep(make_inner_loop(cfg), n_points=128).peak_T
+        if kind == "velocity" and x > 1.0:
+            value, theta = x / (2.0 - x), math.pi
+        else:
+            value, theta = x / math.sqrt(x * x + 4.0 * (1.0 + sign * x) * h * h), theta_0
+        assert peak.value == pytest.approx(value, rel=1e-12), kind
+        assert peak.freq == pytest.approx(theta / Ts, rel=1e-12), kind
 
 
 def test_dc_limits():
