@@ -32,7 +32,11 @@ __all__ = [
     "classify_compensator",
 ]
 
-_INTEGRATOR = Polynomial([-1.0, 1.0])  # z - 1; a Polynomial is immutable, so one is shared
+# A Polynomial is immutable, so the fixed factors are shared.
+_UNIT = Polynomial._of([1.0])
+_Z = Polynomial._of([0.0, 1.0])  # z, or s
+_INTEGRATOR = Polynomial._of([-1.0, 1.0])  # z - 1
+_DOUBLE_INTEGRATOR = Polynomial._of([1.0, -2.0, 1.0])  # (z - 1)**2
 
 
 def _finite_positive(value: float) -> bool:
@@ -96,8 +100,10 @@ class DobConfig:
     g_v: float | None = None
 
     def __post_init__(self):
-        kind = MeasurementKind(self.kind)
-        object.__setattr__(self, "kind", kind)
+        kind = self.kind
+        if not isinstance(kind, MeasurementKind):
+            kind = MeasurementKind(kind)
+            object.__setattr__(self, "kind", kind)
         if not _finite_positive(self.g_dob):
             raise ValueError("g_dob must be finite and strictly positive")
         if not _finite_positive(self.Ts):
@@ -166,13 +172,13 @@ class LoopSet:
         """
         if len(poles) != L.den.degree:
             raise ValueError(f"{len(poles)} poles given for a denominator of degree {L.den.degree}")
-        closed = L.den + L.num
-        for poly in (L.num, closed, C.num, C.den):
+        closed = L.den + L.num  # not finite unless L.num and L.den are
+        for poly in (closed, C.num, C.den):
             if not poly.is_finite:
                 raise OverflowError(f"loop coefficients overflow: {poly!r}")
-        S = RationalTF(L.den, closed, L.ts)
-        T = RationalTF(L.num, closed, L.ts)
-        return cls(L=L, S=S, T=T, C=C, G=G, poles=tuple(poles))
+        ts = L.ts
+        return cls(L=L, S=RationalTF._of(L.den, closed, ts), T=RationalTF._of(L.num, closed, ts),
+                   C=C, G=G, poles=tuple(poles))
 
 
 def _roots(p: Polynomial) -> tuple:
@@ -203,7 +209,7 @@ def _roots(p: Polynomial) -> tuple:
 
 def _lag(x: float) -> Polynomial:
     """(1 + x) z - 1, the denominator of both first-order filters below (x = gain*Ts)."""
-    return Polynomial([-1.0, 1.0 + x])
+    return Polynomial._of([-1.0, float(1.0 + x)])
 
 
 def q_filter(g_dob: float, Ts: float) -> RationalTF:
@@ -219,13 +225,13 @@ def velocity_estimator(g_v: float, Ts: float) -> RationalTF:
 
 def discrete_velocity_plant(Ts: float) -> RationalTF:
     """Sampled rigid-body map from acceleration to velocity: Ts / (z-1)."""
-    return RationalTF([Ts], _INTEGRATOR, Ts)
+    return RationalTF(Polynomial._of([float(Ts)]), _INTEGRATOR, Ts)
 
 
 def discrete_position_plant(Ts: float) -> RationalTF:
     """Sampled rigid-body map from acceleration to position: Ts^2 (z+1) / (2 (z-1)^2)."""
-    h = 0.5 * Ts * Ts
-    return RationalTF([h, h], [1.0, -2.0, 1.0], Ts)
+    h = float(0.5 * Ts * Ts)
+    return RationalTF(Polynomial._of([h, h]), _DOUBLE_INTEGRATOR, Ts)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +242,10 @@ def _inner_num(cfg: DobConfig, alpha: float, g: float) -> Polynomial:
     """num(L) of the inner loop at (alpha, g_dob); at (1, 1) it is num(L) per unit alpha*g_dob."""
     Ts = cfg.Ts
     if cfg.kind is MeasurementKind.ACCELERATION:
-        return Polynomial._of([0.0, alpha * g * Ts])
+        return Polynomial._of([0.0, float(alpha * g * Ts)])
     if cfg.kind is MeasurementKind.VELOCITY:
-        return Polynomial._of([alpha * g * Ts])
-    b = 0.5 * alpha * Ts * Ts * cfg.g_v * g  # beta * g_v * g_dob
+        return Polynomial._of([float(alpha * g * Ts)])
+    b = float(0.5 * alpha * Ts * Ts * cfg.g_v * g)  # beta * g_v * g_dob
     return Polynomial._of([b, b])
 
 
@@ -260,7 +266,7 @@ def make_inner_loop(cfg: DobConfig) -> LoopSet:
     c_num = _lag(g * Ts)  # den(Q)
 
     if cfg.kind is MeasurementKind.ACCELERATION:
-        G = RationalTF.one(Ts)
+        G = RationalTF._of(_UNIT, _UNIT, Ts)
     elif cfg.kind is MeasurementKind.VELOCITY:
         G = discrete_velocity_plant(Ts)
     else:
@@ -269,19 +275,19 @@ def make_inner_loop(cfg: DobConfig) -> LoopSet:
         poles += _roots(v_den)
         c_num = c_num * v_den
         G = discrete_position_plant(Ts)
-    C = RationalTF(alpha * c_num, den + num, Ts)
-    return LoopSet.from_open_loop(RationalTF(num, den, Ts), C, G, poles)
+    C = RationalTF._of(alpha * c_num, den + num, Ts)
+    return LoopSet.from_open_loop(RationalTF._of(num, den, Ts), C, G, poles)
 
 
 def make_continuous_inner(plant: PlantParams, g_dob: float) -> LoopSet:
     """Continuous-time inner-loop baseline: L(s) = alpha*g_dob/s."""
     if not _finite_positive(g_dob):
         raise ValueError("g_dob must be finite and strictly positive")
-    alpha = plant.alpha
-    ag = alpha * g_dob
-    L = RationalTF([ag], [0.0, 1.0], None)
-    C = RationalTF([alpha * g_dob, alpha], [ag, 1.0], None)
-    G = RationalTF.one(None)
+    alpha = float(plant.alpha)
+    ag = float(alpha * g_dob)
+    L = RationalTF._of(Polynomial._of([ag]), _Z, None)
+    C = RationalTF._of(Polynomial._of([ag, alpha]), Polynomial._of([ag, 1.0]), None)
+    G = RationalTF._of(_UNIT, _UNIT, None)
     return LoopSet.from_open_loop(L, C, G, (0.0,))
 
 
@@ -290,7 +296,8 @@ def make_pd(gains: OuterGains, Ts: float) -> RationalTF:
     if not _finite_positive(Ts):
         raise ValueError("Ts must be finite and strictly positive")
     kd_over_ts = gains.K_d / Ts
-    return RationalTF([-kd_over_ts, gains.K_p + kd_over_ts], [0.0, 1.0], Ts)
+    return RationalTF._of(Polynomial._of([float(-kd_over_ts), float(gains.K_p + kd_over_ts)]),
+                          _Z, Ts)
 
 
 def make_outer_loop(inner: LoopSet, pd: RationalTF) -> LoopSet:
@@ -307,7 +314,7 @@ def make_outer_loop(inner: LoopSet, pd: RationalTF) -> LoopSet:
     G_p = discrete_position_plant(ts)
     L = pd * inner.C * G_p  # raises DomainMismatchError unless the sampling times agree
     poles = (*_roots(pd.den), *_roots(inner.C.den), 1.0, 1.0)  # G_p: h (z+1)/(z-1)**2
-    return LoopSet.from_open_loop(L, RationalTF.one(ts), G_p, poles)
+    return LoopSet.from_open_loop(L, RationalTF._of(_UNIT, _UNIT, ts), G_p, poles)
 
 
 def _locus_pencil(cfg: DobConfig, gains: OuterGains, param: str) -> tuple:

@@ -146,11 +146,10 @@ class _Factored:
         with np.errstate(all="ignore"):
             return np.log(np.abs(self.q(w) / self.den(w)))
 
-    def mag(self, theta: np.ndarray) -> np.ndarray:
-        """|F| over an array of angles; inf where den vanishes."""
-        h = np.sin(0.5 * theta)
-        w = -2.0 * h * h + 1j * np.sin(theta)
-        n, d = np.abs(self.q(w)), np.abs(self.den(w))
+    def mag(self, circle: tuple) -> np.ndarray:
+        """|F| over the angles of ``_circle_points(theta, den)``; inf where den vanishes."""
+        h, w, d = circle
+        n = np.abs(self.q(w))
         with np.errstate(divide="ignore", invalid="ignore"):
             return (2.0 * h) ** self.m * np.where(d > 0.0, n / np.where(d > 0.0, d, 1.0), np.inf)
 
@@ -166,6 +165,13 @@ class _Factored:
     def _ratio(self, w) -> float:
         d = abs(self.den(w))
         return abs(self.q(w)) / d if d > 0.0 else math.inf
+
+
+def _circle_points(theta: np.ndarray, den: Polynomial) -> tuple:
+    """sin(theta/2), w = z - 1 and |den(w)| over an array of angles, once for S and T."""
+    h = np.sin(0.5 * theta)
+    w = -2.0 * h * h + 1j * np.sin(theta)
+    return h, w, np.abs(den(w))
 
 
 def _sensitivity(loop: LoopSet) -> _Factored:
@@ -445,7 +451,8 @@ def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
     ts = loop.ts
     fs = _sensitivity(loop)
     ft = _Factored(loop.T.num, 0, fs.den)
-    mag_S, mag_T = fs.mag(thetas), ft.mag(thetas)
+    circle = _circle_points(thetas, fs.den)
+    mag_S, mag_T = fs.mag(circle), ft.mag(circle)
     return FreqSweep(
         freqs=thetas / ts,
         mag_S=mag_S,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -257,18 +258,26 @@ def simulate(sc: Scenario) -> SimTrace:
     only the feedforward drives; velocity and position measurement share one
     observer update and differ only in the velocity fed back (the noisy
     sensor or the pseudo-velocity filter); acceleration measurement solves
-    its current/observer algebraic loop exactly. Instability is a legitimate
-    outcome: the run stops with ``diverged=True`` at the first sample whose
-    |q| exceeds the guard limit, and that sample is the trace's last.
+    its current/observer algebraic loop exactly. Each sensor reads the true
+    motion plus zero-mean Gaussian noise, drawn from
+    ``np.random.default_rng(seed)`` as one series per sensor (position,
+    velocity, acceleration); a silent scenario draws nothing and its sensors
+    read the true motion. Instability is a legitimate outcome: the run stops
+    with ``diverged=True`` at the first sample whose |q| exceeds the guard
+    limit, and that sample is the trace's last.
     """
     cfg = sc.cfg
     plant = cfg.plant
     Ts, g = cfg.Ts, cfg.g_dob
     t, r, aref, d = _inputs(sc)
 
-    rng = np.random.default_rng(sc.seed)
-    noise = tuple(std * rng.standard_normal(t.size)
-                  for std in (sc.noise.eta_p, sc.noise.eta_v, sc.noise.eta_a))
+    if sc.noise.silent:  # no draws: zeros feed the sensors, as in the oracle
+        noise, samples = None, (repeat(0.0),) * 3
+    else:
+        rng = np.random.default_rng(sc.seed)
+        noise = tuple(std * rng.standard_normal(t.size)
+                      for std in (sc.noise.eta_p, sc.noise.eta_v, sc.noise.eta_a))
+        samples = (x.tolist() for x in noise)
 
     J_m, K_t, J_mn, K_tn = plant.J_m, plant.K_t, plant.J_mn, plant.K_tn
     gTs = g * Ts
@@ -298,8 +307,7 @@ def simulate(sc: Scenario) -> SimTrace:
     vhat = 0.0       # pseudo-velocity filter state
     qn_prev = 0.0    # previous position sample seen by the pseudo-velocity filter
     diverged = False
-    for r_k, a_k, d_k, ep, ev, ea in zip(r.tolist(), aref.tolist(), d.tolist(),
-                                         *(x.tolist() for x in noise)):
+    for r_k, a_k, d_k, ep, ev, ea in zip(r.tolist(), aref.tolist(), d.tolist(), *samples):
         q_n = q + ep
         e = r_k - q_n
         I_des = kff * (a_k + c1 * e - c0 * e_prev)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
 # its rounding-error bound, of 1.
 SCHUR_EXACT_BAND = 1e-12
 _EPS = 2.0 ** -53  # unit roundoff of a float
+_REAL_IMAG = attrgetter("real", "imag")  # the order of a RootSet's roots
 
 
 class DomainMismatchError(ValueError):
@@ -81,7 +83,9 @@ class Polynomial:
         n = len(c)
         while n > 1 and c[n - 1] == 0.0:
             n -= 1
-        self._c = tuple(c[:n]) if n else (0.0,)
+        if n < len(c):
+            c = c[:n]
+        self._c = tuple(c) if n else (0.0,)
         self._array = None
 
     @classmethod
@@ -144,8 +148,12 @@ class Polynomial:
         acc = 0.0
         for c in reversed(self._c):
             acc = acc * r + abs(c)
+        return self._gamma() * acc
+
+    def _gamma(self) -> float:
+        """gamma_4n for degree n, the factor of p~ in ``rounding_bound``."""
         k = 4 * (len(self._c) - 1) * _EPS
-        return k / (1.0 - k) * acc
+        return k / (1.0 - k)
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -155,17 +163,19 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             s = float(other)
             return Polynomial._of([a * s for a in self._c])
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
-        # Each output sums its products in ascending index of the longer
-        # factor, the order np.convolve uses.
         a, b = self._c, other._c
         if len(b) > len(a):
             a, b = b, a
+        # only a constant can be zero, and b is one if a is
+        if len(b) == 1 and (b[0] == 0.0 or len(a) == 1 and a[0] == 0.0):
+            return Polynomial.zero()
+        # Each output sums its products in ascending index of the longer
+        # factor, the order np.convolve uses, from 0.0.
         out = [0.0] * (len(a) + len(b) - 1)
+        js = range(len(b))
         for i, x in enumerate(a):
-            for k, y in enumerate(b, i):
-                out[k] += x * y
+            for j in js:
+                out[i + j] += x * b[j]
         return Polynomial._of(out)
 
     __rmul__ = __mul__
@@ -210,17 +220,26 @@ class RationalTF:
     __slots__ = ("num", "den", "ts")
 
     def __init__(self, num, den, ts: float | None):
-        num = num if isinstance(num, Polynomial) else Polynomial(num)
-        den = den if isinstance(den, Polynomial) else Polynomial(den)
-        if den.is_zero:
-            raise ZeroDivisionError("transfer function denominator is zero")
+        self._set(num if isinstance(num, Polynomial) else Polynomial(num),
+                  den if isinstance(den, Polynomial) else Polynomial(den), ts)
         if ts is not None and not 0.0 < ts < math.inf:
             raise ValueError("sampling time must be finite and positive (or None for continuous)")
+
+    def _set(self, num: Polynomial, den: Polynomial, ts: float | None) -> None:
+        if den.is_zero:
+            raise ZeroDivisionError("transfer function denominator is zero")
         self.num = num
         self.den = den
         self.ts = ts
 
     # -- constructors -----------------------------------------------------
+    @classmethod
+    def _of(cls, num: Polynomial, den: Polynomial, ts: float | None) -> "RationalTF":
+        """From polynomials and a sampling time already checked; den is checked here."""
+        tf = object.__new__(cls)
+        tf._set(num, den, ts)
+        return tf
+
     @classmethod
     def constant(cls, value: float, ts: float | None) -> "RationalTF":
         return cls([float(value)], [1.0], ts)
@@ -252,7 +271,7 @@ class RationalTF:
             raise DomainMismatchError(
                 f"cannot combine domains ts={self.ts} and ts={other.ts}"
             )
-        return RationalTF(self.num * other.num, self.den * other.den, self.ts)
+        return RationalTF._of(self.num * other.num, self.den * other.den, self.ts)
 
     def __repr__(self) -> str:
         tag = "s" if self.ts is None else f"z, ts={self.ts}"
@@ -291,11 +310,11 @@ def poly_roots_batch(polys) -> list:
     polys = tuple(polys)
     zeros, by_size = [], {}
     for i, p in enumerate(polys):
-        if p.degree < 1:
+        c = p._c
+        if len(c) < 2:  # trimmed, so of degree < 1
             raise RootFindingError("roots are defined only for degree >= 1")
         if not p.is_finite:
             raise RootFindingError(f"non-finite coefficient in {p!r}")
-        c = p._c
         k = 0
         while c[k] == 0.0:
             k += 1
@@ -328,16 +347,35 @@ def poly_roots_batch(polys) -> list:
 def _polish(p: Polynomial, eigenvalues: list, zeros: int) -> RootSet:
     """Newton-polish the companion eigenvalues of ``p``; add its ``zeros`` roots at 0.
 
-    The derivative is formed only once a root needs a step.
+    Each eigenvalue's residual p(x) and the rounding bound of evaluating it
+    come from one Horner pass over the pairs (c, |c|) of p's coefficients,
+    with the float operations of ``p(x)`` and ``p.rounding_bound(|x|)`` in
+    their order. A root takes Newton steps only while the residual exceeds
+    the bound; the derivative is formed once one does. eigvals lists the
+    second member of a conjugate pair right after the first. With real
+    coefficients, the Horner pass at the second mirrors the one at the first
+    exactly in floats, with the same |p(x)| and bound; so when the first
+    keeps its eigenvalue, the second keeps its own without a pass.
     """
+    pairs = [(a, abs(a)) for a in reversed(p._c)]
+    gamma = p._gamma()
     n = len(eigenvalues)
     found = [complex(x) for x in eigenvalues] + [0j] * zeros
     dp = None
     polished = []
     residual = 0.0
     for i, x0 in enumerate(found[:n]):
-        x, fx = x0, p(x0)
-        if abs(fx) > p.rounding_bound(abs(x)):
+        if i and x0.imag < 0.0 and x0 == found[i - 1].conjugate() == polished[-1].conjugate():
+            # the second member of a pair whose first kept its eigenvalue
+            polished.append(x0)
+            continue
+        r = abs(x0)
+        fx = bound = 0.0
+        for a, b in pairs:
+            fx = fx * x0 + a
+            bound = bound * r + b
+        x = x0
+        if abs(fx) > gamma * bound:
             # A step may not leave x0 for a neighbour's basin: near a multiple
             # root, Newton can lower |p| by jumping to another root.
             reach = 0.5 * min((abs(y - x0) for j, y in enumerate(found) if j != i),
@@ -358,7 +396,7 @@ def _polish(p: Polynomial, eigenvalues: list, zeros: int) -> RootSet:
         polished.append(x)
         residual = max(residual, abs(fx))
     polished += found[n:]
-    polished.sort(key=lambda v: (v.real, v.imag))
+    polished.sort(key=_REAL_IMAG)
     return RootSet(tuple(polished), residual)
 
 

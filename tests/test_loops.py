@@ -453,3 +453,138 @@ def test_outer_loop_from_blocks(kind, alpha, g_dob, Ts, g_v, locus_gains):
     assert_same_tf(outer.L, L, n)
     assert_same_tf(outer.S, lambda z: 1.0 / (1.0 + L(z)), n)
     assert_same_tf(outer.T, lambda z: L(z) / (1.0 + L(z)), n)
+
+
+# ---------------------------------------------------------------------------
+# stored coefficients, bit for bit
+# ---------------------------------------------------------------------------
+
+# float.hex of the coefficients (ascending, space-separated) of each loop's
+# L, S, T, C and G (num, den), and of its poles ("re,im" for a complex one),
+# for the README regulation configuration: J_m = J_mn = 0.003, K_t = K_tn =
+# 0.25, g_dob = 1000, Ts = 0.5 ms, g_v = 2000 (position), K_p = 4000, K_d = 200.
+REGULATION_HEX = {
+    ('acceleration', 'inner'): {
+        'L': ('0x0.0p+0 0x1.0000000000000p-1',
+              '-0x1.0000000000000p+0 0x1.0000000000000p+0'),
+        'S': ('-0x1.0000000000000p+0 0x1.0000000000000p+0',
+              '-0x1.0000000000000p+0 0x1.8000000000000p+0'),
+        'T': ('0x0.0p+0 0x1.0000000000000p-1',
+              '-0x1.0000000000000p+0 0x1.8000000000000p+0'),
+        'C': ('-0x1.0000000000000p+0 0x1.8000000000000p+0',
+              '-0x1.0000000000000p+0 0x1.8000000000000p+0'),
+        'G': ('0x1.0000000000000p+0',
+              '0x1.0000000000000p+0'),
+        'poles': '0x1.0000000000000p+0',
+    },
+    ('acceleration', 'outer'): {
+        'L': ('0x1.9999999999999p-5 -0x1.353f7ced91688p-4 -0x1.978d4fdf3b646p-5 '
+              '0x1.3645a1cac0831p-4',
+              '0x0.0p+0 -0x1.0000000000000p+0 0x1.c000000000000p+1 -0x1.0000000000000p+2 '
+              '0x1.8000000000000p+0'),
+        'S': ('0x0.0p+0 -0x1.0000000000000p+0 0x1.c000000000000p+1 -0x1.0000000000000p+2 '
+              '0x1.8000000000000p+0',
+              '0x1.9999999999999p-5 -0x1.1353f7ced9168p+0 0x1.b9a1cac083127p+1 '
+              '-0x1.f64dd2f1a9fbep+1 0x1.8000000000000p+0'),
+        'T': ('0x1.9999999999999p-5 -0x1.353f7ced91688p-4 -0x1.978d4fdf3b646p-5 '
+              '0x1.3645a1cac0831p-4',
+              '0x1.9999999999999p-5 -0x1.1353f7ced9168p+0 0x1.b9a1cac083127p+1 '
+              '-0x1.f64dd2f1a9fbep+1 0x1.8000000000000p+0'),
+        'C': ('0x1.0000000000000p+0',
+              '0x1.0000000000000p+0'),
+        'G': ('0x1.0c6f7a0b5ed8dp-23 0x1.0c6f7a0b5ed8dp-23',
+              '0x1.0000000000000p+0 -0x1.0000000000000p+1 0x1.0000000000000p+0'),
+        'poles': '0x0.0p+0 0x1.5555555555555p-1 0x1.0000000000000p+0 0x1.0000000000000p+0',
+    },
+    ('velocity', 'inner'): {
+        'L': ('0x1.0000000000000p-1',
+              '-0x1.0000000000000p+0 0x1.0000000000000p+0'),
+        'S': ('-0x1.0000000000000p+0 0x1.0000000000000p+0',
+              '-0x1.0000000000000p-1 0x1.0000000000000p+0'),
+        'T': ('0x1.0000000000000p-1',
+              '-0x1.0000000000000p-1 0x1.0000000000000p+0'),
+        'C': ('-0x1.0000000000000p+0 0x1.8000000000000p+0',
+              '-0x1.0000000000000p-1 0x1.0000000000000p+0'),
+        'G': ('0x1.0624dd2f1a9fcp-11',
+              '-0x1.0000000000000p+0 0x1.0000000000000p+0'),
+        'poles': '0x1.0000000000000p+0',
+    },
+    ('velocity', 'outer'): {
+        'L': ('0x1.9999999999999p-5 -0x1.353f7ced91688p-4 -0x1.978d4fdf3b646p-5 '
+              '0x1.3645a1cac0831p-4',
+              '0x0.0p+0 -0x1.0000000000000p-1 0x1.0000000000000p+1 -0x1.4000000000000p+1 '
+              '0x1.0000000000000p+0'),
+        'S': ('0x0.0p+0 -0x1.0000000000000p-1 0x1.0000000000000p+1 -0x1.4000000000000p+1 '
+              '0x1.0000000000000p+0',
+              '0x1.9999999999999p-5 -0x1.26a7ef9db22d1p-1 0x1.f34395810624ep+0 '
+              '-0x1.364dd2f1a9fbep+1 0x1.0000000000000p+0'),
+        'T': ('0x1.9999999999999p-5 -0x1.353f7ced91688p-4 -0x1.978d4fdf3b646p-5 '
+              '0x1.3645a1cac0831p-4',
+              '0x1.9999999999999p-5 -0x1.26a7ef9db22d1p-1 0x1.f34395810624ep+0 '
+              '-0x1.364dd2f1a9fbep+1 0x1.0000000000000p+0'),
+        'C': ('0x1.0000000000000p+0',
+              '0x1.0000000000000p+0'),
+        'G': ('0x1.0c6f7a0b5ed8dp-23 0x1.0c6f7a0b5ed8dp-23',
+              '0x1.0000000000000p+0 -0x1.0000000000000p+1 0x1.0000000000000p+0'),
+        'poles': '0x0.0p+0 0x1.0000000000000p-1 0x1.0000000000000p+0 0x1.0000000000000p+0',
+    },
+    ('position', 'inner'): {
+        'L': ('0x1.0000000000000p-2 0x1.0000000000000p-2',
+              '0x1.0000000000000p+0 -0x1.8000000000000p+1 0x1.0000000000000p+1'),
+        'S': ('0x1.0000000000000p+0 -0x1.8000000000000p+1 0x1.0000000000000p+1',
+              '0x1.4000000000000p+0 -0x1.6000000000000p+1 0x1.0000000000000p+1'),
+        'T': ('0x1.0000000000000p-2 0x1.0000000000000p-2',
+              '0x1.4000000000000p+0 -0x1.6000000000000p+1 0x1.0000000000000p+1'),
+        'C': ('0x1.0000000000000p+0 -0x1.c000000000000p+1 0x1.8000000000000p+1',
+              '0x1.4000000000000p+0 -0x1.6000000000000p+1 0x1.0000000000000p+1'),
+        'G': ('0x1.0c6f7a0b5ed8dp-23 0x1.0c6f7a0b5ed8dp-23',
+              '0x1.0000000000000p+0 -0x1.0000000000000p+1 0x1.0000000000000p+0'),
+        'poles': '0x1.0000000000000p+0 0x1.0000000000000p-1',
+    },
+    ('position', 'outer'): {
+        'L': ('-0x1.9999999999999p-5 0x1.676c8b4395810p-3 -0x1.9eb851eb851ecp-4 '
+              '-0x1.66e978d4fdf3bp-3 0x1.3645a1cac0831p-3',
+              '0x0.0p+0 0x1.4000000000000p+0 -0x1.5000000000000p+2 0x1.1800000000000p+3 '
+              '-0x1.b000000000000p+2 0x1.0000000000000p+1'),
+        'S': ('0x0.0p+0 0x1.4000000000000p+0 -0x1.5000000000000p+2 0x1.1800000000000p+3 '
+              '-0x1.b000000000000p+2 0x1.0000000000000p+1',
+              '-0x1.9999999999999p-5 0x1.6ced916872b02p+0 -0x1.567ae147ae148p+2 '
+              '0x1.12645a1cac083p+3 -0x1.a64dd2f1a9fbep+2 0x1.0000000000000p+1'),
+        'T': ('-0x1.9999999999999p-5 0x1.676c8b4395810p-3 -0x1.9eb851eb851ecp-4 '
+              '-0x1.66e978d4fdf3bp-3 0x1.3645a1cac0831p-3',
+              '-0x1.9999999999999p-5 0x1.6ced916872b02p+0 -0x1.567ae147ae148p+2 '
+              '0x1.12645a1cac083p+3 -0x1.a64dd2f1a9fbep+2 0x1.0000000000000p+1'),
+        'C': ('0x1.0000000000000p+0',
+              '0x1.0000000000000p+0'),
+        'G': ('0x1.0c6f7a0b5ed8dp-23 0x1.0c6f7a0b5ed8dp-23',
+              '0x1.0000000000000p+0 -0x1.0000000000000p+1 0x1.0000000000000p+0'),
+        'poles': '0x0.0p+0 0x1.6000000000000p-1,0x1.8fae0c15ad38bp-2 '
+                 '0x1.6000000000000p-1,-0x1.8fae0c15ad38bp-2 0x1.0000000000000p+0 '
+                 '0x1.0000000000000p+0',
+    },
+}
+
+
+def _hex_of(loop) -> dict:
+    def hexes(p):
+        assert all(type(x) is float for x in p._c), p
+        return " ".join(map(float.hex, p._c))
+
+    def pole(z):
+        return float.hex(z) if isinstance(z, float) else f"{z.real.hex()},{z.imag.hex()}"
+
+    out = {tf: (hexes(getattr(loop, tf).num), hexes(getattr(loop, tf).den)) for tf in "LSTCG"}
+    out["poles"] = " ".join(map(pole, loop.poles))
+    return out
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_regulation_loop_coefficients_are_pinned(kind):
+    # every stored coefficient is a Python float with exactly these bits
+    cfg = DobConfig(kind, PlantParams(J_m=0.003, K_t=0.25, J_mn=0.003, K_tn=0.25),
+                    g_dob=1000.0, Ts=0.0005,
+                    g_v=2000.0 if kind is MeasurementKind.POSITION else None)
+    inner = make_inner_loop(cfg)
+    outer = make_outer_loop(inner, make_pd(OuterGains(K_p=4000.0, K_d=200.0), 0.0005))
+    assert _hex_of(inner) == REGULATION_HEX[(kind.value, "inner")]
+    assert _hex_of(outer) == REGULATION_HEX[(kind.value, "outer")]

@@ -99,6 +99,27 @@ def test_arithmetic_matches_numpy(a, b, s):
     assert np.allclose(got, ref, rtol=0.0, atol=1e-14 * scale)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_coeff_lists, _coeff_lists)
+def test_product_sums_in_ascending_index_of_the_longer_factor(a, b):
+    # the reference loop: each output sums its products from 0.0 in ascending
+    # index of the longer factor (the left one if equally long); the product
+    # must round exactly as it does
+    def reference(x, y):
+        x, y = x.coeffs.tolist(), y.coeffs.tolist()
+        if len(y) > len(x):
+            x, y = y, x
+        out = [0.0] * (len(x) + len(y) - 1)
+        for i, u in enumerate(x):
+            for k, v in enumerate(y, i):
+                out[k] += u * v
+        return list(map(float.hex, Polynomial(out).coeffs.tolist()))
+
+    pa, pb = Polynomial(a), Polynomial(b)
+    for x, y in ((pa, pb), (pb, pa)):
+        assert list(map(float.hex, (x * y).coeffs.tolist())) == reference(x, y)
+
+
 # ---------------------------------------------------------------------------
 # root finding
 # ---------------------------------------------------------------------------
@@ -238,6 +259,42 @@ def test_batch_rejects_a_non_finite_coefficient_before_any_eigensolve(monkeypatc
     assert calls == []
     poly_roots_batch(polys[:1] if where else polys[1:2])
     assert len(calls) == 1
+
+
+def _seeded_polynomials(seed: int):
+    """(degree, polynomial) for degrees 1-8: simple roots, double roots, roots at 0."""
+    rng = np.random.default_rng(seed)
+
+    def simple(n):
+        roots = []
+        while len(roots) < n:
+            r, phi = rng.uniform(0.05, 1.5), rng.uniform(0.0, np.pi)
+            if n - len(roots) >= 2 and rng.random() < 0.6:
+                roots += [r * np.exp(1j * phi), r * np.exp(-1j * phi)]
+            else:
+                roots.append(r * np.cos(phi))
+        return roots
+
+    for degree in range(1, 9):
+        x, w = rng.uniform(-1.0, 1.0), rng.uniform(0.2, 1.2) * np.exp(1j * rng.uniform(0.1, 3.0))
+        shapes = [simple(degree)]
+        if degree >= 2:
+            shapes += [simple(degree - 2) + [x, x], simple(degree - 1) + [0.0]]
+        if degree >= 3:
+            shapes.append(simple(degree - 2) + [0.0, 0.0])
+        if degree >= 4:
+            shapes.append(simple(degree - 4) + [w, w.conjugate()] * 2)
+        for roots in shapes:
+            yield degree, Polynomial(np.poly(roots)[::-1])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reported_residual_is_the_horner_residual(seed):
+    # the polish's fused Horner pass gives |p(x)| as Polynomial.__call__ does, bit for bit
+    for degree, p in _seeded_polynomials(seed):
+        rs = poly_roots(p)
+        assert len(rs.roots) == degree
+        assert rs.residual == max(abs(p(x)) for x in rs.roots), p
 
 
 def test_low_order_zeros_are_exact_roots_at_zero():
