@@ -10,7 +10,10 @@ peaks.
 Both Bode integrals are smooth, periodic integrals over the unit circle, summed
 by one periodic trapezoid rule that converges on them geometrically; a map of
 the circle onto itself first crowds the points toward z = 1, where slow poles
-come close to the circle.
+come close to the circle. The map's width predicts the point count, so the
+integrand is evaluated once, on that grid, and the doubling check runs on
+nested subsets of its samples. A sweep's log grid of angles is built once per
+point count.
 
 - Discrete: the integral of ln|S| over the circle is that of g = ln|q / den|
   alone, since m*ln|w| integrates to exactly 0 (Jensen). The analytic side is
@@ -26,6 +29,7 @@ come close to the circle.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +55,9 @@ CIRCLE_TOL = 1e-9
 TRAPEZOID_START = 64
 TRAPEZOID_REL_TOL = 1e-12
 TRAPEZOID_MAX_POINTS = 2**20
+# The finest grid sampled in one call. Past it a call's fixed cost is lost in
+# its work, and one call would hold twice the samples of a level.
+TRAPEZOID_GRID_POINTS = 2**16
 # A peak's value is known once the values at its bracket's ends agree with the
 # value inside to this, relative: a few ulps.
 PEAK_RTOL = 16.0 * 2.0**-53
@@ -138,7 +145,7 @@ class _Factored:
 
     def __init__(self, num: Polynomial, m: int, den: Polynomial):
         self.m = m
-        self.q = Polynomial(num.shifted(1.0).coeffs[m:])
+        self.q = Polynomial._of(list(num.shifted(1.0)._c[m:]))
         self.den = den
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
@@ -226,24 +233,29 @@ def _bracketed_max(f, a: float, x: float, b: float, fa: float, fx: float, fb: fl
             a, fa = u, fu
 
 
-def _map_eps(singular) -> float:
-    """eps = 1 - r of the circle map z = (zeta + r) / (1 + r zeta) for the trapezoid rule.
+def _map_eps(singular) -> tuple[float, float]:
+    """eps = 1 - r of the circle map z = (zeta + r) / (1 + r zeta), and its width.
 
-    The rule converges at the rate set by the distance, in |ln|zeta||, of the
-    nearest singularity of the mapped integrand: the images of ``singular``
-    and the Jacobian's poles at -r and -1/r. eps = exp(-u) maximises that
-    distance over u in [0, 20], to ``MAP_UTOL`` in u; eps = 1 is the identity.
+    The trapezoid rule converges at the rate set by the width: the distance,
+    in |ln|zeta||, of the nearest singularity of the mapped integrand, among
+    the images of ``singular`` and the Jacobian's poles at -r and -1/r.
+    eps = exp(-u) maximises the width over u in [0, 20], to ``MAP_UTOL`` in
+    u; eps = 1 is the identity. Returns (eps, width at eps).
     """
 
     def width(u: float) -> float:
         eps = math.exp(-u)
         r = 1.0 - eps
-        d = -math.log1p(-eps) if eps < 1.0 else math.inf
+        # the image of s lies at |zeta| = a/b; the ratio taken >= 1 cannot
+        # underflow, and one log serves all of them
+        low = math.inf
         for s in singular:
             a, b = abs(s - r), abs(1.0 - r * s)
             if a > 0.0 and b > 0.0:
-                d = min(d, abs(math.log(a) - math.log(b)))
-        return d
+                q = a / b if a > b else b / a
+                if q < low:
+                    low = q
+        return min(math.log(low), -math.log1p(-eps) if eps < 1.0 else math.inf)
 
     # A bracket needs an inner point wider than the identity at u = 0; the
     # golden-section point of [0, hi] is tried, hi shrinking toward 0.
@@ -252,9 +264,10 @@ def _map_eps(singular) -> float:
         x = _GOLDEN * hi
         fx = width(x)
         if fx > f_0:
-            return math.exp(-_bracketed_max(width, 0.0, x, hi, f_0, fx, f_hi, xtol=MAP_UTOL)[0])
+            u, d = _bracketed_max(width, 0.0, x, hi, f_0, fx, f_hi, xtol=MAP_UTOL)
+            return math.exp(-u), d
         hi, f_hi = x, fx
-    return 1.0
+    return 1.0, f_0
 
 
 def _circle_integral(f, singular, ends=None) -> tuple[float, int, float]:
@@ -269,8 +282,16 @@ def _circle_integral(f, singular, ends=None) -> tuple[float, int, float]:
     the limits of f at z = 1 and z = -1, which replace its samples there.
     Doubling n adds the odd multiples of pi/n. Returns (value, n, last
     difference).
+
+    The rule errs by about exp(-n*width) (Trefethen and Weideman, SIAM
+    Review 56, 2014), so two estimates agree to ``TRAPEZOID_REL_TOL`` at
+    about the n with (n/2)*width >= -ln(TRAPEZOID_REL_TOL), capped at
+    ``TRAPEZOID_GRID_POINTS``. f is sampled once on that grid, and the
+    doubling runs on nested strided subsets of those samples; only past it
+    does each level sample f again. A sample that no estimate used is not
+    checked for finiteness.
     """
-    eps = _map_eps(singular)
+    eps, width = _map_eps(singular)
 
     def g(t, ends=None):
         # zeta - 1 and 1 + r*zeta from half angles, without cancellation
@@ -281,17 +302,32 @@ def _circle_integral(f, singular, ends=None) -> tuple[float, int, float]:
         vals = f(eps * zeta_m1 / one_r_zeta)
         if ends is not None:
             vals[0], vals[-1] = ends
-        vals = vals * jacobian
-        if not np.all(np.isfinite(vals)):
+        return vals * jacobian
+
+    top, need = 2 * TRAPEZOID_START, -math.log(TRAPEZOID_REL_TOL)
+    while top < TRAPEZOID_GRID_POINTS and 0.5 * top * width < need:
+        top *= 2
+    # k*(2*pi/top) rounds as the coarser levels' angles do: they differ by
+    # powers of two, so every level's samples are those it would take alone
+    grid = g(np.arange(top // 2 + 1) * (2.0 * math.pi / top), ends)
+
+    def checked(vals):
+        if not np.isfinite(vals).all():
             raise IllPosedIntegralError("integrand is not finite on the unit circle")
         return vals
 
     n = TRAPEZOID_START
-    first = g(np.arange(n // 2 + 1) * (2.0 * math.pi / n), ends)
+    stride = top // n
+    first = checked(grid[::stride])
     total = 2.0 * float(np.sum(first)) - float(first[0]) - float(first[-1])
     estimate = 2.0 * math.pi * total / n
     while n < TRAPEZOID_MAX_POINTS:
-        total += 2.0 * float(np.sum(g((2.0 * np.arange(n // 2) + 1.0) * (math.pi / n))))
+        if n < top:
+            stride //= 2
+            odd = checked(grid[stride::2 * stride])
+        else:
+            odd = checked(g((2.0 * np.arange(n // 2) + 1.0) * (math.pi / n)))
+        total += 2.0 * float(np.sum(odd))
         n *= 2
         previous, estimate = estimate, 2.0 * math.pi * total / n
         difference = abs(estimate - previous)
@@ -436,6 +472,14 @@ def _refined_peak(f: _Factored, thetas: np.ndarray, mags: np.ndarray, ts: float)
     return Peak(value=best_val, freq=best_theta / ts)
 
 
+@functools.lru_cache(maxsize=8)
+def _sweep_angles(n_points: int) -> np.ndarray:
+    """The log grid of angles over [1e-4, 1]*pi, read-only: it is shared by every sweep."""
+    thetas = np.geomspace(math.pi * 1e-4, math.pi, n_points)
+    thetas.flags.writeable = False
+    return thetas
+
+
 def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
     """Sample |S| and |T| on a log grid over [1e-4, 1]*pi/Ts and locate the refined peaks.
 
@@ -447,7 +491,7 @@ def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
         raise ValueError("discrete loop required")
     if n_points < 16:
         raise ValueError("need at least 16 points")
-    thetas = np.geomspace(math.pi * 1e-4, math.pi, n_points)
+    thetas = _sweep_angles(n_points)
     ts = loop.ts
     fs = _sensitivity(loop)
     ft = _Factored(loop.T.num, 0, fs.den)

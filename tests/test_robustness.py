@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,17 +19,21 @@ from dobkit.loops import (
 from dobkit import robustness
 from dobkit.robustness import (
     TRAPEZOID_MAX_POINTS,
+    TRAPEZOID_REL_TOL,
+    TRAPEZOID_START,
     IllPosedIntegralError,
     _circle_integral,
     _circle_points,
     _Factored,
+    _map_eps,
     _sensitivity,
+    _sweep_angles,
     bode_integral_continuous,
     bode_integral_discrete,
     freq_sweep,
 )
 from dobkit.stability import classify_poles, position_non_osc_bound
-from dobkit.zalg import RationalTF, poly_roots
+from dobkit.zalg import Polynomial, RationalTF, poly_roots
 
 from conftest import make_cfg
 
@@ -468,6 +473,158 @@ def test_continuous_requires_relative_degree_one():
 
 
 # ---------------------------------------------------------------------------
+# the trapezoid rule on its predicted grid against level-by-level doubling
+# ---------------------------------------------------------------------------
+
+def _reference_circle_integral(f, singular, ends=None):
+    """``_circle_integral`` as a loop that samples f anew at every doubling level."""
+    eps = _map_eps(singular)[0]
+
+    def g(t, ends=None):
+        h, c, s = np.sin(0.5 * t), np.cos(0.5 * t), np.sin(t)
+        zeta_m1 = -2.0 * h * h + 1j * s
+        one_r_zeta = eps + (1.0 - eps) * (2.0 * c * c + 1j * s)
+        jacobian = eps * (2.0 - eps) / np.abs(one_r_zeta) ** 2
+        vals = f(eps * zeta_m1 / one_r_zeta)
+        if ends is not None:
+            vals[0], vals[-1] = ends
+        vals = vals * jacobian
+        if not np.all(np.isfinite(vals)):
+            raise IllPosedIntegralError("integrand is not finite on the unit circle")
+        return vals
+
+    n = TRAPEZOID_START
+    first = g(np.arange(n // 2 + 1) * (2.0 * math.pi / n), ends)
+    total = 2.0 * float(np.sum(first)) - float(first[0]) - float(first[-1])
+    estimate = 2.0 * math.pi * total / n
+    while n < TRAPEZOID_MAX_POINTS:
+        total += 2.0 * float(np.sum(g((2.0 * np.arange(n // 2) + 1.0) * (math.pi / n))))
+        n *= 2
+        previous, estimate = estimate, 2.0 * math.pi * total / n
+        difference = abs(estimate - previous)
+        if difference <= TRAPEZOID_REL_TOL * max(1.0, abs(estimate)):
+            return estimate, n, difference
+    raise IllPosedIntegralError(
+        f"trapezoid rule did not converge in {n} points (last difference {difference:.3g})"
+    )
+
+
+def _quadratures(f, singular, ends=None):
+    """The outcome of both rules on f, as (value, n, last difference) or the error message,
+    with the number of samples of f each took."""
+    outcomes = []
+    for rule in (_reference_circle_integral, _circle_integral):
+        samples = 0
+
+        def counted(w):
+            nonlocal samples
+            samples += w.size
+            return f(w)
+
+        try:
+            outcome = rule(counted, singular, ends)
+        except IllPosedIntegralError as e:
+            outcome = str(e)
+        outcomes.append((outcome, samples))
+    return outcomes
+
+
+def _assert_same_quadrature(outcomes, label):
+    (want, want_samples), (got, got_samples) = outcomes
+    assert got_samples <= 2 * want_samples, label
+    if isinstance(want, str):
+        assert got == want, label
+        return
+    assert not isinstance(got, str), (label, got)
+    scale = max(1.0, abs(want[0]))
+    assert got[1] == want[1], label
+    assert abs(got[0] - want[0]) <= 1e-14 * scale, label
+    assert abs(got[2] - want[2]) <= 4.0 * 2.0**-52 * scale, label
+
+
+def _survey_loops(regulation_gains):
+    """Seeded inner and outer loops of each kind at three sampling times."""
+    rng = random.Random(22)
+    loops = []
+    for Ts in (1e-3, 5e-4, 2e-4):
+        for kind in KINDS:
+            for _ in range(3):
+                alpha, x = rng.uniform(0.5, 2.0), rng.uniform(0.1, 1.9)
+                cfg = make_cfg(kind, alpha=alpha, g_dob=x / (alpha * Ts), Ts=Ts,
+                               g_v=rng.uniform(0.3, 2.0) / Ts)
+                inner = make_inner_loop(cfg)
+                gains = OuterGains(rng.uniform(1000.0, 8000.0), rng.uniform(10.0, 300.0))
+                loops += [(f"{kind} inner {cfg}", inner),
+                          (f"{kind} outer {cfg} {gains}", make_outer_loop(inner, make_pd(gains, Ts)))]
+    return loops
+
+
+def test_predicted_grid_matches_doubling_on_seeded_loops(monkeypatch, regulation_gains):
+    seen = []
+
+    def both(f, singular, ends=None):
+        outcomes = _quadratures(f, singular, ends)
+        seen.append(outcomes)
+        got = outcomes[1][0]
+        if isinstance(got, str):
+            raise IllPosedIntegralError(got)
+        return got
+
+    monkeypatch.setattr(robustness, "_circle_integral", both)
+    for label, loop in _survey_loops(regulation_gains):
+        seen.clear()
+        try:
+            bode_integral_discrete(loop)
+        except IllPosedIntegralError:
+            pass
+        for outcomes in seen:
+            _assert_same_quadrature(outcomes, label)
+        # q from the shifted coefficient tuple, as from its array
+        fs = _sensitivity(loop)
+        for f, num in ((fs, loop.S.num), (_Factored(loop.T.num, 0, fs.den), loop.T.num)):
+            want = Polynomial(num.shifted(1.0).coeffs[f.m:])
+            assert f.q.coeffs.tolist() == want.coeffs.tolist(), label
+    # the continuous baseline replaces the samples at z = +-1 by their limits
+    for label, loop in [(f"continuous {a}", make_continuous_inner(PlantParams.from_alpha(a), 500.0))
+                        for a in (0.5, 1.0, 2.0)] + [
+            ("continuous double integrator", _continuous_loop([-1.0, -20.0], [0.0, 0.0, -100.0], 50.0)),
+            ("continuous damped pair", _continuous_loop(
+                [-1.0, -5.0, -20.0], [-0.2, -100.0, *_pair(0.02, 10.0)], 50.0))]:
+        seen.clear()
+        bode_integral_continuous(loop)
+        assert len(seen) == 1
+        _assert_same_quadrature(seen[0], label)
+
+
+def test_grid_coarser_than_convergence_keeps_doubling(regulation_gains):
+    # no singular points: the grid is predicted at 128 points, but the outer
+    # loop's slow poles need thousands on the identity map
+    _, outer = _regulation_loops("velocity", regulation_gains)
+    outcomes = _quadratures(_sensitivity(outer), [])
+    _assert_same_quadrature(outcomes, "velocity outer")
+    assert outcomes[1][0][1] > 2 * TRAPEZOID_START
+
+
+def test_unused_sample_of_a_finer_grid_may_be_non_finite():
+    # a singular point near z = 1 predicts a fine grid; f = 0 converges at
+    # 128 points, so its value at the grid's first angle is never summed
+    grids = []
+
+    def probe(w):
+        grids.append(w.copy())
+        return np.zeros(w.shape)
+
+    _circle_integral(probe, [0.999])
+    assert grids[0].size > TRAPEZOID_START + 1  # more than the 128 points that converge
+    unused = grids[0][1]
+
+    def f(w):
+        return np.where(w == unused, np.nan, 0.0)
+
+    assert _circle_integral(f, [0.999]) == _reference_circle_integral(f, [0.999]) == (0.0, 128, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # frequency sweeps and peaks
 # ---------------------------------------------------------------------------
 
@@ -548,6 +705,20 @@ def test_dc_limits():
     assert sweep.mag_S[0] < 5e-3
     assert np.all(np.diff(sweep.freqs) > 0)
     assert sweep.freqs[-1] == pytest.approx(math.pi / 1e-3, rel=1e-12)
+
+
+def test_sweep_grid_is_built_once_and_read_only():
+    loop = make_inner_loop(make_cfg("velocity"))
+    for n in (16, 512):
+        a, b = freq_sweep(loop, n_points=n), freq_sweep(loop, n_points=n)
+        assert np.array_equal(a.freqs, np.geomspace(math.pi * 1e-4, math.pi, n) / loop.ts)
+        for x in (a.freqs, a.mag_S, a.mag_T):
+            for y in (b.freqs, b.mag_S, b.mag_T):
+                assert not np.shares_memory(x, y)
+        grid = _sweep_angles(n)
+        assert grid is _sweep_angles(n) and not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
 
 
 def test_sweep_validation():
