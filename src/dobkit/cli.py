@@ -1,5 +1,9 @@
 """Batch command-line front end: analyze, sweep, simulate, bode.
 
+Each command imports the analysis layers it runs when it runs: ``simulate``
+never loads ``robustness`` or ``stability``, and the others never load
+``sim``.
+
 Configs are flat ``key = value`` text files (``#`` comments and blank lines
 ignored); unknown or duplicate keys are rejected with the offending line
 number. All numeric output is serialized with 17 significant digits so CSV
@@ -26,26 +30,15 @@ from .loops import (
     make_outer_loop,
     make_pd,
 )
-from .robustness import (
-    IllPosedIntegralError,
-    bode_integral_discrete,
-    freq_sweep,
-)
-from .sim import (
-    DisturbancePulse,
-    NoiseSpec,
-    Reference,
-    Scenario,
-    disturbance_rejection_metrics,
-    simulate,
-)
-from .stability import config_for_sweep, constraint_check, root_locus
 
 __all__ = ["ConfigError", "ParsedConfig", "parse_config", "main"]
 
 # Upper bound on --points for sweep and bode: larger grids are refused rather
 # than allocated.
 MAX_POINTS = 10**5
+# _write_csv formats this many rows at a time, so that no column is ever held
+# as a whole list of Python floats.
+CSV_BLOCK_ROWS = 4096
 
 
 class ConfigError(Exception):
@@ -159,6 +152,8 @@ def build_gains(pc: ParsedConfig) -> OuterGains:
 
 
 def build_scenario(pc: ParsedConfig, cfg: DobConfig, gains: OuterGains) -> Scenario:
+    from .sim import DisturbancePulse, NoiseSpec, Reference, Scenario
+
     ref_kind = _need(pc, "scenario.reference.type")
     seed_raw = pc.items.get("scenario.seed", "0")
     try:
@@ -234,12 +229,15 @@ def _fmt(value) -> str:
 
 def _write_csv(path: str, header, columns, footer_comments=()):
     """One row per index of the equal-length ``columns``: integer columns as %d,
-    the rest as %.17g (what ``_fmt`` prints)."""
+    the rest as %.17g (what ``_fmt`` prints), formatted ``CSV_BLOCK_ROWS`` at a time."""
     columns = [np.asarray(c) for c in columns]
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    n = len(columns[0])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            block = (c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns)
+            fh.write("".join([row % values for values in zip(*block)]))
         for comment in footer_comments:
             fh.write(f"# {comment}\n")
 
@@ -267,6 +265,9 @@ def _check_points(points: int) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from .robustness import IllPosedIntegralError, bode_integral_discrete, freq_sweep
+    from .stability import constraint_check
+
     pc = load_config(args.config)
     cfg = build_dob_config(pc)
     build_gains(pc)  # validated even though analyze reports the inner loop
@@ -309,6 +310,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .robustness import IllPosedIntegralError, bode_integral_discrete, freq_sweep
+    from .stability import config_for_sweep, root_locus
+
     pc = load_config(args.config)
     cfg = build_dob_config(pc)
     gains = build_gains(pc)
@@ -353,6 +357,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .sim import disturbance_rejection_metrics, simulate
+
     pc = load_config(args.config)
     cfg = build_dob_config(pc)
     gains = build_gains(pc)
@@ -383,6 +389,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bode(args) -> int:
+    from .robustness import IllPosedIntegralError, bode_integral_discrete, freq_sweep
+
     pc = load_config(args.config)
     cfg = build_dob_config(pc)
     gains = build_gains(pc)

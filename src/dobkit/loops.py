@@ -12,6 +12,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .zalg import DomainMismatchError, Polynomial, RationalTF, tf_eval
 
@@ -142,8 +143,7 @@ class OuterGains:
             raise ValueError("K_d must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class LoopSet:
+class LoopSet(NamedTuple):
     """Open loop L, sensitivities S and T, series compensator C, plant model G.
 
     S and T share one denominator polynomial (den(L) + num(L)), so S + T = 1

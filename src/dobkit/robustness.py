@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ class IllPosedIntegralError(ValueError):
     """The sensitivity integral is singular beyond the structural zero at z=1."""
 
 
-@dataclass(frozen=True)
-class BodeIntegralReport:
+class BodeIntegralReport(NamedTuple):
     """Numeric vs analytic value of the ln|S| integral, with grid diagnostics.
 
     ``panels`` counts the trapezoid points on the circle; ``last_difference``
@@ -87,14 +86,12 @@ class BodeIntegralReport:
     last_difference: float
 
 
-@dataclass(frozen=True)
-class Peak:
+class Peak(NamedTuple):
     value: float
     freq: float
 
 
-@dataclass(frozen=True)
-class FreqSweep:
+class FreqSweep(NamedTuple):
     """Magnitude responses of S and T on a frequency grid, with refined peaks."""
 
     freqs: np.ndarray

@@ -12,6 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .loops import DobConfig, MeasurementKind, OuterGains, PlantParams, _locus_pencil
 from .zalg import Polynomial, RationalTF, poly_roots, poly_roots_batch, schur_stable
@@ -40,8 +41,7 @@ class BindingConstraint(enum.Enum):
     POSITION_NON_OSC = "position_non_oscillatory"  # closed-form real-pole bound
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Outcome of the closed-form constraint checks for one configuration.
 
     ``margin`` is the signed distance (rad/s) from alpha*g_dob to the binding
@@ -82,8 +82,7 @@ class PoleClassification:
         )
 
 
-@dataclass(frozen=True)
-class LocusBranch:
+class LocusBranch(NamedTuple):
     """Pole trajectories of the closed outer loop along a parameter sweep."""
 
     param: str

@@ -11,9 +11,9 @@ are kept visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import zip_longest
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
 # its rounding-error bound, of 1.
 SCHUR_EXACT_BAND = 1e-12
 _EPS = 2.0 ** -53  # unit roundoff of a float
+_ETA = math.ulp(0.0)  # the smallest subnormal float
 _REAL_IMAG = attrgetter("real", "imag")  # the order of a RootSet's roots
 
 
@@ -143,12 +144,27 @@ class Polynomial:
         p~ the polynomial with the absolute values of the coefficients
         (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
         section 5.1). A complex product errs by up to sqrt(2)*gamma_2, so
-        each step here counts four roundings: gamma_4n.
+        each step here counts four roundings: gamma_4n. Products that
+        underflow add ``_underflow_bound(r)`` on top (Higham, section 2.1),
+        which keeps the bound above 0 where p~(|x|) underflows.
         """
         acc = 0.0
         for c in reversed(self._c):
             acc = acc * r + abs(c)
-        return self._gamma() * acc
+        return self._gamma() * acc + self._underflow_bound(r)
+
+    def _underflow_bound(self, r: float) -> float:
+        """Bound on the absolute error that underflowing products add to ``self(x)``.
+
+        A real product that underflows errs by up to half the smallest
+        subnormal eta, so the complex product of each of the n Horner steps
+        by up to sqrt(2)*eta; each later step multiplies that error by |x| <= r.
+        2*eta*sum(r**k, k < n) covers the n of them with their roundings.
+        """
+        s = 0.0
+        for _ in range(len(self._c) - 1):
+            s = s * r + 1.0
+        return 2.0 * _ETA * s
 
     def _gamma(self) -> float:
         """gamma_4n for degree n, the factor of p~ in ``rounding_bound``."""
@@ -201,8 +217,7 @@ class Polynomial:
         return f"Polynomial({list(self._c)})"
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     """All complex roots of a polynomial, multiplicity by repetition."""
 
     roots: tuple
@@ -350,12 +365,14 @@ def _polish(p: Polynomial, eigenvalues: list, zeros: int) -> RootSet:
     Each eigenvalue's residual p(x) and the rounding bound of evaluating it
     come from one Horner pass over the pairs (c, |c|) of p's coefficients,
     with the float operations of ``p(x)`` and ``p.rounding_bound(|x|)`` in
-    their order. A root takes Newton steps only while the residual exceeds
-    the bound; the derivative is formed once one does. eigvals lists the
-    second member of a conjugate pair right after the first. With real
-    coefficients, the Horner pass at the second mirrors the one at the first
-    exactly in floats, with the same |p(x)| and bound; so when the first
-    keeps its eigenvalue, the second keeps its own without a pass.
+    their order; the bound's underflow term, which moves it only near the
+    underflow threshold, is formed only for a residual above the rest. A root
+    takes Newton steps only while the residual exceeds the bound; the
+    derivative is formed once one does. eigvals lists the second member of a
+    conjugate pair right after the first. With real coefficients, the Horner
+    pass at the second mirrors the one at the first exactly in floats, with
+    the same |p(x)| and bound; so when the first keeps its eigenvalue, the
+    second keeps its own without a pass.
     """
     pairs = [(a, abs(a)) for a in reversed(p._c)]
     gamma = p._gamma()
@@ -375,7 +392,8 @@ def _polish(p: Polynomial, eigenvalues: list, zeros: int) -> RootSet:
             fx = fx * x0 + a
             bound = bound * r + b
         x = x0
-        if abs(fx) > gamma * bound:
+        bound *= gamma
+        if abs(fx) > bound and abs(fx) > bound + p._underflow_bound(r):
             # A step may not leave x0 for a neighbour's basin: near a multiple
             # root, Newton can lower |p| by jumping to another root.
             reach = 0.5 * min((abs(y - x0) for j, y in enumerate(found) if j != i),

@@ -2,8 +2,11 @@
 the names the benchmark's in-process workers import."""
 import ast
 import importlib
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,48 @@ def test_every_public_name_is_re_exported(module):
     mod = importlib.import_module(f"dobkit.{module}")
     for name in mod.__all__:
         assert getattr(dobkit, name) is getattr(mod, name), name
+
+
+def test_all_lists_every_public_name_of_the_layers():
+    layers = ["zalg", "loops", "robustness", "stability", "sim"]
+    names = [n for m in layers for n in importlib.import_module(f"dobkit.{m}").__all__]
+    assert sorted(dobkit.__all__) == sorted(names)
+    namespace = {}
+    exec("from dobkit import *", namespace)
+    assert {n: namespace[n] for n in dobkit.__all__} == {n: getattr(dobkit, n) for n in names}
+
+
+def _dobkit_imports(cwd, *args) -> set:
+    """The dobkit modules a cold ``python -X importtime`` process imports."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    names = {line.rsplit("|", 1)[-1].strip()
+             for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return {name for name in names if name.split(".")[0] == "dobkit"}
+
+
+def test_bare_import_loads_no_layer(tmp_path):
+    assert _dobkit_imports(tmp_path, "-c", "import dobkit") == {"dobkit"}
+    # a name loads its layer, by an import that -X importtime reports
+    assert _dobkit_imports(tmp_path, "-c", "import dobkit; dobkit.simulate") == {
+        "dobkit", "dobkit.sim", "dobkit.loops", "dobkit.zalg"}
+
+
+@pytest.mark.parametrize("argv, runs, skips", [
+    (["analyze", "case.cfg"], {"robustness", "stability"}, {"sim"}),
+    (["sweep", "case.cfg", "--param", "alpha", "--from", "0.5", "--to", "2", "--points", "3",
+      "--out", "sweep.csv"], {"robustness", "stability"}, {"sim"}),
+    (["bode", "case.cfg", "--points", "16", "--out", "bode.csv"], {"robustness"}, {"sim"}),
+    (["simulate", "case.cfg", "--out", "trace.csv"], {"sim"}, {"robustness", "stability"}),
+], ids=["analyze", "sweep", "bode", "simulate"])
+def test_each_command_loads_only_its_layers(tmp_path, argv, runs, skips):
+    (tmp_path / "case.cfg").write_text(_block("ini"), encoding="utf-8")
+    imported = _dobkit_imports(tmp_path, "-m", "dobkit.cli", *argv)
+    assert {f"dobkit.{m}" for m in {"zalg", "loops", *runs}} <= imported
+    assert imported.isdisjoint(f"dobkit.{m}" for m in skips)
 
 
 def test_benchmark_worker_imports_resolve():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dobkit.loops import LoopSet, OuterGains, make_inner_loop, make_outer_loop, make_pd
@@ -173,6 +173,9 @@ def _conjugate_closed_roots(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_conjugate_closed_roots())
+# p(0) = -5e-324, where gamma * p~(0) underflows to 0: the root at 0 keeps its
+# eigenvalue only because the bound counts underflow
+@example([5e-324 + 0j, 1.25j, -1.25j])
 def test_roots_roundtrip(roots):
     if not _separated(roots):
         return
