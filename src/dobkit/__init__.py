@@ -35,9 +35,8 @@ _LAYERS = {
         "position_non_osc_bound", "root_locus",
     ),
     "zalg": (
-        "DomainMismatchError", "PoleEvaluationError", "Polynomial", "RationalTF",
-        "RootFindingError", "RootSet", "poly_roots", "poly_roots_batch",
-        "schur_stable", "tf_eval",
+        "DomainMismatchError", "Polynomial", "RationalTF", "RootFindingError", "RootSet",
+        "poly_roots", "poly_roots_batch", "schur_stable",
     ),
 }
 _LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}

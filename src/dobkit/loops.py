@@ -5,16 +5,21 @@ Builds the discrete inner loop for the three measurement choices
 the backward-Euler PD position controller and the closed outer loop. Every
 sensitivity/complementary pair is constructed over a shared closed-loop
 denominator so that S + T = 1 holds as an exact polynomial identity.
+
+``classify_compensator`` names C lead or lag by the exact sign of its phase
+slope in the low-frequency limit (theta -> 0). With alpha =
+(J_mn*K_tn)/(J_m*K_t), C leads iff alpha > 1 (acceleration),
+alpha*(1 + g_dob*Ts) > 1 (velocity) or alpha*(g_dob + g_v +
+1.5*g_dob*g_v*Ts) > g_v (position).
 """
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .zalg import DomainMismatchError, Polynomial, RationalTF, tf_eval
+from .zalg import DomainMismatchError, Polynomial, RationalTF
 
 __all__ = [
     "MeasurementKind",
@@ -347,17 +352,41 @@ def _locus_pencil(cfg: DobConfig, gains: OuterGains, param: str) -> tuple:
     return A, B
 
 
-def classify_compensator(cfg: DobConfig) -> str:
-    """Lead/lag/neutral classification of the inner-loop compensator.
+def _sign_of_sum(*products: tuple) -> int:
+    """The exact sign (-1, 0 or 1) of a sum of products of floats.
 
-    Decided by the sign of the compensator phase at a frequency well below
-    Nyquist (omega = 1e-4 * pi / Ts). For the acceleration kind this
-    reduces to alpha > 1, for the velocity kind to alpha > 1/(1 + g_dob*Ts).
+    A float is n/d with d a power of two (``float.as_integer_ratio``), so a
+    product is too, and the terms add over the largest denominator.
     """
-    inner = make_inner_loop(cfg)
-    phase = cmath.phase(tf_eval(inner.C, omega=1e-4 * math.pi / cfg.Ts))
-    if phase > 1e-12:
-        return "lead"
-    if phase < -1e-12:
-        return "lag"
-    return "neutral"
+    terms = []
+    for factors in products:
+        n = d = 1
+        for x in factors:
+            xn, xd = x.as_integer_ratio()
+            n, d = n * xn, d * xd
+        terms.append((n, d))
+    big = max(d for _, d in terms)
+    total = sum(n * (big // d) for n, d in terms)
+    return (total > 0) - (total < 0)
+
+
+def classify_compensator(cfg: DobConfig) -> str:
+    """Lead/lag/neutral class of the inner-loop compensator C = N/D at low frequency.
+
+    It is the sign of C's phase slope as theta -> 0, N'(1) D(1) - N(1) D'(1).
+    With alpha = (J_mn*K_tn)/(J_m*K_t), C leads iff alpha > 1 (acceleration),
+    alpha*(1 + g_dob*Ts) > 1 (velocity) or alpha*(g_dob + g_v +
+    1.5*g_dob*g_v*Ts) > g_v (position). The sign is exact on the float
+    inputs, so "neutral" means an exact zero.
+    """
+    p = cfg.plant
+    nominal, true = (p.J_mn, p.K_tn), (p.J_m, p.K_t)  # alpha = nominal / true
+    g, Ts, g_v = cfg.g_dob, cfg.Ts, cfg.g_v
+    if cfg.kind is MeasurementKind.ACCELERATION:
+        sign = _sign_of_sum(nominal, (-1.0, *true))
+    elif cfg.kind is MeasurementKind.VELOCITY:
+        sign = _sign_of_sum(nominal, (*nominal, g, Ts), (-1.0, *true))
+    else:
+        sign = _sign_of_sum((*nominal, g), (*nominal, g_v), (1.5, *nominal, g, g_v, Ts),
+                            (-1.0, *true, g_v))
+    return ("neutral", "lead", "lag")[sign]  # index -1 is "lag"

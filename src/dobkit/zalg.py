@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "DomainMismatchError",
-    "PoleEvaluationError",
     "RootFindingError",
     "Polynomial",
     "RationalTF",
@@ -27,7 +26,6 @@ __all__ = [
     "poly_roots",
     "poly_roots_batch",
     "schur_stable",
-    "tf_eval",
 ]
 
 # schur_stable decides exactly when a step's |a_0/a_n| is within this, plus
@@ -40,14 +38,6 @@ _REAL_IMAG = attrgetter("real", "imag")  # the order of a RootSet's roots
 
 class DomainMismatchError(ValueError):
     """Discrete and continuous transfer functions were combined."""
-
-
-class PoleEvaluationError(ArithmeticError):
-    """A transfer function was evaluated at (or too close to) one of its poles."""
-
-    def __init__(self, point: complex):
-        self.point = point
-        super().__init__(f"evaluation at pole {point}")
 
 
 class RootFindingError(ArithmeticError):
@@ -472,25 +462,3 @@ def _schur_exact(c: tuple, radius: float) -> bool:
         g = math.gcd(*a)
         a = [x // g for x in a]
     return True
-
-
-def tf_eval(tf: RationalTF, *, omega: float | None = None, at: complex | None = None) -> complex:
-    """Evaluate a transfer function at a frequency or at a raw complex point.
-
-    With ``omega`` (rad/s) the evaluation point is ``exp(1j*omega*ts)`` for a
-    discrete TF and ``1j*omega`` for a continuous one. Raises
-    ``PoleEvaluationError`` when the denominator vanishes at the point.
-    """
-    if (omega is None) == (at is None):
-        raise ValueError("pass exactly one of omega= or at=")
-    if omega is not None:
-        if tf.is_discrete:
-            point = complex(np.exp(1j * omega * tf.ts))
-        else:
-            point = 1j * omega
-    else:
-        point = complex(at)
-    den_val = tf.den(point)
-    if abs(den_val) <= 1e-300:
-        raise PoleEvaluationError(point)
-    return complex(tf.num(point) / den_val)

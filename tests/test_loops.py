@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,9 +22,9 @@ from dobkit.loops import (
     q_filter,
     velocity_estimator,
 )
-from dobkit.zalg import DomainMismatchError, RationalTF, poly_roots, tf_eval
+from dobkit.zalg import DomainMismatchError, RationalTF, poly_roots
 
-from conftest import PARAM_GRID, assert_same_tf, at, degree, make_cfg
+from conftest import PARAM_GRID, assert_same_tf, at, degree, exact_inner_C, make_cfg
 
 ALL_KINDS = list(MeasurementKind)
 
@@ -130,7 +132,7 @@ def test_acceleration_inner_pole():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_sensitivity_vanishes_at_dc(kind):
     inner = make_inner_loop(make_cfg(kind))
-    assert abs(tf_eval(inner.S, omega=0.0)) < 1e-14
+    assert abs(at(inner.S)(1.0)) < 1e-14  # z = exp(j*0*Ts) = 1
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -162,8 +164,8 @@ def test_sensitivity_pair_sums_to_one_exactly_on_generated_loops(kind, alpha, g_
 def test_nyquist_magnitudes():
     inner_v = make_inner_loop(make_cfg("velocity"))
     inner_a = make_inner_loop(make_cfg("acceleration"))
-    assert abs(tf_eval(inner_v.S, at=-1 + 0j)) == pytest.approx(4.0 / 3.0, abs=1e-12)
-    assert abs(tf_eval(inner_a.S, at=-1 + 0j)) == pytest.approx(0.8, abs=1e-12)
+    assert abs(at(inner_v.S)(-1.0)) == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert abs(at(inner_a.S)(-1.0)) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_plant_models_attached_per_kind():
@@ -183,27 +185,89 @@ def test_plant_models_attached_per_kind():
 @pytest.mark.parametrize("alpha,g_dob", [(0.3, 200.0), (1.0, 500.0), (2.5, 700.0)])
 def test_compensator_unity_dc_gain(kind, alpha, g_dob):
     inner = make_inner_loop(make_cfg(kind, alpha=alpha, g_dob=g_dob))
-    assert tf_eval(inner.C, at=1.0 + 0.0j) == pytest.approx(1.0, abs=1e-10)
+    assert at(inner.C)(1.0) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_velocity_phase_lead_condition():
-    # lead exactly when alpha exceeds 1/(1 + g_dob*Ts)
-    g_dob, Ts = 500.0, 1e-3
-    threshold = 1.0 / (1.0 + g_dob * Ts)
-    for alpha in (0.2, 0.5, threshold * 0.98, threshold * 1.02, 1.0, 3.0):
-        cfg = make_cfg("velocity", alpha=alpha, g_dob=g_dob, Ts=Ts)
+def _lead_threshold(kind, g_dob, Ts, g_v):
+    """The alpha above which C leads at low frequency."""
+    if kind is MeasurementKind.ACCELERATION:
+        return 1.0
+    if kind is MeasurementKind.VELOCITY:
+        return 1.0 / (1.0 + g_dob * Ts)
+    return g_v / (g_dob + g_v + 1.5 * g_dob * g_v * Ts)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_phase_lead_condition(kind):
+    # lead exactly when alpha exceeds the kind's closed-form threshold
+    g_dob, Ts, g_v = 500.0, 1e-3, 1000.0
+    threshold = _lead_threshold(kind, g_dob, Ts, g_v)
+    for alpha in (0.2, threshold * 0.98, threshold * 1.02, 3.0):
+        cfg = make_cfg(kind, alpha=alpha, g_dob=g_dob, Ts=Ts, g_v=g_v)
         expected = "lead" if alpha > threshold else "lag"
         assert classify_compensator(cfg) == expected
-        # equivalent statement: compensator zero at lower break frequency
-        (zero,) = poly_roots(make_inner_loop(cfg).C.num).roots
-        (pole,) = poly_roots(make_inner_loop(cfg).C.den).roots
-        assert (zero.real > pole.real) == (alpha > threshold)
+        if kind is not MeasurementKind.POSITION:
+            # equivalent statement for a first-order C: its zero breaks at the
+            # lower frequency
+            (zero,) = poly_roots(make_inner_loop(cfg).C.num).roots
+            (pole,) = poly_roots(make_inner_loop(cfg).C.den).roots
+            assert (zero.real > pole.real) == (alpha > threshold)
 
 
-def test_acceleration_alpha_one_neutral():
-    assert classify_compensator(make_cfg("acceleration", alpha=1.0)) == "neutral"
-    assert classify_compensator(make_cfg("acceleration", alpha=2.0)) == "lead"
-    assert classify_compensator(make_cfg("acceleration", alpha=0.5)) == "lag"
+# One config per kind whose alpha is exactly at its threshold, in floats.
+EXACT_NEUTRAL = {
+    "acceleration": dict(plant=PlantParams.from_alpha(1.0), g_dob=500.0, Ts=1e-3),
+    "velocity": dict(plant=PlantParams.from_alpha(0.5), g_dob=2.0**10, Ts=2.0**-10),
+    # alpha = 2/7, which no float holds
+    "position": dict(plant=PlantParams(J_m=7.0, K_t=1.0, J_mn=2.0, K_tn=1.0),
+                     g_dob=2.0**10, Ts=2.0**-10, g_v=2.0**10),
+}
+
+
+@pytest.mark.parametrize("kind", EXACT_NEUTRAL)
+def test_exact_threshold_is_neutral(kind):
+    cfg = DobConfig(kind=kind, **EXACT_NEUTRAL[kind])
+    assert classify_compensator(cfg) == "neutral"
+    # one ulp of the nominal inertia either way decides the class
+    J_mn = cfg.plant.J_mn
+    for J, expected in ((math.nextafter(J_mn, math.inf), "lead"), (math.nextafter(J_mn, 0.0), "lag")):
+        plant = dataclasses.replace(cfg.plant, J_mn=J)
+        assert classify_compensator(dataclasses.replace(cfg, plant=plant)) == expected
+
+
+def test_fast_sampling_position_compensator_leads():
+    # alpha is 22 times its threshold. The class is the low-frequency limit:
+    # at 1e-4*pi/Ts = 1047 rad/s, among C's corners (g_v = 100 and
+    # g_dob = 1000 rad/s), C's phase is already negative.
+    cfg = make_cfg("position", alpha=2.0, g_dob=1000.0, Ts=3e-7, g_v=100.0)
+    assert cfg.alpha > 22.0 * _lead_threshold(cfg.kind, cfg.g_dob, cfg.Ts, cfg.g_v)
+    assert classify_compensator(cfg) == "lead"
+
+
+def _exact_slope_sign(cfg) -> str:
+    """The class from the sign of N'(1) D(1) - N(1) D'(1) of the exact C = N/D."""
+    N, D = exact_inner_C(cfg)
+    slope = lambda c: sum(k * x for k, x in enumerate(c))  # d/dz at z = 1
+    s = slope(N) * sum(D) - sum(N) * slope(D)
+    return "lead" if s > 0 else "lag" if s < 0 else "neutral"
+
+
+def test_compensator_class_is_the_exact_model_slope_sign():
+    # half of the configs lie within 1e-3 relative of the threshold, down to
+    # 1e-15, where the class turns on the last bits of the inputs
+    rng = random.Random(20240)
+    log_uniform = lambda lo, hi: math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    for i in range(3000):
+        kind = ALL_KINDS[i % 3]
+        g_dob, Ts, g_v = log_uniform(50.0, 5e3), log_uniform(1e-7, 1e-2), log_uniform(100.0, 1e4)
+        if i % 2:
+            offset = math.copysign(10.0 ** rng.uniform(-15.0, -3.0), rng.random() - 0.5)
+            alpha = _lead_threshold(kind, g_dob, Ts, g_v) * (1.0 + offset)
+        else:
+            alpha = log_uniform(0.1, 10.0)
+        cfg = make_cfg(kind, alpha=alpha, g_dob=g_dob, Ts=Ts, g_v=g_v,
+                       J_m=log_uniform(1e-4, 1e-1), K_t=log_uniform(0.05, 5.0))
+        assert classify_compensator(cfg) == _exact_slope_sign(cfg), cfg
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +287,7 @@ def test_continuous_pole_location():
 
 def test_continuous_high_frequency_sensitivity():
     loop = make_continuous_inner(PlantParams.from_alpha(1.0), 500.0)
-    assert abs(tf_eval(loop.S, omega=1e9)) == pytest.approx(1.0, abs=1e-6)
+    assert abs(at(loop.S)(1e9j)) == pytest.approx(1.0, abs=1e-6)  # s = j*omega
 
 
 @pytest.mark.parametrize("value", [*NON_FINITE, 0.0, -1.0])
@@ -260,7 +324,7 @@ def test_pd_pure_proportional():
 
 def test_pd_dc_gain_is_kp():
     pd = make_pd(OuterGains(K_p=5000.0, K_d=25.0), 1e-3)
-    assert tf_eval(pd, at=1.0 + 0.0j) == pytest.approx(5000.0, rel=1e-12)
+    assert at(pd)(1.0) == pytest.approx(5000.0, rel=1e-12)
 
 
 def test_pd_closed_form_coefficients():
@@ -285,7 +349,7 @@ def test_pd_rejects_non_finite_sampling_time(value):
 def test_outer_sensitivity_vanishes_at_dc(kind):
     inner = make_inner_loop(make_cfg(kind))
     outer = make_outer_loop(inner, make_pd(OuterGains(K_p=5000.0, K_d=25.0), 1e-3))
-    assert abs(tf_eval(outer.S, omega=0.0)) < 1e-12
+    assert abs(at(outer.S)(1.0)) < 1e-12  # z = exp(j*0*Ts) = 1
 
 
 def test_outer_loop_alpha_one_acceleration_reduces_to_pd_plant():

@@ -34,16 +34,20 @@ def test_all_lists_every_public_name_of_the_layers():
     assert {n: namespace[n] for n in dobkit.__all__} == {n: getattr(dobkit, n) for n in names}
 
 
-def _dobkit_imports(cwd, *args) -> set:
-    """The dobkit modules a cold ``python -X importtime`` process imports."""
+def _imports(cwd, *args) -> set:
+    """The modules a cold ``python -X importtime`` process imports."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    names = {line.rsplit("|", 1)[-1].strip()
-             for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    return {name for name in names if name.split(".")[0] == "dobkit"}
+    return {line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def _dobkit_imports(cwd, *args) -> set:
+    """The dobkit modules a cold ``python -X importtime`` process imports."""
+    return {name for name in _imports(cwd, *args) if name.split(".")[0] == "dobkit"}
 
 
 def test_bare_import_loads_no_layer(tmp_path):
@@ -62,9 +66,12 @@ def test_bare_import_loads_no_layer(tmp_path):
 ], ids=["analyze", "sweep", "bode", "simulate"])
 def test_each_command_loads_only_its_layers(tmp_path, argv, runs, skips):
     (tmp_path / "case.cfg").write_text(_block("ini"), encoding="utf-8")
-    imported = _dobkit_imports(tmp_path, "-m", "dobkit.cli", *argv)
+    imported = _imports(tmp_path, "-m", "dobkit.cli", *argv)
     assert {f"dobkit.{m}" for m in {"zalg", "loops", *runs}} <= imported
     assert imported.isdisjoint(f"dobkit.{m}" for m in skips)
+    # exact arithmetic runs on ints: fractions and decimal would add about
+    # 2.5 ms of imports to every cold command
+    assert imported.isdisjoint({"fractions", "decimal"})
 
 
 def test_benchmark_worker_imports_resolve():

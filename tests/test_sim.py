@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -32,9 +33,9 @@ from dobkit.sim import (
     simulate_linear_oracle,
 )
 from dobkit.stability import bisect_threshold
-from dobkit.zalg import RationalTF, tf_eval
+from dobkit.zalg import RationalTF
 
-from conftest import make_cfg
+from conftest import at, make_cfg
 
 ALL_KINDS = list(MeasurementKind)
 
@@ -247,9 +248,8 @@ def test_sinusoid_tracking_error_matches_sensitivity_prediction():
     outer = make_outer_loop(inner, make_pd(REG_GAINS, cfg.Ts))
     gp = discrete_position_plant(cfg.Ts)
     # e = S_out*(1 + w^2 * C_in * G_pos) applied to the reference sinusoid
-    h = tf_eval(outer.S, omega=freq) * (
-        1.0 + freq**2 * tf_eval(inner.C, omega=freq) * tf_eval(gp, omega=freq)
-    )
+    z = cmath.exp(1j * freq * cfg.Ts)
+    h = at(outer.S)(z) * (1.0 + freq**2 * at(inner.C)(z) * at(gp)(z))
     predicted = 0.1 * abs(h)
     tail = slice(-int(round(2 * math.pi / freq / cfg.Ts)), None)
     measured = np.max(np.abs(trace.q_ref[tail] - trace.q[tail]))

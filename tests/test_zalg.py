@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dobkit.loops import LoopSet, OuterGains, make_inner_loop, make_outer_loop, make_pd
 from dobkit.zalg import (
     DomainMismatchError,
-    PoleEvaluationError,
     Polynomial,
     RationalTF,
     RootFindingError,
@@ -16,7 +15,6 @@ from dobkit.zalg import (
     poly_roots,
     poly_roots_batch,
     schur_stable,
-    tf_eval,
 )
 
 from conftest import assert_same_tf, at, make_cfg
@@ -399,36 +397,10 @@ def test_schur_never_stable_on_non_finite_coefficients(coeffs):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def test_eval_at_pole_raises():
-    tf = RationalTF([1.0], [-0.5, 1.0], 1e-3)
-    with pytest.raises(PoleEvaluationError) as err:
-        tf_eval(tf, at=0.5 + 0.0j)
-    assert err.value.point == 0.5 + 0.0j
-
-
-def test_eval_requires_exactly_one_point():
-    tf = RationalTF([1.0], [1.0, 1.0], None)
-    with pytest.raises(ValueError):
-        tf_eval(tf)
-    with pytest.raises(ValueError):
-        tf_eval(tf, omega=1.0, at=1.0 + 0.0j)
-
-
-def test_discrete_frequency_is_unit_circle():
-    tf = RationalTF([0.0, 1.0], [1.0], 1e-3)  # H(z) = z
-    val = tf_eval(tf, omega=math.pi / (2 * 1e-3))
-    assert abs(val - 1j) < 1e-12
-
-
 @pytest.mark.parametrize("ts", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
 def test_sampling_time_must_be_finite_and_positive(ts):
     with pytest.raises(ValueError, match="sampling time"):
         RationalTF([1.0], [1.0], ts)
-
-
-def test_continuous_frequency_is_imaginary_axis():
-    tf = RationalTF([0.0, 1.0], [1.0], None)  # H(s) = s
-    assert abs(tf_eval(tf, omega=3.0) - 3j) < 1e-15
 
 
 @settings(max_examples=100, deadline=None)
@@ -442,13 +414,11 @@ def test_conjugate_symmetry(num, den, theta):
     if den_p.is_zero:
         return
     tf = RationalTF(num, den_p, 1e-3)
-    omega = theta * math.pi / 1e-3
     z = complex(np.exp(1j * theta * math.pi))
     if abs(tf.den(z)) < 1e-6:
         return
-    assert tf_eval(tf, omega=-omega) == pytest.approx(
-        tf_eval(tf, omega=omega).conjugate(), rel=1e-12, abs=1e-12
-    )
+    value = at(tf)
+    assert value(z.conjugate()) == pytest.approx(value(z).conjugate(), rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -463,8 +433,8 @@ def test_series_evaluation_is_multiplicative(num_a, num_b, re, im):
     b = RationalTF(num_b, [2.0, -0.3, 1.0], 1e-3)
     point = complex(re, im)
     prod = a * b
-    lhs = tf_eval(prod, at=point)
-    rhs = tf_eval(a, at=point) * tf_eval(b, at=point)
+    lhs = at(prod)(point)
+    rhs = at(a)(point) * at(b)(point)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
