@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .zalg import DomainMismatchError, Polynomial, RationalTF
+from .zalg import DomainMismatchError, Polynomial, RationalTF, _sign_of_sum
 
 __all__ = [
     "MeasurementKind",
@@ -350,24 +350,6 @@ def _locus_pencil(cfg: DobConfig, gains: OuterGains, param: str) -> tuple:
         if not poly.is_finite:
             raise OverflowError(f"locus pencil coefficients overflow: {poly!r}")
     return A, B
-
-
-def _sign_of_sum(*products: tuple) -> int:
-    """The exact sign (-1, 0 or 1) of a sum of products of floats.
-
-    A float is n/d with d a power of two (``float.as_integer_ratio``), so a
-    product is too, and the terms add over the largest denominator.
-    """
-    terms = []
-    for factors in products:
-        n = d = 1
-        for x in factors:
-            xn, xd = x.as_integer_ratio()
-            n, d = n * xn, d * xd
-        terms.append((n, d))
-    big = max(d for _, d in terms)
-    total = sum(n * (big // d) for n, d in terms)
-    return (total > 0) - (total < 0)
 
 
 def classify_compensator(cfg: DobConfig) -> str:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .loops import LoopSet
-from .zalg import Polynomial, poly_roots
+from .zalg import UNIT_CIRCLE_TOL, Polynomial, poly_roots
 
 __all__ = [
     "IllPosedIntegralError",
@@ -48,8 +48,6 @@ __all__ = [
     "freq_sweep",
 ]
 
-# Pole-on-circle detection tolerance.
-CIRCLE_TOL = 1e-9
 # Trapezoid rule: first point count, agreement of two successive estimates
 # relative to max(1, |estimate|), and the point count that raises.
 TRAPEZOID_START = 64
@@ -121,7 +119,7 @@ def _singular_points(loop: LoopSet, at: float, image, where: str):
             z = image(p)
             if z is None:
                 continue
-            if abs(abs(z) - 1.0) < CIRCLE_TOL:
+            if abs(abs(z) - 1.0) < UNIT_CIRCLE_TOL:
                 raise IllPosedIntegralError(f"sensitivity {what} on the {where}: {p}")
             images.append(z)
     return open_loop_poles, images
@@ -172,10 +170,17 @@ class _Factored:
 
 
 def _circle_points(theta: np.ndarray, den: Polynomial) -> tuple:
-    """sin(theta/2), w = z - 1 and |den(w)| over an array of angles, once for S and T."""
+    """sin(theta/2), w = z - 1 and |den(w)| over an array of angles, once for S and T.
+
+    Raises ``OverflowError`` when |den(w)| is not finite at some angle.
+    """
     h = np.sin(0.5 * theta)
     w = -2.0 * h * h + 1j * np.sin(theta)
-    return h, w, np.abs(den(w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.abs(den(w))
+    if not np.isfinite(d).all():
+        raise OverflowError("|den(L) + num(L)| is not finite on the unit circle")
+    return h, w, d
 
 
 def _sensitivity(loop: LoopSet) -> _Factored:
@@ -362,7 +367,7 @@ def bode_integral_discrete(loop: LoopSet) -> BodeIntegralReport:
     psi = L.limit_at_infinity()
     if abs(1.0 + psi) == 0.0:
         raise IllPosedIntegralError("1 + lim L vanishes")
-    unstable = sum(math.log(abs(p)) for p in open_loop_poles if abs(p) > 1.0 + CIRCLE_TOL)
+    unstable = sum(math.log(abs(p)) for p in open_loop_poles if abs(p) > 1.0 + UNIT_CIRCLE_TOL)
     analytic = 2.0 * math.pi * (unstable - math.log(abs(1.0 + psi)))
 
     return BodeIntegralReport(
@@ -482,7 +487,9 @@ def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
 
     Both come from the factored form about z = 1 over the one shifted
     den(L) + num(L): S with its m zeros there, T = num(L) / (den(L) + num(L))
-    with none. In z the terms of that denominator cancel near z = 1.
+    with none. In z the terms of that denominator cancel near z = 1. Raises
+    ``OverflowError`` when a grid frequency theta/Ts or |den(w)| on the grid
+    is not finite.
     """
     if not loop.L.is_discrete:
         raise ValueError("discrete loop required")
@@ -490,6 +497,8 @@ def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
         raise ValueError("need at least 16 points")
     thetas = _sweep_angles(n_points)
     ts = loop.ts
+    if not math.pi / ts < math.inf:  # the largest grid frequency
+        raise OverflowError(f"sweep frequency pi/Ts overflows at Ts = {ts!r}")
     fs = _sensitivity(loop)
     ft = _Factored(loop.T.num, 0, fs.den)
     circle = _circle_points(thetas, fs.den)

@@ -15,7 +15,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .loops import DobConfig, MeasurementKind, OuterGains, PlantParams, _locus_pencil
-from .zalg import Polynomial, RationalTF, poly_roots, poly_roots_batch, schur_stable
+from .zalg import (UNIT_CIRCLE_TOL, Polynomial, RationalTF, poly_roots, poly_roots_batch,
+                   schur_stable)
 
 __all__ = [
     "BindingConstraint",
@@ -29,10 +30,6 @@ __all__ = [
     "root_locus",
     "bisect_threshold",
 ]
-
-# Poles within this distance of the unit circle count as NOT inside (conservative).
-UNIT_CIRCLE_TOL = 1e-9
-
 
 class BindingConstraint(enum.Enum):
     NONE = "none"

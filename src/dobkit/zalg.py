@@ -28,9 +28,8 @@ __all__ = [
     "schur_stable",
 ]
 
-# schur_stable decides exactly when a step's |a_0/a_n| is within this, plus
-# its rounding-error bound, of 1.
-SCHUR_EXACT_BAND = 1e-12
+# A pole within this distance of the unit circle counts as on it, so not inside.
+UNIT_CIRCLE_TOL = 1e-9
 _EPS = 2.0 ** -53  # unit roundoff of a float
 _ETA = math.ulp(0.0)  # the smallest subnormal float
 _REAL_IMAG = attrgetter("real", "imag")  # the order of a RootSet's roots
@@ -414,51 +413,43 @@ def schur_stable(poly: Polynomial, radius: float = 1.0) -> bool:
     The Schur-Cohn recursion (Jury 1964): with ``a`` the coefficients of
     p(radius * z), p is stable iff ``|a_0| < |a_n|`` and
     ``(a_n p - a_0 p~) / z`` is stable, p~ the reversed polynomial. It runs
-    on floats with a running bound on their rounding error, and is repeated
-    on exact integers proportional to the stored coefficients when some
-    step's ``|a_0 / a_n|`` is within ``SCHUR_EXACT_BAND`` plus twice that
-    bound of 1. So a verdict at the circle is the one for the polynomial as
-    stored: a root on the circle, a double one included, is not stable. A
-    constant is stable; the zero polynomial is not, nor is any polynomial
-    with a non-finite coefficient.
+    on integers proportional to the stored ``c_k * radius**k``, each step
+    divided by the gcd of its coefficients, so the verdict is exact for the
+    polynomial as stored: a root on the circle, a double one included, is
+    not stable. A constant is stable; the zero polynomial is not, nor is any
+    polynomial with a non-finite coefficient.
     """
-    c = poly._c
     if poly.is_zero or not poly.is_finite or not 0.0 < radius < math.inf:
         return False
-    if radius == 1.0:
-        a, err = list(c), 0.0  # err bounds the rounding error of every a_k
-    else:
-        a = [x * radius ** k for k, x in enumerate(c)]
-        err = len(a) * _EPS * max(map(abs, a))
-    while len(a) > 1:
-        an = abs(a[-1])
-        if an == 0.0:  # the leading coefficient underflowed
-            return _schur_exact(c, radius)
-        rho = a[0] / a[-1]
-        r = abs(rho)
-        rho_err = (1.0 + r) * err / an + _EPS * r
-        # within the band of 1, or inf or NaN after an overflow: decide exactly
-        if not abs(r - 1.0) > SCHUR_EXACT_BAND + 2.0 * rho_err:
-            return _schur_exact(c, radius)
-        if r > 1.0:
-            return False
-        err = (1.0 + r) * err + (rho_err + 3.0 * _EPS) * max(map(abs, a))
-        a = [a[k + 1] - rho * a[-2 - k] for k in range(len(a) - 1)]
-    return True
-
-
-def _schur_exact(c: tuple, radius: float) -> bool:
-    """The Schur-Cohn recursion on integers proportional to ``c[k] * radius**k``."""
-    rn, rd = radius.as_integer_ratio()
-    scaled = [(n * rn ** k, d * rd ** k)
-              for k, (n, d) in enumerate(x.as_integer_ratio() for x in c)]
-    den = math.lcm(*(d for _, d in scaled))
-    a = [n * (den // d) for n, d in scaled]
+    a = _exact_products((x,) + (radius,) * k for k, x in enumerate(poly._c))
     while len(a) > 1:
         a0, an = a[0], a[-1]
         if abs(a0) >= abs(an):
             return False
         a = [an * a[k + 1] - a0 * a[-2 - k] for k in range(len(a) - 1)]
-        g = math.gcd(*a)
+        g = math.gcd(*a)  # >= 1: the new leading coefficient is an**2 - a0**2 > 0
         a = [x // g for x in a]
     return True
+
+
+def _sign_of_sum(*products: tuple) -> int:
+    """The exact sign (-1, 0 or 1) of a sum of products of floats."""
+    total = sum(_exact_products(products))
+    return (total > 0) - (total < 0)
+
+
+def _exact_products(products) -> list:
+    """Integers proportional, by one positive factor, to the product of each tuple of floats.
+
+    A float is n/d with d a power of two (``float.as_integer_ratio``), so a
+    product is too, and all of them go over the largest denominator.
+    """
+    ratios = []
+    for factors in products:
+        n = d = 1
+        for x in factors:
+            xn, xd = x.as_integer_ratio()
+            n, d = n * xn, d * xd
+        ratios.append((n, d))
+    big = max(d for _, d in ratios)
+    return [n * (big // d) for n, d in ratios]

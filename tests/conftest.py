@@ -107,3 +107,26 @@ def exact_inner_C(cfg: DobConfig) -> tuple:
         b = alpha * Ts * Ts / 2 * g_v * g
         num_L, den_L = [b, b], _mul(integrator, V)
     return _mul([alpha], _mul([F(-1), 1 + g * Ts], V)), _add(den_L, num_L)
+
+
+def exact_schur(coeffs, radius: float = 1.0) -> bool:
+    """True iff every root of sum c_k x**k lies strictly inside |x| < radius, in exact rationals.
+
+    Jury's stability recursion on p(radius*x) with a_k = c_k * radius**k, every
+    float taken as an exact rational: the reflection coefficient k = a_0/a_n
+    must satisfy |k| < 1, and the next polynomial is (p - k*p~)/x, p~ the
+    reversed polynomial, with coefficients a_{j+1} - k*a_{n-1-j}. A constant
+    is stable unless it is zero.
+    """
+    r = Fraction(radius)
+    a = [Fraction(c) * r**k for k, c in enumerate(coeffs)]
+    while a and a[-1] == 0:
+        a.pop()
+    if not a:
+        return False
+    while len(a) > 1:
+        k = a[0] / a[-1]
+        if abs(k) >= 1:
+            return False
+        a = [a[j + 1] - k * a[len(a) - 2 - j] for j in range(len(a) - 1)]
+    return True

@@ -469,13 +469,32 @@ def test_sweep_value_the_library_rejects_is_a_config_error(tmp_path, capsys, par
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_numerical_failure_exit_one(tmp_path, capsys):
-    # finite and positive, yet the position-loop coefficients overflow
-    text = BASE.replace("dob.kind = velocity", "dob.kind = position\ndob.g_v = 750")
-    code = main(["analyze", _write(tmp_path, text.replace("dob.Ts = 0.001", "dob.Ts = 1e300"))])
+_POSITION = BASE.replace("dob.kind = velocity", "dob.kind = position\ndob.g_v = 750")
+_TINY_TS = BASE.replace("dob.Ts = 0.001", "dob.Ts = 5e-324")
+_OPTIONS = {"analyze": [], "bode": ["--out", "b.csv"],
+            "sweep": ["--param", "alpha", "--from", "0.5", "--to", "8", "--points", "4",
+                      "--out", "s.csv"]}
+
+
+# Each input is finite and positive, yet the numerics overflow: the
+# position-loop coefficients at Ts = 1e300, the sweep frequencies pi/Ts at
+# Ts = 5e-324, and |den(L) + num(L)| on the unit circle at g_v = 1e300.
+@pytest.mark.parametrize("command, text", [
+    ("analyze", _POSITION.replace("dob.Ts = 0.001", "dob.Ts = 1e300")),
+    ("analyze", _TINY_TS),
+    ("sweep", _TINY_TS),
+    ("bode", _TINY_TS),
+    ("bode", _POSITION.replace("dob.Ts = 0.001", "dob.Ts = 2").replace("750", "1e300")),
+], ids=["analyze-position-Ts-1e300", "analyze-Ts-5e-324", "sweep-Ts-5e-324", "bode-Ts-5e-324",
+        "bode-position-g_v-1e300"])
+def test_numerical_failure_exit_one(tmp_path, capsys, monkeypatch, command, text):
+    monkeypatch.chdir(tmp_path)
+    code = main([command, _write(tmp_path, text), *_OPTIONS[command]])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("numerical error:")
+    assert err.count("\n") == 1  # that line alone
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_sweep_numerical_failure_exit_one(tmp_path, capsys):

@@ -272,6 +272,28 @@ def test_velocity_and_position_loci_exit(locus_gains):
         assert 0.01 < branch.exit_value < 100.0
 
 
+# float.hex of root_locus(...).exit_value on the criterion-9 sweeps: alpha over
+# geomspace(0.01, 100, 41) and g_dob over 500 times that grid, from g_dob = 500,
+# Ts = 1 ms, g_v = 1000 (position), K_p = 5000, K_d = 25. Every bisection step
+# is a schur_stable verdict, so a verdict that moves moves a bit here.
+LOCUS_EXIT_HEX = {
+    ("acceleration", "alpha"): None,
+    ("acceleration", "g_dob"): None,
+    ("velocity", "alpha"): "0x1.fffffa3d896b6p+1",
+    ("velocity", "g_dob"): "0x1.f3fffa6018332p+10",
+    ("position", "alpha"): "0x1.c93e162884f17p+1",
+    ("position", "g_dob"): "0x1.c66907db2fcbcp+10",
+}
+
+
+@pytest.mark.parametrize("kind, param", LOCUS_EXIT_HEX)
+def test_locus_exit_is_pinned_to_the_bit(locus_gains, kind, param):
+    base = make_cfg(kind, alpha=1.0, g_dob=500.0, Ts=1e-3, g_v=1000.0)
+    values = np.geomspace(0.01, 100.0, 41) * (1.0 if param == "alpha" else 500.0)
+    exit_value = root_locus(base, locus_gains, param, values).exit_value
+    assert (None if exit_value is None else exit_value.hex()) == LOCUS_EXIT_HEX[(kind, param)]
+
+
 def test_velocity_exit_matches_marginal_inner_pole(locus_gains):
     # the inner velocity pole reaches the circle at alpha*g_dob*Ts = 2
     base = make_cfg("velocity", alpha=1.0, g_dob=500.0, Ts=1e-3)

@@ -11,13 +11,12 @@ from dobkit.zalg import (
     Polynomial,
     RationalTF,
     RootFindingError,
-    _schur_exact,
     poly_roots,
     poly_roots_batch,
     schur_stable,
 )
 
-from conftest import assert_same_tf, at, make_cfg
+from conftest import assert_same_tf, at, exact_schur, make_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +349,11 @@ def _roots_near_the_circle(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_roots_near_the_circle(), st.floats(1e-3, 1e3), st.sampled_from([1.0, 1.0 - 1e-9]))
-def test_schur_float_recursion_matches_the_exact_one(roots, leading, radius):
-    # The exact recursion on the stored coefficients is the reference: the
-    # float one must either agree with it or hand the verdict over to it.
+def test_schur_matches_the_rational_recursion_near_the_circle(roots, leading, radius):
+    # Jury's recursion in exact rationals on the stored coefficients is the
+    # reference, down to roots 1e-14 off the circle and repeated ones.
     p = Polynomial(leading * np.poly(roots)[::-1])
-    assert schur_stable(p, radius) == _schur_exact(tuple(p.coeffs.tolist()), radius)
+    assert schur_stable(p, radius) == exact_schur(p.coeffs.tolist(), radius)
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -368,6 +367,21 @@ def test_schur_float_recursion_matches_the_exact_one(roots, leading, radius):
 ])
 def test_schur_roots_on_the_circle_are_not_stable(coeffs):
     assert not schur_stable(Polynomial(coeffs))
+    assert not exact_schur(coeffs)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -1000, 2.0 ** 1000])
+@pytest.mark.parametrize("coeffs", [
+    [-0.5, 1.0],
+    [1.0, 2.0, 1.0],
+    [-(1.0 - 2.0 ** -52), 0.0, 1.0],
+    [0.3, -0.2, 0.6, 1.0],
+])
+def test_schur_verdict_does_not_depend_on_the_scale(coeffs, scale):
+    # coefficients near underflow and overflow, every one scaled exactly
+    want = exact_schur(coeffs)
+    assert schur_stable(Polynomial(coeffs)) == want
+    assert schur_stable(Polynomial([c * scale for c in coeffs])) == want
 
 
 def test_schur_decides_at_the_last_bit():
