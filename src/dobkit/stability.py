@@ -90,9 +90,16 @@ class LocusBranch(NamedTuple):
 
 
 def position_non_osc_bound(g_v: float, Ts: float) -> float:
-    """Largest alpha*g_dob keeping both position-loop poles real inside (0, 1)."""
-    gvTs = g_v * Ts
-    return 6.0 / Ts + (8.0 - math.sqrt(32.0 * (2.0 + gvTs) * (1.0 + gvTs))) / (g_v * Ts * Ts)
+    """Largest alpha*g_dob keeping both position-loop poles real inside (0, 1).
+
+    With u = g_v*Ts and r = sqrt(1 + 1.5u + 0.5u**2), it is
+    g_v ((9 + 3u)/(1 + r) - 4)/(1 + r): the closed form
+    6/Ts + (8 - 8r)/(g_v Ts**2) rearranged so that no near-equal terms
+    cancel as u -> 0, where it tends to g_v/4.
+    """
+    u = g_v * Ts
+    r = math.sqrt(1.0 + 1.5 * u + 0.5 * u * u)
+    return g_v * ((9.0 + 3.0 * u) / (1.0 + r) - 4.0) / (1.0 + r)
 
 
 def constraint_check(cfg: DobConfig) -> StabilityVerdict:

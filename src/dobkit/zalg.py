@@ -30,8 +30,6 @@ __all__ = [
 
 # A pole within this distance of the unit circle counts as on it, so not inside.
 UNIT_CIRCLE_TOL = 1e-9
-_EPS = 2.0 ** -53  # unit roundoff of a float
-_ETA = math.ulp(0.0)  # the smallest subnormal float
 _REAL_IMAG = attrgetter("real", "imag")  # the order of a RootSet's roots
 
 
@@ -126,40 +124,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def rounding_bound(self, r: float) -> float:
-        """Bound on the rounding error of ``self(x)`` for complex x with |x| <= r.
-
-        Horner's rule in real arithmetic errs by at most gamma_2n * p~(|x|),
-        p~ the polynomial with the absolute values of the coefficients
-        (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
-        section 5.1). A complex product errs by up to sqrt(2)*gamma_2, so
-        each step here counts four roundings: gamma_4n. Products that
-        underflow add ``_underflow_bound(r)`` on top (Higham, section 2.1),
-        which keeps the bound above 0 where p~(|x|) underflows.
-        """
-        acc = 0.0
-        for c in reversed(self._c):
-            acc = acc * r + abs(c)
-        return self._gamma() * acc + self._underflow_bound(r)
-
-    def _underflow_bound(self, r: float) -> float:
-        """Bound on the absolute error that underflowing products add to ``self(x)``.
-
-        A real product that underflows errs by up to half the smallest
-        subnormal eta, so the complex product of each of the n Horner steps
-        by up to sqrt(2)*eta; each later step multiplies that error by |x| <= r.
-        2*eta*sum(r**k, k < n) covers the n of them with their roundings.
-        """
-        s = 0.0
-        for _ in range(len(self._c) - 1):
-            s = s * r + 1.0
-        return 2.0 * _ETA * s
-
-    def _gamma(self) -> float:
-        """gamma_4n for degree n, the factor of p~ in ``rounding_bound``."""
-        k = 4 * (len(self._c) - 1) * _EPS
-        return k / (1.0 - k)
-
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial._of([a + b for a, b in zip_longest(self._c, other._c, fillvalue=0.0)])
@@ -184,11 +148,6 @@ class Polynomial:
         return Polynomial._of(out)
 
     __rmul__ = __mul__
-
-    def derivative(self) -> "Polynomial":
-        if self.degree < 1:
-            return Polynomial.zero()
-        return Polynomial._of([a * k for k, a in enumerate(self._c) if k])
 
     def shifted(self, a: float) -> "Polynomial":
         """Taylor coefficients about ``a``: returns q with p(x) = sum q[k] (x-a)^k."""
@@ -248,10 +207,6 @@ class RationalTF:
     def constant(cls, value: float, ts: float | None) -> "RationalTF":
         return cls([float(value)], [1.0], ts)
 
-    @classmethod
-    def one(cls, ts: float | None) -> "RationalTF":
-        return cls.constant(1.0, ts)
-
     # -- queries ------------------------------------------------------------
     @property
     def is_discrete(self) -> bool:
@@ -287,7 +242,7 @@ class RationalTF:
 # ---------------------------------------------------------------------------
 
 def poly_roots(p: Polynomial) -> RootSet:
-    """All complex roots via companion-matrix eigenvalues plus Newton polish.
+    """All complex roots of ``p``: the eigenvalues of its companion matrix.
 
     The batch of one of ``poly_roots_batch``, which documents the method.
     """
@@ -302,14 +257,15 @@ def poly_roots_batch(polys) -> list:
     matrices of one size are stacked and go through a single
     ``np.linalg.eigvals`` call, which gives each matrix the eigenvalues it
     gets alone, so a polynomial's roots do not depend on the rest of the
-    batch. Complex roots come in exact conjugate pairs: the eigenvalues of a
-    real companion matrix do, and the polish treats both members of a pair
-    alike. Newton polishes a root only while its residual |p(x)| exceeds the
-    rounding error of evaluating p there (``Polynomial.rounding_bound``), for
-    at most three steps, each within half the distance to the nearest other
-    eigenvalue. Raises ``RootFindingError``, before any eigensolve, for a
-    degree < 1 or a non-finite coefficient anywhere in the batch, and when
-    the eigenvalues cannot be computed (say, a companion row overflows).
+    batch. The eigenvalues are the roots, as eigvals gives them: they are
+    backward stable (Edelman and Murakami, Math. Comp. 64, 1995), so no
+    Newton polish follows. Complex roots come in exact conjugate pairs, as a
+    real eigensolver gives the eigenvalues of a real matrix. The residual is
+    the largest |p(x)| over the roots, each from one Horner pass of
+    ``Polynomial.__call__``. Raises ``RootFindingError``, before any
+    eigensolve, for a degree < 1 or a non-finite coefficient anywhere in the
+    batch, and when the eigenvalues cannot be computed (say, a companion row
+    overflows).
     """
     polys = tuple(polys)
     zeros, by_size = [], {}
@@ -345,66 +301,14 @@ def poly_roots_batch(polys) -> list:
                     eigs[i] = w
         except np.linalg.LinAlgError as exc:
             raise RootFindingError(f"companion eigenvalues failed: {exc}") from exc
-    return [_polish(p, w, k) for p, w, k in zip(polys, eigs, zeros)]
-
-
-def _polish(p: Polynomial, eigenvalues: list, zeros: int) -> RootSet:
-    """Newton-polish the companion eigenvalues of ``p``; add its ``zeros`` roots at 0.
-
-    Each eigenvalue's residual p(x) and the rounding bound of evaluating it
-    come from one Horner pass over the pairs (c, |c|) of p's coefficients,
-    with the float operations of ``p(x)`` and ``p.rounding_bound(|x|)`` in
-    their order; the bound's underflow term, which moves it only near the
-    underflow threshold, is formed only for a residual above the rest. A root
-    takes Newton steps only while the residual exceeds the bound; the
-    derivative is formed once one does. eigvals lists the second member of a
-    conjugate pair right after the first. With real coefficients, the Horner
-    pass at the second mirrors the one at the first exactly in floats, with
-    the same |p(x)| and bound; so when the first keeps its eigenvalue, the
-    second keeps its own without a pass.
-    """
-    pairs = [(a, abs(a)) for a in reversed(p._c)]
-    gamma = p._gamma()
-    n = len(eigenvalues)
-    found = [complex(x) for x in eigenvalues] + [0j] * zeros
-    dp = None
-    polished = []
-    residual = 0.0
-    for i, x0 in enumerate(found[:n]):
-        if i and x0.imag < 0.0 and x0 == found[i - 1].conjugate() == polished[-1].conjugate():
-            # the second member of a pair whose first kept its eigenvalue
-            polished.append(x0)
-            continue
-        r = abs(x0)
-        fx = bound = 0.0
-        for a, b in pairs:
-            fx = fx * x0 + a
-            bound = bound * r + b
-        x = x0
-        bound *= gamma
-        if abs(fx) > bound and abs(fx) > bound + p._underflow_bound(r):
-            # A step may not leave x0 for a neighbour's basin: near a multiple
-            # root, Newton can lower |p| by jumping to another root.
-            reach = 0.5 * min((abs(y - x0) for j, y in enumerate(found) if j != i),
-                              default=math.inf)
-            if dp is None:
-                dp = p.derivative()
-            for _ in range(3):
-                dfx = dp(x)
-                if dfx == 0.0:
-                    break
-                x2 = x - fx / dfx
-                fx2 = p(x2)
-                if abs(fx2) >= abs(fx) or not abs(x2 - x0) < reach:
-                    break
-                x, fx = x2, fx2
-                if abs(fx) <= p.rounding_bound(abs(x)):
-                    break
-        polished.append(x)
-        residual = max(residual, abs(fx))
-    polished += found[n:]
-    polished.sort(key=_REAL_IMAG)
-    return RootSet(tuple(polished), residual)
+    sets = []
+    for p, w, k in zip(polys, eigs, zeros):
+        roots = [complex(x) for x in w]
+        residual = max((abs(p(x)) for x in roots), default=0.0)
+        roots += [0j] * k
+        roots.sort(key=_REAL_IMAG)
+        sets.append(RootSet(tuple(roots), residual))
+    return sets
 
 
 def schur_stable(poly: Polynomial, radius: float = 1.0) -> bool:

@@ -121,7 +121,7 @@ def test_overflowing_integrand_is_ill_posed():
     # |S| on the circle overflows to inf/inf = NaN; the trapezoid rule must
     # reject its first samples rather than double the point count to the cap
     L = RationalTF([0.25e308, 1.5e308, 1e308], [-1.0, 1.0], 1e-3)
-    loop = LoopSet.from_open_loop(L, L, RationalTF.one(1e-3), (1.0,))
+    loop = LoopSet.from_open_loop(L, L, RationalTF.constant(1.0, 1e-3), (1.0,))
     with np.errstate(all="ignore"), pytest.raises(IllPosedIntegralError, match="not finite"):
         bode_integral_discrete(loop)
 
@@ -385,7 +385,7 @@ def _continuous_loop(zeros, poles, gain):
     """Continuous unity-feedback loop L = gain * prod(s - zeros) / prod(s - poles)."""
     num = gain * np.atleast_1d(np.poly(zeros))[::-1]
     L = RationalTF(num, np.poly(poles)[::-1], None)
-    return LoopSet.from_open_loop(L, L, RationalTF.one(None), poles)
+    return LoopSet.from_open_loop(L, L, RationalTF.constant(1.0, None), poles)
 
 
 def _pair(zeta, omega):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -75,6 +76,41 @@ def test_position_bound_verified_by_roots():
     for factor, expected in ((0.999, True), (1.001, False)):
         cfg = make_cfg("position", alpha=1.0, g_dob=bound * factor, Ts=1e-3, g_v=750.0)
         assert classify_poles(make_inner_loop(cfg).T).all_real_in_0_1 is expected
+
+
+def _position_bound_reference(g_v: float, Ts: float) -> Decimal:
+    """The textbook closed form in 50-digit decimals, from the exact floats."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        g, t = Decimal(g_v), Decimal(Ts)
+        u = g * t
+        return 6 / t + (8 - (32 * (2 + u) * (1 + u)).sqrt()) / (g * t * t)
+
+
+def test_position_bound_matches_a_50_digit_reference_down_to_small_g_v_ts():
+    # the textbook form cancels as g_v*Ts -> 0: at 1e-10 it lost every digit
+    rng = np.random.default_rng(6)
+    worst = 0.0
+    for _ in range(1000):
+        u = 10.0 ** rng.uniform(-10.0, 2.0)
+        g_v = 10.0 ** rng.uniform(0.0, 4.0)
+        Ts = u / g_v
+        ref = _position_bound_reference(g_v, Ts)
+        worst = max(worst, float(abs(Decimal(position_non_osc_bound(g_v, Ts)) - ref) / ref))
+    assert worst < 1e-14
+
+
+def test_position_bound_verdict_at_small_g_v_ts():
+    # g_v = 10, Ts = 1e-7: the bound is 2.499998125, so g_dob = 2.498 is
+    # non-oscillatory; the textbook form reads 2.4962765 here
+    bound = position_non_osc_bound(10.0, 1e-7)
+    assert bound == pytest.approx(2.499998125, rel=1e-9)
+    below = constraint_check(make_cfg("position", alpha=1.0, g_dob=2.498, Ts=1e-7, g_v=10.0))
+    above = constraint_check(make_cfg("position", alpha=1.0, g_dob=2.501, Ts=1e-7, g_v=10.0))
+    assert below.stable and below.non_oscillatory and below.margin > 0.0
+    assert above.stable and not above.non_oscillatory and above.margin < 0.0
+    for verdict in (below, above):
+        assert verdict.binding_constraint is BindingConstraint.POSITION_NON_OSC
 
 
 def test_experimental_threshold_is_marginal():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dobkit.loops import LoopSet, OuterGains, make_inner_loop, make_outer_loop, make_pd
@@ -86,8 +86,6 @@ def test_arithmetic_matches_numpy(a, b, s):
     # elementwise operations round exactly as numpy's do
     assert np.array_equal((pa + pb).coeffs, Polynomial(ca + cb).coeffs)
     assert np.array_equal((pa * s).coeffs, Polynomial(pa.coeffs * s).coeffs)
-    assert np.array_equal(pa.derivative().coeffs,
-                          Polynomial(pa.coeffs[1:] * np.arange(1, pa.coeffs.size)).coeffs)
     # products may sum in another order than np.convolve's BLAS dot
     ref = Polynomial(np.convolve(pa.coeffs, pb.coeffs)).coeffs
     got = (pa * pb).coeffs
@@ -170,9 +168,6 @@ def _conjugate_closed_roots(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_conjugate_closed_roots())
-# p(0) = -5e-324, where gamma * p~(0) underflows to 0: the root at 0 keeps its
-# eigenvalue only because the bound counts underflow
-@example([5e-324 + 0j, 1.25j, -1.25j])
 def test_roots_roundtrip(roots):
     if not _separated(roots):
         return
@@ -181,11 +176,6 @@ def test_roots_roundtrip(roots):
     assert len(rs.roots) == p.degree
     scale = max(1.0, float(np.max(np.abs(p.coeffs))))
     assert rs.residual < 1e-8 * scale
-    # a root Newton left where the eigenvalues put it is one to rounding
-    eigenvalues = np.roots(p.coeffs[::-1]).tolist()
-    for x in rs.roots:
-        if x in eigenvalues:
-            assert abs(p(x)) <= p.rounding_bound(abs(x))
     recovered = list(rs.roots)
     for r in roots:
         j = min(range(len(recovered)), key=lambda k: abs(recovered[k] - r))
@@ -290,7 +280,7 @@ def _seeded_polynomials(seed: int):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_reported_residual_is_the_horner_residual(seed):
-    # the polish's fused Horner pass gives |p(x)| as Polynomial.__call__ does, bit for bit
+    # the residual is Polynomial.__call__'s |p(x)|, bit for bit
     for degree, p in _seeded_polynomials(seed):
         rs = poly_roots(p)
         assert len(rs.roots) == degree
@@ -303,9 +293,9 @@ def test_low_order_zeros_are_exact_roots_at_zero():
     assert rs.residual == 0.0
 
 
-def test_polish_stays_at_a_double_root():
-    # z (z - 1e-38) (z - 1)**2: from z = 1, Newton's step of exactly 1 lowers
-    # |p| to 0 by jumping onto the root at 0; the polish must not take it.
+def test_double_root_is_not_confused_with_a_tiny_one():
+    # z (z - 1e-38) (z - 1)**2: the eigenvalues keep the double root at 1
+    # apart from the roots at 0 and 1e-38.
     p = Polynomial([0.0, -1.1754943508222875e-38, 1.0, -2.0, 1.0])
     rs = poly_roots(p).roots
     assert [abs(r) for r in rs[:2]] == [0.0, pytest.approx(0.0, abs=1e-30)]
@@ -458,7 +448,7 @@ def test_series_evaluation_is_multiplicative(num_a, num_b, re, im):
 
 def test_series_with_identity():
     tf = RationalTF([1.0, 2.0], [3.0, 1.0], 1e-3)
-    prod = tf * RationalTF.one(1e-3)
+    prod = tf * RationalTF.constant(1.0, 1e-3)
     assert prod.ts == 1e-3
     assert prod.num.coeffs.tolist() == tf.num.coeffs.tolist()
     assert prod.den.coeffs.tolist() == tf.den.coeffs.tolist()
@@ -476,7 +466,7 @@ def test_feedback_unity_closes_integrating_loop():
     # L = a*z/(z-1) closes to a*z / ((1+a) z - 1)
     a = 0.5
     L = RationalTF([0.0, a], [-1.0, 1.0], 1e-3)
-    closed = LoopSet.from_open_loop(L, L, RationalTF.one(1e-3), (1.0,)).T
+    closed = LoopSet.from_open_loop(L, L, RationalTF.constant(1.0, 1e-3), (1.0,)).T
     assert closed.den.coeffs.tolist() == [-1.0, 1.0 + a]
     assert_same_tf(closed, RationalTF([0.0, a], [-1.0, 1.0 + a], 1e-3))
     assert_same_tf(closed, lambda z: at(L)(z) / (1.0 + at(L)(z)), 1)
@@ -486,7 +476,7 @@ def test_feedback_unity_degenerate():
     # 1 + L vanishes identically: no closed loop exists
     L = RationalTF.constant(-1.0, 1e-3)
     with pytest.raises(ZeroDivisionError):
-        LoopSet.from_open_loop(L, L, RationalTF.one(1e-3), ())
+        LoopSet.from_open_loop(L, L, RationalTF.constant(1.0, 1e-3), ())
 
 
 def test_mixed_domains_rejected():
@@ -515,8 +505,8 @@ def test_sensitivity_pair_sums_to_one(num, poles, leading):
     closed_den = den_p + num_p
     if closed_den.is_zero:
         return
-    loop = LoopSet.from_open_loop(RationalTF(num_p, den_p, 1e-3), RationalTF.one(1e-3),
-                                  RationalTF.one(1e-3), poles)
+    one = RationalTF.constant(1.0, 1e-3)
+    loop = LoopSet.from_open_loop(RationalTF(num_p, den_p, 1e-3), one, one, poles)
     # an exact polynomial identity: S and T share the closed-loop denominator
     assert np.array_equal((loop.S.num + loop.T.num).coeffs, closed_den.coeffs)
     assert np.array_equal(loop.S.den.coeffs, closed_den.coeffs)
