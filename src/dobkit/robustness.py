@@ -12,8 +12,11 @@ by one periodic trapezoid rule that converges on them geometrically; a map of
 the circle onto itself first crowds the points toward z = 1, where slow poles
 come close to the circle. The map's width predicts the point count, so the
 integrand is evaluated once, on that grid, and the doubling check runs on
-nested subsets of its samples. A sweep's log grid of angles is built once per
-point count.
+nested subsets of its samples. What depends only on a grid's size is built
+once per size and shared read-only: a sweep's angles, w and |w|**m for
+m = 1 and 2, and a trapezoid grid's zeta - 1 and 1 + zeta. A call computes
+only what depends on its loop: a sweep |den(w)| and q(w), an integral the
+circle map and the integrand.
 
 - Discrete: the integral of ln|S| over the circle is that of g = ln|q / den|
   alone, since m*ln|w| integrates to exactly 0 (Jensen). The analytic side is
@@ -148,12 +151,15 @@ class _Factored:
         with np.errstate(all="ignore"):
             return np.log(np.abs(self.q(w) / self.den(w)))
 
-    def mag(self, circle: tuple) -> np.ndarray:
-        """|F| over the angles of ``_circle_points(theta, den)``; inf where den vanishes."""
-        h, w, d = circle
-        n = np.abs(self.q(w))
+    def mag(self, circle: _Circle, positive: np.ndarray, divisor: np.ndarray) -> np.ndarray:
+        """|F| over ``circle``, with den's mask and safe divisor from ``_den_on``; inf where den vanishes."""
+        n = np.abs(self.q(circle.w))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (2.0 * h) ** self.m * np.where(d > 0.0, n / np.where(d > 0.0, d, 1.0), np.inf)
+            ratio = np.where(positive, n / divisor, np.inf)
+            m = self.m
+            if m == 0:
+                return ratio
+            return (circle.abs_w if m == 1 else circle.abs_w2 if m == 2 else circle.abs_w ** m) * ratio
 
     def mag_at(self, theta: float) -> float:
         """|F| at one angle in Python arithmetic, which numpy scalars make slow."""
@@ -169,18 +175,42 @@ class _Factored:
         return abs(self.q(w)) / d if d > 0.0 else math.inf
 
 
-def _circle_points(theta: np.ndarray, den: Polynomial) -> tuple:
-    """sin(theta/2), w = z - 1 and |den(w)| over an array of angles, once for S and T.
+class _Circle(NamedTuple):
+    """Points z = exp(j theta) of the unit circle that no loop changes, all read-only.
 
-    Raises ``OverflowError`` when |den(w)| is not finite at some angle.
+    ``w`` = z - 1 = -2 sin(theta/2)**2 + j sin(theta) and ``abs_w`` =
+    |w| = 2 sin(theta/2), formed without cancellation; ``abs_w2`` = |w|**2.
+    They give a factored F's |w|**m for m = 1 and 2.
     """
+
+    theta: np.ndarray
+    w: np.ndarray
+    abs_w: np.ndarray
+    abs_w2: np.ndarray
+
+
+def _circle_points(theta: np.ndarray) -> _Circle:
+    """The ``_Circle`` at an array of angles, which it makes read-only with its own."""
     h = np.sin(0.5 * theta)
-    w = -2.0 * h * h + 1j * np.sin(theta)
+    abs_w = 2.0 * h
+    circle = _Circle(theta, -2.0 * h * h + 1j * np.sin(theta), abs_w, abs_w ** 2)
+    for a in circle:
+        a.flags.writeable = False
+    return circle
+
+
+def _den_on(circle: _Circle, den: Polynomial) -> tuple[np.ndarray, np.ndarray]:
+    """Where |den(w)| > 0 over ``circle``, and |den(w)| with 1 where it is 0.
+
+    The mask and safe divisor are shared by S and T. Raises ``OverflowError``
+    when |den(w)| is not finite at some angle.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        d = np.abs(den(w))
+        d = np.abs(den(circle.w))
     if not np.isfinite(d).all():
         raise OverflowError("|den(L) + num(L)| is not finite on the unit circle")
-    return h, w, d
+    positive = d > 0.0
+    return positive, np.where(positive, d, 1.0)
 
 
 def _sensitivity(loop: LoopSet) -> _Factored:
@@ -272,6 +302,25 @@ def _map_eps(singular) -> tuple[float, float]:
     return 1.0, f_0
 
 
+def _zeta_points(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """zeta - 1 and 1 + zeta at zeta = exp(j t), from half angles without cancellation."""
+    h, c, s = np.sin(0.5 * t), np.cos(0.5 * t), np.sin(t)
+    return -2.0 * h * h + 1j * s, 2.0 * c * c + 1j * s
+
+
+@functools.lru_cache(maxsize=None)  # top is one of ten powers of two
+def _trapezoid_grid(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_zeta_points`` at t_k = 2*pi*k/top, k = 0..top/2, read-only: shared by every integral.
+
+    k*(2*pi/top) rounds as the coarser levels' angles do: they differ by
+    powers of two, so every level's samples are those it would take alone.
+    """
+    points = _zeta_points(np.arange(top // 2 + 1) * (2.0 * math.pi / top))
+    for a in points:
+        a.flags.writeable = False
+    return points
+
+
 def _circle_integral(f, singular, ends=None) -> tuple[float, int, float]:
     """Integral of f(w), w = z - 1, over the unit circle by the periodic trapezoid rule.
 
@@ -295,11 +344,9 @@ def _circle_integral(f, singular, ends=None) -> tuple[float, int, float]:
     """
     eps, width = _map_eps(singular)
 
-    def g(t, ends=None):
-        # zeta - 1 and 1 + r*zeta from half angles, without cancellation
-        h, c, s = np.sin(0.5 * t), np.cos(0.5 * t), np.sin(t)
-        zeta_m1 = -2.0 * h * h + 1j * s
-        one_r_zeta = eps + (1.0 - eps) * (2.0 * c * c + 1j * s)
+    def g(points, ends=None):
+        zeta_m1, one_p_zeta = points
+        one_r_zeta = eps + (1.0 - eps) * one_p_zeta
         jacobian = eps * (2.0 - eps) / np.abs(one_r_zeta) ** 2
         vals = f(eps * zeta_m1 / one_r_zeta)
         if ends is not None:
@@ -309,9 +356,7 @@ def _circle_integral(f, singular, ends=None) -> tuple[float, int, float]:
     top, need = 2 * TRAPEZOID_START, -math.log(TRAPEZOID_REL_TOL)
     while top < TRAPEZOID_GRID_POINTS and 0.5 * top * width < need:
         top *= 2
-    # k*(2*pi/top) rounds as the coarser levels' angles do: they differ by
-    # powers of two, so every level's samples are those it would take alone
-    grid = g(np.arange(top // 2 + 1) * (2.0 * math.pi / top), ends)
+    grid = g(_trapezoid_grid(top), ends)
 
     def checked(vals):
         if not np.isfinite(vals).all():
@@ -328,7 +373,7 @@ def _circle_integral(f, singular, ends=None) -> tuple[float, int, float]:
             stride //= 2
             odd = checked(grid[stride::2 * stride])
         else:
-            odd = checked(g((2.0 * np.arange(n // 2) + 1.0) * (math.pi / n)))
+            odd = checked(g(_zeta_points((2.0 * np.arange(n // 2) + 1.0) * (math.pi / n))))
         total += 2.0 * float(np.sum(odd))
         n *= 2
         previous, estimate = estimate, 2.0 * math.pi * total / n
@@ -475,11 +520,9 @@ def _refined_peak(f: _Factored, thetas: np.ndarray, mags: np.ndarray, ts: float)
 
 
 @functools.lru_cache(maxsize=8)
-def _sweep_angles(n_points: int) -> np.ndarray:
-    """The log grid of angles over [1e-4, 1]*pi, read-only: it is shared by every sweep."""
-    thetas = np.geomspace(math.pi * 1e-4, math.pi, n_points)
-    thetas.flags.writeable = False
-    return thetas
+def _sweep_circle(n_points: int) -> _Circle:
+    """The circle points of a log grid of angles over [1e-4, 1]*pi: shared by every sweep."""
+    return _circle_points(np.geomspace(math.pi * 1e-4, math.pi, n_points))
 
 
 def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
@@ -495,14 +538,15 @@ def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
         raise ValueError("discrete loop required")
     if n_points < 16:
         raise ValueError("need at least 16 points")
-    thetas = _sweep_angles(n_points)
+    circle = _sweep_circle(n_points)
+    thetas = circle.theta
     ts = loop.ts
     if not math.pi / ts < math.inf:  # the largest grid frequency
         raise OverflowError(f"sweep frequency pi/Ts overflows at Ts = {ts!r}")
     fs = _sensitivity(loop)
     ft = _Factored(loop.T.num, 0, fs.den)
-    circle = _circle_points(thetas, fs.den)
-    mag_S, mag_T = fs.mag(circle), ft.mag(circle)
+    den = _den_on(circle, fs.den)
+    mag_S, mag_T = fs.mag(circle, *den), ft.mag(circle, *den)
     return FreqSweep(
         freqs=thetas / ts,
         mag_S=mag_S,

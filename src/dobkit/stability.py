@@ -95,10 +95,12 @@ def position_non_osc_bound(g_v: float, Ts: float) -> float:
     With u = g_v*Ts and r = sqrt(1 + 1.5u + 0.5u**2), it is
     g_v ((9 + 3u)/(1 + r) - 4)/(1 + r): the closed form
     6/Ts + (8 - 8r)/(g_v Ts**2) rearranged so that no near-equal terms
-    cancel as u -> 0, where it tends to g_v/4.
+    cancel as u -> 0, where it tends to g_v/4. r is formed as
+    sqrt(0.5 (1 + u)) sqrt(2 + u), the same product, so that it does not
+    overflow for u past 1e154, where the bound tends to (6 - 4 sqrt(2))/Ts.
     """
     u = g_v * Ts
-    r = math.sqrt(1.0 + 1.5 * u + 0.5 * u * u)
+    r = math.sqrt(0.5 * (1.0 + u)) * math.sqrt(2.0 + u)
     return g_v * ((9.0 + 3.0 * u) / (1.0 + r) - 4.0) / (1.0 + r)
 
 
@@ -184,7 +186,15 @@ def _match_branches(prev: tuple, new: tuple) -> tuple:
 
 
 def bisect_threshold(predicate, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
-    """Bisection boundary of a monotone predicate: True at lo, False at hi."""
+    """Bisection boundary of a monotone predicate: True at lo, False at hi.
+
+    Raises ``ValueError`` unless lo < hi are finite and rel_tol >= 0, before
+    any call of the predicate.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
+    if not rel_tol >= 0.0:
+        raise ValueError(f"rel_tol must be >= 0, got {rel_tol!r}")
     if not predicate(lo) or predicate(hi):
         raise ValueError("predicate must hold at lo and fail at hi")
     return _bisect(predicate, lo, hi, rel_tol)

@@ -159,7 +159,7 @@ class Polynomial:
                 b.append(c + a * b[-1])
             taylor.append(b[-1])
             work = b[:-1]
-        return Polynomial(taylor)
+        return Polynomial._of(taylor)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self._c)})"

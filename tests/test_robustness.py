@@ -18,16 +18,21 @@ from dobkit.loops import (
 )
 from dobkit import robustness
 from dobkit.robustness import (
+    TRAPEZOID_GRID_POINTS,
     TRAPEZOID_MAX_POINTS,
     TRAPEZOID_REL_TOL,
     TRAPEZOID_START,
+    FreqSweep,
     IllPosedIntegralError,
     _circle_integral,
     _circle_points,
+    _den_on,
     _Factored,
     _map_eps,
+    _refined_peak,
     _sensitivity,
-    _sweep_angles,
+    _sweep_circle,
+    _trapezoid_grid,
     bode_integral_continuous,
     bode_integral_discrete,
     freq_sweep,
@@ -274,8 +279,8 @@ def test_factored_sensitivity_is_exact_near_one(tf, kind, regulation_gains):
     for t in (1e-5, 1e-4, 1e-3, 0.5):
         theta = 2.0 * math.atan(t)
         exact = _exact_mag(getattr(outer, tf), t)
-        assert f.mag(_circle_points(np.array([theta]), fs.den))[0] == pytest.approx(
-            exact, rel=1e-13), t
+        circle = _circle_points(np.array([theta]))
+        assert f.mag(circle, *_den_on(circle, fs.den))[0] == pytest.approx(exact, rel=1e-13), t
         assert f.mag_at(theta) == pytest.approx(exact, rel=1e-13), t
 
 
@@ -712,13 +717,112 @@ def test_sweep_grid_is_built_once_and_read_only():
     for n in (16, 512):
         a, b = freq_sweep(loop, n_points=n), freq_sweep(loop, n_points=n)
         assert np.array_equal(a.freqs, np.geomspace(math.pi * 1e-4, math.pi, n) / loop.ts)
+        circle = _sweep_circle(n)
+        assert circle is _sweep_circle(n)
         for x in (a.freqs, a.mag_S, a.mag_T):
-            for y in (b.freqs, b.mag_S, b.mag_T):
+            for y in (b.freqs, b.mag_S, b.mag_T, *circle):
                 assert not np.shares_memory(x, y)
-        grid = _sweep_angles(n)
-        assert grid is _sweep_angles(n) and not grid.flags.writeable
+        _assert_read_only(circle)
+    # the trapezoid rule's points, one set per grid size
+    for top in (2 * TRAPEZOID_START, TRAPEZOID_GRID_POINTS):
+        points = _trapezoid_grid(top)
+        assert points is _trapezoid_grid(top)
+        _assert_read_only(points)
+
+
+def _assert_read_only(arrays):
+    for grid in arrays:
+        assert not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[0] = 0.0
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_cached_circle_points_equal_the_in_place_ones():
+    # each array as every call computed it before the caches
+    for n in (16, 256, 512):
+        theta = np.geomspace(math.pi * 1e-4, math.pi, n)
+        h = np.sin(0.5 * theta)
+        want = (theta, -2.0 * h * h + 1j * np.sin(theta), 2.0 * h, (2.0 * h) ** 2)
+        for got, wanted in zip(_sweep_circle(n), want, strict=True):
+            assert np.array_equal(got, wanted) and _same_bits(got, wanted), n
+    top = 2 * TRAPEZOID_START
+    while top <= TRAPEZOID_GRID_POINTS:
+        t = np.arange(top // 2 + 1) * (2.0 * math.pi / top)
+        h, c, s = np.sin(0.5 * t), np.cos(0.5 * t), np.sin(t)
+        want = (-2.0 * h * h + 1j * s, 2.0 * c * c + 1j * s)
+        for got, wanted in zip(_trapezoid_grid(top), want, strict=True):
+            assert np.array_equal(got, wanted) and _same_bits(got, wanted), top
+        top *= 2
+
+
+def _reference_sweep(loop, n_points):
+    """``freq_sweep`` with every circle point computed in place, as before the caches."""
+    thetas = np.geomspace(math.pi * 1e-4, math.pi, n_points)
+    h = np.sin(0.5 * thetas)
+    w = -2.0 * h * h + 1j * np.sin(thetas)
+    fs = _sensitivity(loop)
+    ft = _Factored(loop.T.num, 0, fs.den)
+    d = np.abs(fs.den(w))
+    mags = []
+    for f in (fs, ft):
+        n = np.abs(f.q(w))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mags.append((2.0 * h) ** f.m * np.where(d > 0.0, n / np.where(d > 0.0, d, 1.0), np.inf))
+    return FreqSweep(thetas / loop.ts, *mags, _refined_peak(fs, thetas, mags[0], loop.ts),
+                     _refined_peak(ft, thetas, mags[1], loop.ts))
+
+
+def test_sweeps_and_integrals_equal_in_place_references_on_seeded_loops(monkeypatch):
+    # 504 loops: inner and outer of every kind at Ts from 1e-5 to 1e-3, and
+    # the continuous baseline, whose integral replaces the samples at z = +-1
+    rng = random.Random(27)
+    cases = []
+    for i in range(252):
+        kind = KINDS[i % 3]
+        Ts = 10.0 ** rng.uniform(-5.0, -3.0)
+        alpha, x = rng.uniform(0.5, 2.0), rng.uniform(0.05, 1.95)
+        cfg = make_cfg(kind, alpha=alpha, g_dob=x / (alpha * Ts), Ts=Ts,
+                       g_v=rng.uniform(0.3, 2.0) / Ts)
+        inner = make_inner_loop(cfg)
+        gains = OuterGains(rng.uniform(1000.0, 8000.0), rng.uniform(10.0, 300.0))
+        n = (16, 256, 512)[i % 3]
+        cases += [(f"{kind} inner {cfg}", inner, n),
+                  (f"{kind} outer {cfg} {gains}", make_outer_loop(inner, make_pd(gains, Ts)), n)]
+    cases += [(f"continuous {a}", make_continuous_inner(PlantParams.from_alpha(a), 500.0), None)
+              for a in (0.5, 1.0, 2.0)]
+
+    def outcome(loop, n):
+        if n is None:
+            return None, repr(bode_integral_continuous(loop))
+        return freq_sweep(loop, n_points=n), repr(bode_integral_discrete(loop))
+
+    got = [outcome(loop, n) for _, loop, n in cases]
+    # level-by-level sampling, every point computed in place: the same values
+    monkeypatch.setattr(robustness, "_circle_integral", _reference_circle_integral)
+    for (label, loop, n), (sweep, report) in zip(cases, got):
+        assert report == outcome(loop, n)[1], label
+        if n is None:
+            continue
+        want = _reference_sweep(loop, n)
+        for field in ("freqs", "mag_S", "mag_T"):
+            assert _same_bits(getattr(sweep, field), getattr(want, field)), (label, field)
+        assert repr((sweep.peak_S, sweep.peak_T)) == repr((want.peak_S, want.peak_T)), label
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP direction 11")
+def test_sweep_peak_at_fast_sampling_is_the_true_maximum(regulation_gains):
+    # the grid starts at 1e-4*pi/Ts = 314 rad/s; |T| peaks at 1.06888 near
+    # 36.4 rad/s, below it, and the sweep reads 0.5392 at the grid's low end
+    cfg = make_cfg("velocity", alpha=1.5, g_dob=1000.0, Ts=1e-6)
+    outer = make_outer_loop(make_inner_loop(cfg), make_pd(regulation_gains, cfg.Ts))
+    fs = _sensitivity(outer)
+    circle = _circle_points(np.geomspace(1e-12 * math.pi, math.pi, 4001))
+    true_max = float(np.max(_Factored(outer.T.num, 0, fs.den).mag(circle, *_den_on(circle, fs.den))))
+    assert freq_sweep(outer).peak_T.value == pytest.approx(true_max, rel=1e-4)
 
 
 def test_sweep_validation():

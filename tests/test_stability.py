@@ -88,11 +88,12 @@ def _position_bound_reference(g_v: float, Ts: float) -> Decimal:
 
 
 def test_position_bound_matches_a_50_digit_reference_down_to_small_g_v_ts():
-    # the textbook form cancels as g_v*Ts -> 0: at 1e-10 it lost every digit
+    # the textbook form cancels as g_v*Ts -> 0: at 1e-10 it lost every digit;
+    # 1 + 1.5u + 0.5u**2 overflows past u = 1e154
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(1000):
-        u = 10.0 ** rng.uniform(-10.0, 2.0)
+        u = 10.0 ** rng.uniform(-10.0, 300.0)
         g_v = 10.0 ** rng.uniform(0.0, 4.0)
         Ts = u / g_v
         ref = _position_bound_reference(g_v, Ts)
@@ -264,9 +265,34 @@ def test_position_non_osc_boundary_bisection():
     assert abs(found - expected) / expected < 1e-3
 
 
+def test_position_bound_verdict_at_huge_g_v_ts():
+    # u = g_v*Ts = 1e157: the bound is (6 - 4 sqrt(2))/Ts = 343.1457505076194;
+    # with r overflowing it read -0.0, and the verdict margin -100
+    verdict = constraint_check(make_cfg("position", alpha=1.0, g_dob=100.0, Ts=1e-3, g_v=1e160))
+    assert position_non_osc_bound(1e160, 1e-3) == pytest.approx(343.1457505076194, rel=1e-14)
+    assert verdict.stable and verdict.non_oscillatory
+    assert verdict.binding_constraint is BindingConstraint.POSITION_NON_OSC
+    assert verdict.margin == pytest.approx(243.1457505076194, rel=1e-14)
+
+
 def test_bisect_threshold_validates_bracket():
     with pytest.raises(ValueError):
         bisect_threshold(lambda x: True, 0.0, 1.0)
+    # a bracket it cannot bisect raises before the predicate is called; it
+    # returned the midpoint 5.5 of a reversed one, and of one with rel_tol NaN
+    calls = []
+
+    def predicate(x):
+        calls.append(x)
+        return x < 3.0
+
+    nan, inf = float("nan"), float("inf")
+    for lo, hi, rel_tol in ((10.0, 1.0, 1e-6), (1.0, 1.0, 1e-6), (nan, 10.0, 1e-6),
+                            (1.0, nan, 1e-6), (-inf, 10.0, 1e-6), (1.0, inf, 1e-6),
+                            (1.0, 10.0, nan), (1.0, 10.0, -1e-6)):
+        with pytest.raises(ValueError):
+            bisect_threshold(predicate, lo, hi, rel_tol=rel_tol)
+    assert calls == []
 
 
 @pytest.mark.parametrize("predicate, lo, hi, rel_tol, expected", [
