@@ -5,7 +5,9 @@ there (its open-loop poles at z = 1), S = w**m * q(w) / den(w). On the circle
 w = -2 sin(theta/2)**2 + j sin(theta) and |w| = 2 sin(theta/2) are formed
 without cancellation. T = num(L) / (den(L) + num(L)) shares S's den(w) and
 has no zero at z = 1 (m = 0): this one form gives |S| and |T| for sweeps and
-peaks.
+peaks. A sweep's band fixes only the arrays it returns, not where a peak may
+lie: |F| is even and 2*pi-periodic in theta, so z = +-1 are interior points of
+the circle that the peak search reaches and takes as exact candidates.
 
 Both Bode integrals are smooth, periodic integrals over the unit circle, summed
 by one periodic trapezoid rule that converges on them geometrically; a map of
@@ -164,7 +166,7 @@ class _Factored:
     def mag_at(self, theta: float) -> float:
         """|F| at one angle in Python arithmetic, which numpy scalars make slow."""
         h = math.sin(0.5 * theta)
-        return (2.0 * h) ** self.m * self._ratio(complex(-2.0 * h * h, math.sin(theta)))
+        return abs(2.0 * h) ** self.m * self._ratio(complex(-2.0 * h * h, math.sin(theta)))
 
     def nyquist(self) -> float:
         """|F| at z = -1 exactly, w = -2, not via exp(j*pi); inf for a pole there."""
@@ -485,37 +487,29 @@ def bode_integral_continuous(loop: LoopSet) -> BodeIntegralReport:
 # ---------------------------------------------------------------------------
 
 def _refined_peak(f: _Factored, thetas: np.ndarray, mags: np.ndarray, ts: float) -> Peak:
-    """Grid argmax of |f| refined on its bracket by ``_bracketed_max``; z = -1 always a candidate.
+    """Grid argmax of |f| refined on its bracket by ``_bracketed_max``; z = +-1 exact candidates.
 
-    The search stops once the bracket's values agree to ``PEAK_RTOL``. At an
-    end of the grid it runs only if a point just inside is higher: the one at
-    which a parabola with its apex at the end, through the neighbouring grid
-    point, falls by a quarter of that tolerance.
+    f has real coefficients, so |f(exp(j theta))| is even and 2*pi-periodic:
+    the whole circle is searched, and z = 1 and z = -1 are interior points.
+    An argmax at an end of the grid takes its missing neighbour from the
+    mirror image, -theta_0 or 2*pi - theta_(n-2). The search stops once the
+    bracket's values agree to ``PEAK_RTOL``; the angle is folded into [0, pi].
     """
     i = int(np.argmax(mags))
     best_theta, best_val = float(thetas[i]), float(mags[i])
     if 0.0 < best_val < math.inf:
-        xtol = 8.0 * 2.0**-53 * math.pi  # a few ulps of theta
-        if 0 < i < thetas.size - 1:
-            best_theta, best_val = _bracketed_max(
-                f.mag_at, float(thetas[i - 1]), best_theta, float(thetas[i + 1]),
-                float(mags[i - 1]), best_val, float(mags[i + 1]), PEAK_RTOL, xtol)
-        else:
-            j = 1 if i == 0 else i - 1
-            t_j, f_j = float(thetas[j]), float(mags[j])
-            drop, tol = best_val - f_j, PEAK_RTOL * best_val
-            h = 0.5 * (t_j - best_theta) * (math.sqrt(tol / drop) if drop > tol else 1.0)
-            u = best_theta + h
-            f_u = f.mag_at(u)
-            if f_u > best_val:
-                (a, fa), (b, fb) = sorted(((best_theta, best_val), (t_j, f_j)))
-                best_theta, best_val = _bracketed_max(
-                    f.mag_at, a, u, b, fa, f_u, fb, PEAK_RTOL, xtol)
-    # A pole exactly at z = -1 gives an infinite peak. Ties at rounding level
-    # go to the endpoint, whose location is exact.
-    nyquist = f.nyquist()
-    if nyquist >= best_val * (1.0 - 1e-13):
-        best_theta, best_val = math.pi, max(nyquist, best_val)
+        last = thetas.size - 1
+        a, fa = (float(thetas[i - 1]), float(mags[i - 1])) if i > 0 else (-best_theta, best_val)
+        b, fb = ((float(thetas[i + 1]), float(mags[i + 1])) if i < last
+                 else (2.0 * math.pi - float(thetas[last - 1]), float(mags[last - 1])))
+        best_theta, best_val = _bracketed_max(
+            f.mag_at, a, best_theta, b, fa, best_val, fb, PEAK_RTOL, 8.0 * 2.0**-53 * math.pi)
+        best_theta = min(abs(best_theta), 2.0 * math.pi - best_theta)
+    # |f| at z = 1 is 0 for m >= 1; a pole exactly at z = +-1 gives an
+    # infinite peak. Ties at rounding level go to the end, whose location is exact.
+    for theta, value in ((0.0, f._ratio(0.0) if f.m == 0 else 0.0), (math.pi, f.nyquist())):
+        if value >= best_val * (1.0 - 1e-13):
+            best_theta, best_val = theta, max(value, best_val)
     return Peak(value=best_val, freq=best_theta / ts)
 
 
@@ -530,7 +524,9 @@ def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
 
     Both come from the factored form about z = 1 over the one shifted
     den(L) + num(L): S with its m zeros there, T = num(L) / (den(L) + num(L))
-    with none. In z the terms of that denominator cancel near z = 1. Raises
+    with none. In z the terms of that denominator cancel near z = 1. The band
+    fixes only the returned arrays: a peak may lie anywhere in [0, pi]/Ts,
+    below the band or at 0 or pi/Ts exactly (``_refined_peak``). Raises
     ``OverflowError`` when a grid frequency theta/Ts or |den(w)| on the grid
     is not finite.
     """

@@ -1,7 +1,9 @@
 import io
 import math
+import re
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +180,14 @@ def test_exit_status_contract_on_fixture_set(tmp_path, capsys):
         code = main(["analyze", _write(tmp_path, text, f"f{i}.cfg")])
         capsys.readouterr()
         assert code == expected, f"fixture {i}"
+
+
+def test_analyze_readme_config_peak_T_at_z_1(tmp_path, capsys):
+    # |T(1)| = 1 for every loop with an integrator, the exact z = 1 candidate
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (ini,) = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+    assert main(["analyze", _write(tmp_path, ini)]) == 0
+    assert "peak_T            : 1 at 0 rad/s" in capsys.readouterr().out.splitlines()
 
 
 def test_analyze_summary_csv(tmp_path, capsys):

@@ -659,9 +659,12 @@ def test_velocity_peak_value():
 
 
 @pytest.mark.parametrize("outer, expected, most", [
-    # velocity inner loop: |S| peaks at the grid's last point, z = -1, |T| at
-    # its first
-    (False, 4.0 / 3.0, 2),
+    # velocity inner loop: |S| peaks at z = -1 and |T| at z = 1, past the
+    # grid's ends. |S|'s mirrored bracket is symmetric about z = -1, the
+    # parabola's vertex, and one step to either side closes it (2
+    # evaluations); |T|'s, symmetric about z = 1, first steps from the grid's
+    # low end to the vertex there, then to either side of it (3)
+    (False, 4.0 / 3.0, 3),
     # lightly damped outer loop (closed-loop pair at |z| = 0.9937): interior
     # peaks; the |S| value is that of a 60-step golden-section search
     (True, 5.696941980014084, 25),
@@ -688,18 +691,18 @@ def test_peak_search_stops_at_rounding_level(monkeypatch, outer, expected, most)
 def test_complementary_peak_closed_forms(a):
     # a = alpha*g_dob*Ts. Velocity: T = a/(z - 1 + a), |T|**2 =
     # a**2/(a**2 + 4(1 - a) sin(theta/2)**2), highest at z = -1 for a > 1
-    # and at the grid's first point below. Acceleration: T = a z/((1 + a) z - 1),
-    # |T|**2 = a**2/(a**2 + 4(1 + a) sin(theta/2)**2), highest at the first point.
-    Ts, theta_0 = 1e-3, math.pi * 1e-4
-    h = math.sin(0.5 * theta_0)
-    for kind, sign in (("velocity", -1.0), ("acceleration", 1.0)):
+    # and at z = 1 below. Acceleration: T = a z/((1 + a) z - 1),
+    # |T|**2 = a**2/(a**2 + 4(1 + a) sin(theta/2)**2), highest at z = 1.
+    # Either way |T(1)| = 1.
+    Ts = 1e-3
+    for kind in ("velocity", "acceleration"):
         cfg = make_cfg(kind, alpha=1.0, g_dob=a / Ts, Ts=Ts)
         x = cfg.alpha_g * Ts  # a as the config rounds it
         peak = freq_sweep(make_inner_loop(cfg), n_points=128).peak_T
         if kind == "velocity" and x > 1.0:
             value, theta = x / (2.0 - x), math.pi
         else:
-            value, theta = x / math.sqrt(x * x + 4.0 * (1.0 + sign * x) * h * h), theta_0
+            value, theta = 1.0, 0.0
         assert peak.value == pytest.approx(value, rel=1e-12), kind
         assert peak.freq == pytest.approx(theta / Ts, rel=1e-12), kind
 
@@ -813,16 +816,55 @@ def test_sweeps_and_integrals_equal_in_place_references_on_seeded_loops(monkeypa
         assert repr((sweep.peak_S, sweep.peak_T)) == repr((want.peak_S, want.peak_T)), label
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP direction 11")
-def test_sweep_peak_at_fast_sampling_is_the_true_maximum(regulation_gains):
-    # the grid starts at 1e-4*pi/Ts = 314 rad/s; |T| peaks at 1.06888 near
-    # 36.4 rad/s, below it, and the sweep reads 0.5392 at the grid's low end
-    cfg = make_cfg("velocity", alpha=1.5, g_dob=1000.0, Ts=1e-6)
-    outer = make_outer_loop(make_inner_loop(cfg), make_pd(regulation_gains, cfg.Ts))
-    fs = _sensitivity(outer)
-    circle = _circle_points(np.geomspace(1e-12 * math.pi, math.pi, 4001))
-    true_max = float(np.max(_Factored(outer.T.num, 0, fs.den).mag(circle, *_den_on(circle, fs.den))))
-    assert freq_sweep(outer).peak_T.value == pytest.approx(true_max, rel=1e-4)
+def _dense_factored_peak(loop, which, n):
+    """Largest |S| or |T| of the factored form on an n-point log grid over [1e-12, 1]*pi, and its angle."""
+    circle = _circle_points(np.geomspace(1e-12 * math.pi, math.pi, n))
+    fs = _sensitivity(loop)
+    f = fs if which == "S" else _Factored(loop.T.num, 0, fs.den)
+    mags = f.mag(circle, *_den_on(circle, fs.den))
+    i = int(np.argmax(mags))
+    return float(mags[i]), float(circle.theta[i])
+
+
+@pytest.mark.parametrize("kind, Ts, outer, which, value, freq", [
+    # each maximum lies below the grid's low end, 1e-4*pi/Ts = 314 or 3,142 rad/s
+    ("velocity", 1e-6, True, "T", 1.0689, 36.4),
+    ("velocity", 1e-7, True, "T", 1.0761, 31.1),
+    ("position", 1e-6, True, "T", 1.0951, 13.1),
+    ("position", 1e-7, False, "S", 1.3748, 2090),
+])
+def test_sweep_peak_at_fast_sampling_is_the_true_maximum(regulation_gains, kind, Ts, outer,
+                                                         which, value, freq):
+    cfg = make_cfg(kind, alpha=1.5, g_dob=1000.0, Ts=Ts, g_v=2000.0)
+    loop = make_inner_loop(cfg)
+    if outer:
+        loop = make_outer_loop(loop, make_pd(regulation_gains, Ts))
+    true_max, theta = _dense_factored_peak(loop, which, 40001)
+    peak = getattr(freq_sweep(loop), "peak_" + which)
+    assert true_max == pytest.approx(value, rel=1e-4)
+    assert theta / Ts == pytest.approx(freq, rel=1e-2)
+    assert true_max * (1.0 - 1e-12) <= peak.value <= true_max * (1.0 + 1e-6)
+    assert peak.freq == pytest.approx(theta / Ts, rel=1e-3)
+
+
+def test_sweep_peaks_are_at_least_the_dense_maximum_on_seeded_loops():
+    # 60 loops: inner and outer of every kind at Ts from 1e-7 to 1e-3, whose
+    # outer-loop peaks often lie below the sweep's band
+    rng = random.Random(11)
+    for i in range(30):
+        kind = KINDS[i % 3]
+        Ts = 10.0 ** rng.uniform(-7.0, -3.0)
+        alpha, x = rng.uniform(0.5, 2.0), rng.uniform(0.05, 1.95)
+        cfg = make_cfg(kind, alpha=alpha, g_dob=x / (alpha * Ts), Ts=Ts,
+                       g_v=rng.uniform(0.3, 2.0) / Ts)
+        inner = make_inner_loop(cfg)
+        gains = OuterGains(rng.uniform(1000.0, 8000.0), rng.uniform(10.0, 300.0))
+        for loop in (inner, make_outer_loop(inner, make_pd(gains, Ts))):
+            sweep = freq_sweep(loop)
+            for which in "ST":
+                dense, _ = _dense_factored_peak(loop, which, 4001)
+                peak = getattr(sweep, "peak_" + which)
+                assert peak.value >= dense * (1.0 - 1e-12), (which, cfg, gains)
 
 
 def test_sweep_validation():
