@@ -16,9 +16,11 @@ come close to the circle. The map's width predicts the point count, so the
 integrand is evaluated once, on that grid, and the doubling check runs on
 nested subsets of its samples. What depends only on a grid's size is built
 once per size and shared read-only: a sweep's angles, w and |w|**m for
-m = 1 and 2, and a trapezoid grid's zeta - 1 and 1 + zeta. A call computes
-only what depends on its loop: a sweep |den(w)| and q(w), an integral the
-circle map and the integrand.
+m = 1 and 2, and a trapezoid grid's zeta - 1 and 1 + zeta. What depends only
+on the loop, its factored S and T (three Taylor shifts), is built once per
+loop, and a sweep and an integral of that loop share it. A call computes the
+rest: a sweep |den(w)| and q(w), an integral the circle map and the
+integrand.
 
 - Discrete: the integral of ln|S| over the circle is that of g = ln|q / den|
   alone, since m*ln|w| integrates to exactly 0 (Jensen). The analytic side is
@@ -215,9 +217,18 @@ def _den_on(circle: _Circle, den: Polynomial) -> tuple[np.ndarray, np.ndarray]:
     return positive, np.where(positive, d, 1.0)
 
 
+# S and T of the last eight loops are kept, so that a loop's sweep and integral
+# share them; a LoopSet key matches only the same transfer-function objects.
+@functools.lru_cache(maxsize=8)
 def _sensitivity(loop: LoopSet) -> _Factored:
     """S = den(L) / (den(L) + num(L)) factored; m counts the open-loop poles at z = 1."""
     return _Factored(loop.S.num, loop.poles.count(1.0), loop.S.den.shifted(1.0))
+
+
+@functools.lru_cache(maxsize=8)
+def _complementary(loop: LoopSet) -> _Factored:
+    """T = num(L) / (den(L) + num(L)) factored over S's shifted denominator; m = 0."""
+    return _Factored(loop.T.num, 0, _sensitivity(loop).den)
 
 
 def _bracketed_max(f, a: float, x: float, b: float, fa: float, fx: float, fb: float,
@@ -276,6 +287,10 @@ def _map_eps(singular) -> tuple[float, float]:
     eps = exp(-u) maximises the width over u in [0, 20], to ``MAP_UTOL`` in
     u; eps = 1 is the identity. Returns (eps, width at eps).
     """
+    # width reads only |s - r| and |1 - r*s| for real r, which conj(s) gives
+    # to the bit: each point is taken in the upper half-plane, a real one as a
+    # float, and an exact conjugate pair once.
+    singular = {z.real if z.imag == 0.0 else complex(z.real, abs(z.imag)) for z in singular}
 
     def width(u: float) -> float:
         eps = math.exp(-u)
@@ -539,8 +554,7 @@ def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
     ts = loop.ts
     if not math.pi / ts < math.inf:  # the largest grid frequency
         raise OverflowError(f"sweep frequency pi/Ts overflows at Ts = {ts!r}")
-    fs = _sensitivity(loop)
-    ft = _Factored(loop.T.num, 0, fs.den)
+    fs, ft = _sensitivity(loop), _complementary(loop)
     den = _den_on(circle, fs.den)
     mag_S, mag_T = fs.mag(circle, *den), ft.mag(circle, *den)
     return FreqSweep(

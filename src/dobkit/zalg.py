@@ -118,11 +118,16 @@ class Polynomial:
         return all(map(math.isfinite, self._c))
 
     def __call__(self, x):
-        """Horner evaluation; accepts scalars or numpy arrays, real or complex."""
-        acc = 0.0
-        for c in reversed(self._c):
-            acc = acc * x + c
-        return acc
+        """Horner evaluation from c_n*x + c_(n-1); scalars or numpy arrays, real or complex.
+
+        A constant returns 0.0*x + c_0, shaped like x.
+        """
+        c = self._c
+        descending = reversed(c)
+        acc = next(descending)
+        for a in descending:
+            acc = acc * x + a
+        return acc if len(c) > 1 else 0.0 * x + acc
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -257,7 +262,11 @@ def poly_roots_batch(polys) -> list:
     matrices of one size are stacked and go through a single
     ``np.linalg.eigvals`` call, which gives each matrix the eigenvalues it
     gets alone, so a polynomial's roots do not depend on the rest of the
-    batch. The eigenvalues are the roots, as eigvals gives them: they are
+    batch. A 1x1 companion matrix's eigenvalue is its entry, -c_0/c_1 with
+    the zeros at 0 split off, and it is taken without an eigensolve: eigvals
+    returns the entry bit for bit where LAPACK does not rescale the matrix
+    (|entry| from about 6.7e-139 to 1.5e138) and rounds its rescaling
+    outside. The eigenvalues are the roots, as eigvals gives them: they are
     backward stable (Edelman and Murakami, Math. Comp. 64, 1995), so no
     Newton polish follows. Complex roots come in exact conjugate pairs, as a
     real eigensolver gives the eigenvalues of a real matrix. The residual is
@@ -286,6 +295,12 @@ def poly_roots_batch(polys) -> list:
             rows.append([-a / lead for a in reversed(c[k:-1])])
     eigs = [()] * len(polys)
     for n, (members, rows) in by_size.items():
+        if n == 1:  # a 1x1 matrix's eigenvalue is its entry: no eigensolve
+            for i, (x,) in zip(members, rows):
+                if not math.isfinite(x):
+                    raise RootFindingError(f"companion entry is not finite: {x!r}")
+                eigs[i] = (x,)
+            continue
         m = len(members)
         # each matrix flat: the companion row, then ones on the subdiagonal
         # at flat indices n, 2n+1, ...

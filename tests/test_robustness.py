@@ -26,6 +26,7 @@ from dobkit.robustness import (
     IllPosedIntegralError,
     _circle_integral,
     _circle_points,
+    _complementary,
     _den_on,
     _Factored,
     _map_eps,
@@ -760,6 +761,37 @@ def test_cached_circle_points_equal_the_in_place_ones():
         for got, wanted in zip(_trapezoid_grid(top), want, strict=True):
             assert np.array_equal(got, wanted) and _same_bits(got, wanted), top
         top *= 2
+
+
+def test_factored_forms_are_built_once_per_loop(monkeypatch, regulation_gains):
+    shifts = []
+    shifted = Polynomial.shifted
+    monkeypatch.setattr(Polynomial, "shifted", lambda p, a: shifts.append(p) or shifted(p, a))
+
+    def both(loop):
+        return freq_sweep(loop), repr(bode_integral_discrete(loop))
+
+    for kind in KINDS:
+        for loop in _regulation_loops(kind, regulation_gains):
+            _sensitivity.cache_clear()
+            _complementary.cache_clear()
+            shifts.clear()
+            bode_integral_discrete(loop)
+            assert len(shifts) == 2, kind  # S.num and S.den: the integral needs no T
+            sweep, report = both(loop)
+            assert len(shifts) == 3, kind  # and T.num, once for the sweep and the integral
+            assert _sensitivity(loop) is _sensitivity(loop)
+            assert _complementary(loop) is _complementary(loop)
+            assert _complementary(loop).den is _sensitivity(loop).den
+            # built afresh, the same bits
+            _sensitivity.cache_clear()
+            _complementary.cache_clear()
+            again, report_again = both(loop)
+            assert len(shifts) == 6, kind
+            assert report == report_again, kind
+            for field in ("freqs", "mag_S", "mag_T"):
+                assert _same_bits(getattr(sweep, field), getattr(again, field)), (kind, field)
+            assert repr((sweep.peak_S, sweep.peak_T)) == repr((again.peak_S, again.peak_T)), kind
 
 
 def _reference_sweep(loop, n_points):

@@ -115,6 +115,38 @@ def test_product_sums_in_ascending_index_of_the_longer_factor(a, b):
         assert list(map(float.hex, (x * y).coeffs.tolist())) == reference(x, y)
 
 
+def _horner_from_zero(p, x):
+    """Horner's rule from acc = 0.0 over every coefficient: the reference evaluation."""
+    acc = 0.0
+    for c in reversed(p.coeffs.tolist()):
+        acc = acc * x + c
+    return acc
+
+
+def test_horner_magnitudes_are_those_of_the_loop_from_zero():
+    # the first step c_n*x + c_(n-1) skips 0.0*x + c_n, which can change only
+    # the sign of a zero imaginary part
+    rng = np.random.default_rng(29)
+    theta = np.geomspace(math.pi * 1e-4, math.pi, 512)  # the sweep's w
+    h = np.sin(0.5 * theta)
+    t = np.arange(257) * (2.0 * math.pi / 512)  # a trapezoid grid's zeta - 1
+    arrays = [-2.0 * h * h + 1j * np.sin(theta), -2.0 * np.sin(0.5 * t) ** 2 + 1j * np.sin(t),
+              rng.uniform(-2.0, 2.0, 64)]
+    scalars = ([complex(x) for x in arrays[0][::37]] + [complex(-2.0, 0.0), 1j, -1j]
+               + rng.uniform(-3.0, 3.0, 16).tolist() + [0.0, -0.0, 1.0, -2.0])
+    for degree in range(9):
+        for _ in range(6):
+            p = Polynomial(rng.standard_normal(degree + 1) * 10.0 ** rng.uniform(-3, 3, degree + 1))
+            for x in arrays:
+                got, want = p(x), _horner_from_zero(p, x)
+                assert got.shape == want.shape == x.shape and got.dtype == want.dtype
+                assert np.abs(got).tobytes() == np.abs(want).tobytes(), (p, x.dtype)
+            for x in scalars:
+                got, want = p(x), _horner_from_zero(p, x)
+                assert type(got) is type(want), (p, x)
+                assert float(abs(got)).hex() == float(abs(want)).hex(), (p, x)
+
+
 # ---------------------------------------------------------------------------
 # root finding
 # ---------------------------------------------------------------------------
@@ -247,8 +279,33 @@ def test_batch_rejects_a_non_finite_coefficient_before_any_eigensolve(monkeypatc
     with pytest.raises(RootFindingError):
         poly_roots_batch(polys)
     assert calls == []
-    poly_roots_batch(polys[:1] if where else polys[1:2])
+    # the degree-2 polynomial alone: a 1x1 companion matrix needs no eigensolve
+    poly_roots_batch(polys[1:2] if where else polys[2:3])
     assert len(calls) == 1
+
+
+def test_linear_roots_are_the_companion_entry_that_eigvals_returns(monkeypatch):
+    # c1 over 300 decades and -c0/c1 over the 276 (1e-138 to 1e138) in which
+    # LAPACK's eigvals does not rescale the matrix (6.7e-139 to 1.5e138)
+    rng = np.random.default_rng(20)
+    n = 10_000
+    e1 = rng.integers(-150, 151, n)
+    e0 = e1 + rng.integers(-137, 138, n)
+    c0, c1 = (rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n) * 10.0 ** e for e in (e0, e1))
+    polys = [Polynomial([a, b]) for a, b in zip(c0.tolist(), c1.tolist())]
+    eigvals = np.linalg.eigvals
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+    sets = poly_roots_batch(polys)
+    assert calls == []
+    for a, b, rs in zip(c0.tolist(), c1.tolist(), sets):
+        assert rs.roots == (complex(eigvals(np.array([[-a / b]]))[0]),), (a, b)
+    # beyond that range eigvals' rescaling rounds; the root stays the quotient
+    for a, b in ((3.7e200, -1.3e-20), (-2.9e-250, 7.1e-90), (5.3e300, 1.1e0)):
+        assert poly_roots(Polynomial([a, b])).roots == (complex(-a / b),)
+    # -1e300/1e-300 overflows: the whole batch raises
+    with pytest.raises(RootFindingError):
+        poly_roots_batch(polys[:3] + [Polynomial([1e300, 1e-300])])
 
 
 def _seeded_polynomials(seed: int):
