@@ -15,11 +15,11 @@ the circle onto itself first crowds the points toward z = 1, where slow poles
 come close to the circle. The map's width predicts the point count, so the
 integrand is evaluated once, on that grid, and the doubling check runs on
 nested subsets of its samples. What depends only on a grid's size is built
-once per size and shared read-only: a sweep's angles, w and |w|**m for
-m = 1 and 2, and a trapezoid grid's zeta - 1 and 1 + zeta. What depends only
-on the loop, its factored S and T (three Taylor shifts), is built once per
-loop, and a sweep and an integral of that loop share it. A call computes the
-rest: a sweep |den(w)| and q(w), an integral the circle map and the
+once per size and shared read-only: a sweep's angles, w and |w|, and a
+trapezoid grid's zeta - 1 and 1 + zeta. What depends only on the loop, its
+factored S and T, is built together once per loop (three Taylor shifts), and
+a sweep and an integral of that loop share it. A call computes the rest: a
+sweep |den(w)|, q(w) and |w|**m, an integral the circle map and the
 integrand.
 
 - Discrete: the integral of ln|S| over the circle is that of g = ln|q / den|
@@ -155,15 +155,11 @@ class _Factored:
         with np.errstate(all="ignore"):
             return np.log(np.abs(self.q(w) / self.den(w)))
 
-    def mag(self, circle: _Circle, positive: np.ndarray, divisor: np.ndarray) -> np.ndarray:
-        """|F| over ``circle``, with den's mask and safe divisor from ``_den_on``; inf where den vanishes."""
+    def mag(self, circle: _Circle, d: np.ndarray) -> np.ndarray:
+        """|F| over ``circle``, with |den(w)| from ``_den_on``; inf where den vanishes."""
         n = np.abs(self.q(circle.w))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(positive, n / divisor, np.inf)
-            m = self.m
-            if m == 0:
-                return ratio
-            return (circle.abs_w if m == 1 else circle.abs_w2 if m == 2 else circle.abs_w ** m) * ratio
+            return circle.abs_w ** self.m * np.where(d > 0.0, n / d, np.inf)
 
     def mag_at(self, theta: float) -> float:
         """|F| at one angle in Python arithmetic, which numpy scalars make slow."""
@@ -183,52 +179,45 @@ class _Circle(NamedTuple):
     """Points z = exp(j theta) of the unit circle that no loop changes, all read-only.
 
     ``w`` = z - 1 = -2 sin(theta/2)**2 + j sin(theta) and ``abs_w`` =
-    |w| = 2 sin(theta/2), formed without cancellation; ``abs_w2`` = |w|**2.
-    They give a factored F's |w|**m for m = 1 and 2.
+    |w| = 2 sin(theta/2), formed without cancellation.
     """
 
     theta: np.ndarray
     w: np.ndarray
     abs_w: np.ndarray
-    abs_w2: np.ndarray
 
 
 def _circle_points(theta: np.ndarray) -> _Circle:
     """The ``_Circle`` at an array of angles, which it makes read-only with its own."""
     h = np.sin(0.5 * theta)
-    abs_w = 2.0 * h
-    circle = _Circle(theta, -2.0 * h * h + 1j * np.sin(theta), abs_w, abs_w ** 2)
+    circle = _Circle(theta, -2.0 * h * h + 1j * np.sin(theta), 2.0 * h)
     for a in circle:
         a.flags.writeable = False
     return circle
 
 
-def _den_on(circle: _Circle, den: Polynomial) -> tuple[np.ndarray, np.ndarray]:
-    """Where |den(w)| > 0 over ``circle``, and |den(w)| with 1 where it is 0.
+def _den_on(circle: _Circle, den: Polynomial) -> np.ndarray:
+    """|den(w)| over ``circle``, shared by S and T.
 
-    The mask and safe divisor are shared by S and T. Raises ``OverflowError``
-    when |den(w)| is not finite at some angle.
+    Raises ``OverflowError`` when it is not finite at some angle.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.abs(den(circle.w))
     if not np.isfinite(d).all():
         raise OverflowError("|den(L) + num(L)| is not finite on the unit circle")
-    positive = d > 0.0
-    return positive, np.where(positive, d, 1.0)
+    return d
 
 
 # S and T of the last eight loops are kept, so that a loop's sweep and integral
 # share them; a LoopSet key matches only the same transfer-function objects.
 @functools.lru_cache(maxsize=8)
-def _sensitivity(loop: LoopSet) -> _Factored:
-    """S = den(L) / (den(L) + num(L)) factored; m counts the open-loop poles at z = 1."""
-    return _Factored(loop.S.num, loop.poles.count(1.0), loop.S.den.shifted(1.0))
+def _factored(loop: LoopSet) -> tuple[_Factored, _Factored]:
+    """S and T factored over one shifted den(L) + num(L), built together.
 
-
-@functools.lru_cache(maxsize=8)
-def _complementary(loop: LoopSet) -> _Factored:
-    """T = num(L) / (den(L) + num(L)) factored over S's shifted denominator; m = 0."""
-    return _Factored(loop.T.num, 0, _sensitivity(loop).den)
+    S's m counts the open-loop poles at z = 1; T has no zero there (m = 0).
+    """
+    den = loop.S.den.shifted(1.0)
+    return _Factored(loop.S.num, loop.poles.count(1.0), den), _Factored(loop.T.num, 0, den)
 
 
 def _bracketed_max(f, a: float, x: float, b: float, fa: float, fx: float, fb: float,
@@ -422,7 +411,7 @@ def bode_integral_discrete(loop: LoopSet) -> BodeIntegralReport:
     if not S.is_discrete:
         raise ValueError("discrete loop required")
 
-    fs = _sensitivity(loop)
+    fs = _factored(loop)[0]
     open_loop_poles, singular = _singular_points(loop, 1.0, lambda z: z, "unit circle")
     numeric, points, difference = _circle_integral(fs, singular)
 
@@ -554,9 +543,9 @@ def freq_sweep(loop: LoopSet, n_points: int = 512) -> FreqSweep:
     ts = loop.ts
     if not math.pi / ts < math.inf:  # the largest grid frequency
         raise OverflowError(f"sweep frequency pi/Ts overflows at Ts = {ts!r}")
-    fs, ft = _sensitivity(loop), _complementary(loop)
-    den = _den_on(circle, fs.den)
-    mag_S, mag_T = fs.mag(circle, *den), ft.mag(circle, *den)
+    fs, ft = _factored(loop)
+    d = _den_on(circle, fs.den)
+    mag_S, mag_T = fs.mag(circle, d), ft.mag(circle, d)
     return FreqSweep(
         freqs=thetas / ts,
         mag_S=mag_S,

@@ -23,6 +23,7 @@ estimate identity tau_dis_hat = K_tn * (I - I_des).
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -162,8 +163,15 @@ class Scenario:
         # A ratio that overflows to inf fails this test too.
         if not self.duration / self.cfg.Ts < MAX_SAMPLES:
             raise ValueError(f"duration / Ts must stay below {MAX_SAMPLES} samples")
-        if self.seed < 0:
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        if seed < 0:
             raise ValueError("seed must be non-negative")
+        ref, t_last = self.reference, (self.n_samples - 1) * self.cfg.Ts
+        if ref.kind == "sinusoid" and not math.isfinite(ref.freq * t_last):
+            raise ValueError("sinusoid phase freq * t overflows at the last sample")
         pulses = tuple(sorted(self.disturbances, key=lambda p: p.t_start))
         for p in pulses:
             if p.t_start < 0.0 or p.t_end > self.duration + 1e-12:
@@ -184,7 +192,7 @@ class SimTrace:
 
     Measured channels not produced by the configured sensor set are None.
     A diverged trace is truncated at the first sample with |q| beyond the
-    guard limit; the flag is data, not an error.
+    guard limit or NaN; the flag is data, not an error.
     """
 
     t: np.ndarray
@@ -269,7 +277,7 @@ def simulate(sc: Scenario) -> SimTrace:
     velocity, acceleration); a silent scenario draws nothing and its sensors
     read the true motion. Instability is a legitimate outcome: the run stops
     with ``diverged=True`` at the first sample whose |q| exceeds the guard
-    limit, and that sample is the trace's last.
+    limit or is NaN, and that sample is the trace's last.
     """
     cfg = sc.cfg
     plant = cfg.plant
@@ -341,7 +349,7 @@ def simulate(sc: Scenario) -> SimTrace:
         out_qdd.append(u)
         out_I_des.append(I_des)
         out_I.append(I)
-        if abs(q) > DIVERGENCE_LIMIT:
+        if not abs(q) <= DIVERGENCE_LIMIT:  # NaN diverges too
             diverged = True
             break
         q = q + Ts * qd + hTs2 * u
@@ -386,7 +394,7 @@ def simulate_linear_oracle(sc: Scenario) -> SimTrace:
     are strictly proper. Without outer gains the PD block is the zero gain.
     The current and disturbance-estimate channels are recovered from exact
     per-sample identities. A run that diverges stops as ``simulate`` does,
-    at the first sample with |q| beyond the guard limit, with ``diverged=True``.
+    at the first sample with |q| beyond the guard limit or NaN, with ``diverged=True``.
     """
     if not sc.noise.silent:
         raise UnsupportedScenarioError("the linear oracle covers noise-free scenarios only")
@@ -430,7 +438,7 @@ def simulate_linear_oracle(sc: Scenario) -> SimTrace:
         qd.append(qd_k)
         qdd.append(acc_k)
         qdd_des.append(des_k)
-        if abs(q_k) > DIVERGENCE_LIMIT:
+        if not abs(q_k) <= DIVERGENCE_LIMIT:
             diverged = True
             break
     qdd = np.asarray(qdd)

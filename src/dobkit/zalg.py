@@ -308,14 +308,11 @@ def poly_roots_batch(polys) -> list:
         stack[:, :n] = rows
         stack[:, n::n + 1] = 1.0
         try:
-            if m == 1:  # as a 2-D matrix, where eigvals costs about 1 us less
-                eigs[members[0]] = np.linalg.eigvals(stack.reshape(n, n)).tolist()
-            else:
-                values = np.linalg.eigvals(stack.reshape(m, n, n)).tolist()
-                for i, w in zip(members, values):
-                    eigs[i] = w
+            values = np.linalg.eigvals(stack.reshape(m, n, n)).tolist()
         except np.linalg.LinAlgError as exc:
             raise RootFindingError(f"companion eigenvalues failed: {exc}") from exc
+        for i, w in zip(members, values):
+            eigs[i] = w
     sets = []
     for p, w, k in zip(polys, eigs, zeros):
         roots = [complex(x) for x in w]

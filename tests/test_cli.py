@@ -288,6 +288,32 @@ def test_simulate_divergence_column(tmp_path, capsys):
     assert float(lines[-1].split(",")[0]) < 3.0
 
 
+def test_simulate_flags_a_nan_position_as_divergence(tmp_path, capsys):
+    # every value finite and positive; q is NaN from the second row on
+    text = ("plant.J_m = 4.5e-95\nplant.K_t = 2.9e57\nplant.J_mn = 8.9e-159\nplant.K_tn = 4.1e62\n"
+            "dob.kind = velocity\ndob.g_dob = 6.7e282\ndob.Ts = 1.6e252\n"
+            "outer.Kp = 7e-222\nouter.Kd = 1\nscenario.duration = 3.5e253\n"
+            "scenario.reference.type = step\nscenario.reference.amplitude = 4e-139\n")
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", _write(tmp_path, text), "--out", str(out)]) == 0
+    assert "diverged=True" in capsys.readouterr().out
+    rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+    assert len(rows) == 2 and rows[-1][2] == "nan" and rows[-1][-1] == "1"
+
+
+def test_simulate_sinusoid_whose_phase_overflows_is_a_config_error(tmp_path, capsys):
+    text = BASE.replace("dob.g_dob = 500", "dob.g_dob = 1e-300").replace(
+        "dob.Ts = 0.001", "dob.Ts = 1e300").replace("outer.Kp = 5000", "outer.Kp = 1e-300").replace(
+        "outer.Kd = 25", "outer.Kd = 0")
+    text += ("scenario.duration = 1e303\nscenario.reference.type = sinusoid\n"
+             "scenario.reference.amplitude = 1\nscenario.reference.freq = 1e10\n")
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", _write(tmp_path, text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "phase" in err
+    assert not out.exists()
+
+
 def test_bode_csv_nyquist_row(tmp_path, capsys):
     out = tmp_path / "bode.csv"
     assert main(["bode", _write(tmp_path, BASE), "--points", "64",

@@ -26,12 +26,11 @@ from dobkit.robustness import (
     IllPosedIntegralError,
     _circle_integral,
     _circle_points,
-    _complementary,
     _den_on,
     _Factored,
+    _factored,
     _map_eps,
     _refined_peak,
-    _sensitivity,
     _sweep_circle,
     _trapezoid_grid,
     bode_integral_continuous,
@@ -137,7 +136,7 @@ def test_circle_map_changes_little():
     # and the rule is the plain trapezoid rule in theta
     loop = make_inner_loop(make_cfg("acceleration", alpha=1.5, g_dob=500.0))
     mapped = bode_integral_discrete(loop).numeric_value
-    plain, points, _ = _circle_integral(_sensitivity(loop), [])
+    plain, points, _ = _circle_integral(_factored(loop)[0], [])
     assert points <= 256
     assert abs(mapped - plain) < 1e-13
 
@@ -275,13 +274,13 @@ def test_factored_sensitivity_is_exact_near_one(tf, kind, regulation_gains):
     # the expanded Horner sums in z lose up to 1.9e-8 relative for S and
     # 1.5e-12 for T at theta ~ 3e-4; T shares S's shifted denominator
     _, outer = _regulation_loops(kind, regulation_gains)
-    fs = _sensitivity(outer)
-    f = fs if tf == "S" else _Factored(outer.T.num, 0, fs.den)
+    fs, ft = _factored(outer)
+    f = fs if tf == "S" else ft
     for t in (1e-5, 1e-4, 1e-3, 0.5):
         theta = 2.0 * math.atan(t)
         exact = _exact_mag(getattr(outer, tf), t)
         circle = _circle_points(np.array([theta]))
-        assert f.mag(circle, *_den_on(circle, fs.den))[0] == pytest.approx(exact, rel=1e-13), t
+        assert f.mag(circle, _den_on(circle, fs.den))[0] == pytest.approx(exact, rel=1e-13), t
         assert f.mag_at(theta) == pytest.approx(exact, rel=1e-13), t
 
 
@@ -290,7 +289,7 @@ def test_structural_order_at_one(kind, regulation_gains):
     inner, outer = _regulation_loops(kind, regulation_gains)
     assert inner.poles.count(1.0) == 1
     assert outer.poles.count(1.0) == 2
-    assert _sensitivity(inner).m == 1 and _sensitivity(outer).m == 2
+    assert _factored(inner)[0].m == 1 and _factored(outer)[0].m == 2
 
 
 @pytest.mark.parametrize("kind", ["acceleration", "velocity"])
@@ -303,7 +302,7 @@ def test_structural_order_at_vanishing_gain(kind, a, regulation_gains):
     cfg = make_cfg(kind, alpha=1.0, g_dob=a / 0.5e-3, Ts=0.5e-3)
     outer = make_outer_loop(make_inner_loop(cfg), make_pd(regulation_gains, cfg.Ts))
     assert outer.poles.count(1.0) == 2
-    assert _sensitivity(outer).m == 2
+    assert _factored(outer)[0].m == 2
     with pytest.raises(IllPosedIntegralError, match="sensitivity pole on the unit circle"):
         bode_integral_discrete(outer)
 
@@ -586,8 +585,8 @@ def test_predicted_grid_matches_doubling_on_seeded_loops(monkeypatch, regulation
         for outcomes in seen:
             _assert_same_quadrature(outcomes, label)
         # q from the shifted coefficient tuple, as from its array
-        fs = _sensitivity(loop)
-        for f, num in ((fs, loop.S.num), (_Factored(loop.T.num, 0, fs.den), loop.T.num)):
+        fs, ft = _factored(loop)
+        for f, num in ((fs, loop.S.num), (ft, loop.T.num)):
             want = Polynomial(num.shifted(1.0).coeffs[f.m:])
             assert f.q.coeffs.tolist() == want.coeffs.tolist(), label
     # the continuous baseline replaces the samples at z = +-1 by their limits
@@ -606,7 +605,7 @@ def test_grid_coarser_than_convergence_keeps_doubling(regulation_gains):
     # no singular points: the grid is predicted at 128 points, but the outer
     # loop's slow poles need thousands on the identity map
     _, outer = _regulation_loops("velocity", regulation_gains)
-    outcomes = _quadratures(_sensitivity(outer), [])
+    outcomes = _quadratures(_factored(outer)[0], [])
     _assert_same_quadrature(outcomes, "velocity outer")
     assert outcomes[1][0][1] > 2 * TRAPEZOID_START
 
@@ -750,7 +749,7 @@ def test_cached_circle_points_equal_the_in_place_ones():
     for n in (16, 256, 512):
         theta = np.geomspace(math.pi * 1e-4, math.pi, n)
         h = np.sin(0.5 * theta)
-        want = (theta, -2.0 * h * h + 1j * np.sin(theta), 2.0 * h, (2.0 * h) ** 2)
+        want = (theta, -2.0 * h * h + 1j * np.sin(theta), 2.0 * h)
         for got, wanted in zip(_sweep_circle(n), want, strict=True):
             assert np.array_equal(got, wanted) and _same_bits(got, wanted), n
     top = 2 * TRAPEZOID_START
@@ -773,19 +772,17 @@ def test_factored_forms_are_built_once_per_loop(monkeypatch, regulation_gains):
 
     for kind in KINDS:
         for loop in _regulation_loops(kind, regulation_gains):
-            _sensitivity.cache_clear()
-            _complementary.cache_clear()
+            _factored.cache_clear()
             shifts.clear()
             bode_integral_discrete(loop)
-            assert len(shifts) == 2, kind  # S.num and S.den: the integral needs no T
+            assert len(shifts) == 3, kind  # S.num, T.num and their one den
             sweep, report = both(loop)
-            assert len(shifts) == 3, kind  # and T.num, once for the sweep and the integral
-            assert _sensitivity(loop) is _sensitivity(loop)
-            assert _complementary(loop) is _complementary(loop)
-            assert _complementary(loop).den is _sensitivity(loop).den
+            assert len(shifts) == 3, kind  # none more for the sweep and a second integral
+            assert _factored(loop) is _factored(loop)
+            fs, ft = _factored(loop)
+            assert ft.den is fs.den
             # built afresh, the same bits
-            _sensitivity.cache_clear()
-            _complementary.cache_clear()
+            _factored.cache_clear()
             again, report_again = both(loop)
             assert len(shifts) == 6, kind
             assert report == report_again, kind
@@ -799,7 +796,7 @@ def _reference_sweep(loop, n_points):
     thetas = np.geomspace(math.pi * 1e-4, math.pi, n_points)
     h = np.sin(0.5 * thetas)
     w = -2.0 * h * h + 1j * np.sin(thetas)
-    fs = _sensitivity(loop)
+    fs = _factored(loop)[0]
     ft = _Factored(loop.T.num, 0, fs.den)
     d = np.abs(fs.den(w))
     mags = []
@@ -851,9 +848,9 @@ def test_sweeps_and_integrals_equal_in_place_references_on_seeded_loops(monkeypa
 def _dense_factored_peak(loop, which, n):
     """Largest |S| or |T| of the factored form on an n-point log grid over [1e-12, 1]*pi, and its angle."""
     circle = _circle_points(np.geomspace(1e-12 * math.pi, math.pi, n))
-    fs = _sensitivity(loop)
-    f = fs if which == "S" else _Factored(loop.T.num, 0, fs.den)
-    mags = f.mag(circle, *_den_on(circle, fs.den))
+    fs, ft = _factored(loop)
+    f = fs if which == "S" else ft
+    mags = f.mag(circle, _den_on(circle, fs.den))
     i = int(np.argmax(mags))
     return float(mags[i]), float(circle.theta[i])
 

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 import dobkit
 from dobkit.loops import (
+    DobConfig,
     MeasurementKind,
     OuterGains,
+    PlantParams,
     discrete_position_plant,
     make_inner_loop,
     make_outer_loop,
@@ -121,6 +123,10 @@ def test_scenario_parts_reject_invalid_fields(cls, args):
 
 @pytest.mark.parametrize("duration, Ts, seed", [
     (1.0, 1e-3, -1),                 # negative seed
+    (1.0, 1e-3, 1.5),                # non-integer seeds, which numpy's generator
+    (1.0, 1e-3, math.nan),           # would refuse with TypeError at the first draw
+    (1.0, 1e-3, 2.0),
+    (1.0, 1e-3, "3"),
     (1e13, 1e-3, 0),                 # 1e16 samples
     (MAX_SAMPLES * 1e-3, 1e-3, 0),   # one period past the cap
     (1e10, 1e-300, 0),               # duration / Ts overflows to inf
@@ -128,6 +134,24 @@ def test_scenario_parts_reject_invalid_fields(cls, args):
 def test_scenario_rejects_seed_and_sample_count(duration, Ts, seed):
     with pytest.raises(ValueError):
         Scenario(duration=duration, cfg=make_cfg("velocity", Ts=Ts), gains=REG_GAINS, seed=seed)
+
+
+def test_scenario_takes_a_numpy_integer_seed():
+    noise = NoiseSpec(eta_p=1e-6)
+    a, b = (simulate(_regulation_scenario("velocity", duration=0.1, noise=noise, seed=seed))
+            for seed in (np.int64(7), 7))
+    assert np.array_equal(a.q_meas, b.q_meas)
+
+
+def test_scenario_rejects_a_sinusoid_whose_phase_overflows():
+    # freq * t reaches 1e313 at the last of 1001 samples, whose sin is NaN
+    cfg = make_cfg("velocity", g_dob=1e-300, Ts=1e300)
+    with pytest.raises(ValueError, match="phase"):
+        Scenario(duration=1e303, cfg=cfg, gains=OuterGains(1e-300, 0.0),
+                 reference=Reference.sinusoid(1.0, 1e10))
+    # a lower freq keeps the phase finite
+    Scenario(duration=1e303, cfg=cfg, gains=OuterGains(1e-300, 0.0),
+             reference=Reference.sinusoid(1.0, 1e5))
 
 
 def test_scenario_at_sample_cap_is_accepted():
@@ -288,6 +312,19 @@ def test_oracle_truncates_where_the_simulator_diverges():
     for name in CHANNELS:
         a, b = getattr(trace, name), getattr(oracle, name)
         assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) <= 1e-9, name
+
+
+def test_a_nan_position_diverges_in_simulator_and_oracle():
+    # finite, positive but extreme values: q is NaN from the second sample on,
+    # which must stop the run (abs(nan) > limit is False)
+    cfg = DobConfig(kind=MeasurementKind.VELOCITY, g_dob=1.3e18, Ts=7.4e-228,
+                    plant=PlantParams(J_m=1.5e57, K_t=5.2e131, J_mn=2.9e69, K_tn=8.7e104))
+    sc = Scenario(duration=2.2e-226, cfg=cfg, gains=OuterGains(3.4e100, 1.7e140),
+                  reference=Reference.step(1.4e19))
+    for run in (simulate, simulate_linear_oracle):
+        trace = run(sc)
+        assert trace.diverged, run
+        assert trace.t.size == 2 and math.isnan(trace.q[-1]), run
 
 
 def test_divergence_boundary_matches_sampling_limit():
