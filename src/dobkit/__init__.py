@@ -18,7 +18,6 @@ _LAYERS = {
         "DobConfig", "LoopSet", "MeasurementKind", "OuterGains", "PlantParams",
         "classify_compensator", "discrete_position_plant", "discrete_velocity_plant",
         "make_continuous_inner", "make_inner_loop", "make_outer_loop", "make_pd",
-        "q_filter", "velocity_estimator",
     ),
     "robustness": (
         "BodeIntegralReport", "FreqSweep", "IllPosedIntegralError", "Peak",

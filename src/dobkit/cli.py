@@ -210,7 +210,7 @@ def build_scenario(pc: ParsedConfig, cfg: DobConfig, gains: OuterGains) -> Scena
 
 def load_config(path: str) -> ParsedConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None

@@ -27,8 +27,6 @@ __all__ = [
     "DobConfig",
     "OuterGains",
     "LoopSet",
-    "q_filter",
-    "velocity_estimator",
     "discrete_velocity_plant",
     "discrete_position_plant",
     "make_inner_loop",
@@ -149,7 +147,7 @@ class OuterGains:
 
 
 class LoopSet(NamedTuple):
-    """Open loop L, sensitivities S and T, series compensator C, plant model G.
+    """Open loop L, sensitivities S and T and series compensator C.
 
     S and T share one denominator polynomial (den(L) + num(L)), so S + T = 1
     is exact by construction. ``poles`` are the roots of den(L), written from
@@ -161,7 +159,6 @@ class LoopSet(NamedTuple):
     S: RationalTF
     T: RationalTF
     C: RationalTF
-    G: RationalTF
     poles: tuple
 
     @property
@@ -169,7 +166,7 @@ class LoopSet(NamedTuple):
         return self.L.ts
 
     @classmethod
-    def from_open_loop(cls, L: RationalTF, C: RationalTF, G: RationalTF, poles: tuple) -> "LoopSet":
+    def from_open_loop(cls, L: RationalTF, C: RationalTF, poles: tuple) -> "LoopSet":
         """The loop set of L; raises ``OverflowError`` when a coefficient is not finite.
 
         Finite but extreme parameters (say Ts = 1e300) can overflow the
@@ -183,7 +180,7 @@ class LoopSet(NamedTuple):
                 raise OverflowError(f"loop coefficients overflow: {poly!r}")
         ts = L.ts
         return cls(L=L, S=RationalTF._of(L.den, closed, ts), T=RationalTF._of(L.num, closed, ts),
-                   C=C, G=G, poles=tuple(poles))
+                   C=C, poles=tuple(poles))
 
 
 def _roots(p: Polynomial) -> tuple:
@@ -213,19 +210,10 @@ def _roots(p: Polynomial) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _lag(x: float) -> Polynomial:
-    """(1 + x) z - 1, the denominator of both first-order filters below (x = gain*Ts)."""
+    """(1 + x) z - 1 (x = gain*Ts), the denominator of both first-order filters:
+    the observer low-pass Q = x*z / ((1 + x) z - 1) and the pseudo-velocity
+    filter g_v (z-1) / ((1 + x) z - 1) on measured position."""
     return Polynomial._of([-1.0, float(1.0 + x)])
-
-
-def q_filter(g_dob: float, Ts: float) -> RationalTF:
-    """First-order observer low-pass g*Ts*z / ((1+g*Ts) z - 1)."""
-    a = g_dob * Ts
-    return RationalTF([0.0, a], _lag(a), Ts)
-
-
-def velocity_estimator(g_v: float, Ts: float) -> RationalTF:
-    """Pseudo-velocity filter g_v (z-1) / ((1+g_v*Ts) z - 1) on measured position."""
-    return RationalTF([-g_v, g_v], _lag(g_v * Ts), Ts)
 
 
 def discrete_velocity_plant(Ts: float) -> RationalTF:
@@ -257,11 +245,9 @@ def _inner_num(cfg: DobConfig, alpha: float, g: float) -> Polynomial:
 def make_inner_loop(cfg: DobConfig) -> LoopSet:
     """Inner observer loop for the configured measurement kind.
 
-    Returns the closed forms: for acceleration measurement
-    L = a*z/(z-1) with a = alpha*g_dob*Ts and G the identity; for velocity
-    measurement L = a/(z-1) with G = Ts/(z-1); for position measurement
-    L = beta*g_v*g_dob (z+1) / ((z-1)((1+g_v Ts) z - 1)) with the
-    half-sample-average position plant as G.
+    Returns the closed forms: for acceleration measurement L = a*z/(z-1)
+    with a = alpha*g_dob*Ts; for velocity measurement L = a/(z-1); for
+    position measurement L = beta*g_v*g_dob (z+1) / ((z-1)((1+g_v Ts) z - 1)).
     """
     alpha = cfg.plant.alpha
     g, Ts = cfg.g_dob, cfg.Ts
@@ -270,18 +256,13 @@ def make_inner_loop(cfg: DobConfig) -> LoopSet:
     poles = (1.0,)  # the integrator's
     c_num = _lag(g * Ts)  # den(Q)
 
-    if cfg.kind is MeasurementKind.ACCELERATION:
-        G = RationalTF._of(_UNIT, _UNIT, Ts)
-    elif cfg.kind is MeasurementKind.VELOCITY:
-        G = discrete_velocity_plant(Ts)
-    else:
+    if cfg.kind is MeasurementKind.POSITION:
         v_den = _lag(cfg.g_v * Ts)  # den(velocity estimator)
         den = den * v_den
         poles += _roots(v_den)
         c_num = c_num * v_den
-        G = discrete_position_plant(Ts)
     C = RationalTF._of(alpha * c_num, den + num, Ts)
-    return LoopSet.from_open_loop(RationalTF._of(num, den, Ts), C, G, poles)
+    return LoopSet.from_open_loop(RationalTF._of(num, den, Ts), C, poles)
 
 
 def make_continuous_inner(plant: PlantParams, g_dob: float) -> LoopSet:
@@ -292,8 +273,7 @@ def make_continuous_inner(plant: PlantParams, g_dob: float) -> LoopSet:
     ag = float(alpha * g_dob)
     L = RationalTF._of(Polynomial._of([ag]), _Z, None)
     C = RationalTF._of(Polynomial._of([ag, alpha]), Polynomial._of([ag, 1.0]), None)
-    G = RationalTF._of(_UNIT, _UNIT, None)
-    return LoopSet.from_open_loop(L, C, G, (0.0,))
+    return LoopSet.from_open_loop(L, C, (0.0,))
 
 
 def make_pd(gains: OuterGains, Ts: float) -> RationalTF:
@@ -319,7 +299,7 @@ def make_outer_loop(inner: LoopSet, pd: RationalTF) -> LoopSet:
     G_p = discrete_position_plant(ts)
     L = pd * inner.C * G_p  # raises DomainMismatchError unless the sampling times agree
     poles = (*_roots(pd.den), *_roots(inner.C.den), 1.0, 1.0)  # G_p: h (z+1)/(z-1)**2
-    return LoopSet.from_open_loop(L, RationalTF._of(_UNIT, _UNIT, ts), G_p, poles)
+    return LoopSet.from_open_loop(L, RationalTF._of(_UNIT, _UNIT, ts), poles)
 
 
 def _locus_pencil(cfg: DobConfig, gains: OuterGains, param: str) -> tuple:
@@ -342,10 +322,9 @@ def _locus_pencil(cfg: DobConfig, gains: OuterGains, param: str) -> tuple:
         D, N = D * v_den, N * v_den
     if param == "alpha":
         A, B = P * D, P * (n * g) + N * _lag(g * Ts)
-    else:  # den(Q) = _lag(g*Ts) = _lag(0) + g*Ts*(_lag(1) - _lag(0)), exactly
-        lag0 = _lag(0.0)
-        A = P * D + N * (lag0 * alpha)
-        B = (P * n + N * ((_lag(1.0) + lag0 * -1.0) * Ts)) * alpha
+    else:  # den(Q) = _lag(g*Ts) = (z - 1) + g*Ts*z
+        A = P * D + N * (_INTEGRATOR * alpha)
+        B = (P * n + N * (_Z * Ts)) * alpha
     for poly in (A, B):
         if not poly.is_finite:
             raise OverflowError(f"locus pencil coefficients overflow: {poly!r}")

@@ -448,7 +448,7 @@ def bode_integral_continuous(loop: LoopSet) -> BodeIntegralReport:
         raise ValueError("open loop must be strictly proper with relative degree 1")
 
     # L = a/s + b/s**2 + ...: a = lim s*L, b = lim s*(s*L - a)
-    num, den = L.num.coeffs.tolist(), L.den.coeffs.tolist()
+    num, den = L.num._c, L.den._c
     n = len(den) - 1
     a = num[n - 1] / den[n]
     b = ((num[n - 2] if n >= 2 else 0.0) - a * den[n - 1]) / den[n]

@@ -370,8 +370,8 @@ def _order2(tf: RationalTF) -> tuple[float, float, float, float, float]:
     y = b0*x + s1, s1 <- b1*x - a1*y + s2, s2 <- b2*x - a2*y is the section's
     direct-form II transposed update from zero initial state.
     """
-    b = [float(c) for c in tf.num.coeffs[::-1]]
-    a = [float(c) for c in tf.den.coeffs[::-1]]
+    b = tf.num._c[::-1]
+    a = tf.den._c[::-1]
     if len(b) > len(a):
         raise ValueError("improper transfer function cannot be realized causally")
     if len(a) > 3:

@@ -45,13 +45,13 @@ class Polynomial:
     """Dense real-coefficient polynomial, ascending powers, trailing zeros trimmed.
 
     The coefficients are kept as a tuple of Python floats and all arithmetic
-    runs on it; ``coeffs`` is the same sequence as a read-only numpy array,
-    built on first use. The zero polynomial is canonically ``[0.0]`` and
+    runs on it; ``coeffs`` copies them into a new read-only numpy array on
+    each read. The zero polynomial is canonically ``[0.0]`` and
     reports degree -1. Instances are immutable; all operations return new
     objects.
     """
 
-    __slots__ = ("_c", "_array")
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs):
         c = None
@@ -74,7 +74,6 @@ class Polynomial:
         if n < len(c):
             c = c[:n]
         self._c = tuple(c) if n else (0.0,)
-        self._array = None
 
     @classmethod
     def _of(cls, c: list) -> "Polynomial":
@@ -91,12 +90,9 @@ class Polynomial:
     # -- basic queries -----------------------------------------------------
     @property
     def coeffs(self) -> np.ndarray:
-        """Ascending coefficients as a read-only float array."""
-        a = self._array
-        if a is None:
-            a = np.array(self._c)
-            a.flags.writeable = False
-            self._array = a
+        """Ascending coefficients as a new read-only float array."""
+        a = np.array(self._c)
+        a.flags.writeable = False
         return a
 
     @property
@@ -239,7 +235,7 @@ class RationalTF:
 
     def __repr__(self) -> str:
         tag = "s" if self.ts is None else f"z, ts={self.ts}"
-        return f"RationalTF({self.num.coeffs.tolist()}, {self.den.coeffs.tolist()}, {tag})"
+        return f"RationalTF({list(self.num._c)}, {list(self.den._c)}, {tag})"
 
 
 # ---------------------------------------------------------------------------

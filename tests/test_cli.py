@@ -441,6 +441,16 @@ def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_config_with_a_utf8_byte_order_mark_is_read(tmp_path, capsys):
+    # some editors save UTF-8 with a leading byte-order mark
+    assert main(["analyze", _write(tmp_path, BASE)]) == 0
+    want = capsys.readouterr().out
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + BASE.encode("utf-8"))
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["sweep", _write(tmp_path, BASE), "--param", "inertia",
                  "--from", "1", "--to", "2", "--points", "4",

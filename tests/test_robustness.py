@@ -126,7 +126,7 @@ def test_overflowing_integrand_is_ill_posed():
     # |S| on the circle overflows to inf/inf = NaN; the trapezoid rule must
     # reject its first samples rather than double the point count to the cap
     L = RationalTF([0.25e308, 1.5e308, 1e308], [-1.0, 1.0], 1e-3)
-    loop = LoopSet.from_open_loop(L, L, RationalTF.constant(1.0, 1e-3), (1.0,))
+    loop = LoopSet.from_open_loop(L, L, (1.0,))
     with np.errstate(all="ignore"), pytest.raises(IllPosedIntegralError, match="not finite"):
         bode_integral_discrete(loop)
 
@@ -390,7 +390,7 @@ def _continuous_loop(zeros, poles, gain):
     """Continuous unity-feedback loop L = gain * prod(s - zeros) / prod(s - poles)."""
     num = gain * np.atleast_1d(np.poly(zeros))[::-1]
     L = RationalTF(num, np.poly(poles)[::-1], None)
-    return LoopSet.from_open_loop(L, L, RationalTF.constant(1.0, None), poles)
+    return LoopSet.from_open_loop(L, L, poles)
 
 
 def _pair(zeta, omega):
@@ -685,6 +685,25 @@ def test_peak_search_stops_at_rounding_level(monkeypatch, outer, expected, most)
     assert peak.value == pytest.approx(expected, rel=1e-14)
     assert 1 <= calls["S"] <= most
     assert 1 <= calls["T"] <= most
+
+
+# Two peaks the 512-point sweep misses, because refinement starts only at the
+# grid's argmax (ROADMAP direction 13). The true maxima were read from the
+# factored forms on a 400,001-point log grid around them.
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the peak search refines only from the grid's argmax")
+@pytest.mark.parametrize("alpha, g_dob, Ts, g_v, K_p, K_d, peak, least", [
+    # a lightly damped pair between grid points: reads 2.2414 at 40 rad/s,
+    # true 4.1326 near 2,726 rad/s
+    (1.7385, 3443.09, 3.2372e-4, 1800.63, 1491.47, 16.07, "peak_S", 4.13),
+    # a maximum below the band while the grid's argmax lies inside it: reads
+    # 0.92576 at 1,492 rad/s, true 1.02837 near 139 rad/s
+    (0.7166, 3889.0, 3.136e-7, 605.3, 6261.0, 265.0, "peak_T", 1.028),
+])
+def test_sweep_peaks_off_the_grids_argmax(alpha, g_dob, Ts, g_v, K_p, K_d, peak, least):
+    inner = make_inner_loop(make_cfg("position", alpha=alpha, g_dob=g_dob, Ts=Ts, g_v=g_v))
+    loop = make_outer_loop(inner, make_pd(OuterGains(K_p=K_p, K_d=K_d), Ts))
+    assert getattr(freq_sweep(loop, n_points=512), peak).value >= least
 
 
 @pytest.mark.parametrize("a", [0.1, 0.5, 0.9, 1.1, 1.5, 1.9])

@@ -523,7 +523,7 @@ def test_feedback_unity_closes_integrating_loop():
     # L = a*z/(z-1) closes to a*z / ((1+a) z - 1)
     a = 0.5
     L = RationalTF([0.0, a], [-1.0, 1.0], 1e-3)
-    closed = LoopSet.from_open_loop(L, L, RationalTF.constant(1.0, 1e-3), (1.0,)).T
+    closed = LoopSet.from_open_loop(L, L, (1.0,)).T
     assert closed.den.coeffs.tolist() == [-1.0, 1.0 + a]
     assert_same_tf(closed, RationalTF([0.0, a], [-1.0, 1.0 + a], 1e-3))
     assert_same_tf(closed, lambda z: at(L)(z) / (1.0 + at(L)(z)), 1)
@@ -533,7 +533,7 @@ def test_feedback_unity_degenerate():
     # 1 + L vanishes identically: no closed loop exists
     L = RationalTF.constant(-1.0, 1e-3)
     with pytest.raises(ZeroDivisionError):
-        LoopSet.from_open_loop(L, L, RationalTF.constant(1.0, 1e-3), ())
+        LoopSet.from_open_loop(L, L, ())
 
 
 def test_mixed_domains_rejected():
@@ -563,7 +563,7 @@ def test_sensitivity_pair_sums_to_one(num, poles, leading):
     if closed_den.is_zero:
         return
     one = RationalTF.constant(1.0, 1e-3)
-    loop = LoopSet.from_open_loop(RationalTF(num_p, den_p, 1e-3), one, one, poles)
+    loop = LoopSet.from_open_loop(RationalTF(num_p, den_p, 1e-3), one, poles)
     # an exact polynomial identity: S and T share the closed-loop denominator
     assert np.array_equal((loop.S.num + loop.T.num).coeffs, closed_den.coeffs)
     assert np.array_equal(loop.S.den.coeffs, closed_den.coeffs)
