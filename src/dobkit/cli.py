@@ -62,7 +62,8 @@ _SIMPLE_KEYS = {
     "scenario.reference.freq",
     "scenario.noise.eta_p", "scenario.noise.eta_v", "scenario.noise.eta_a",
 }
-_PULSE_KEY = re.compile(r"^scenario\.disturbance\.(\d+)\.(start|end|force)$")
+# A pulse index is canonical ASCII, so that each index has one spelling.
+_PULSE_KEY = re.compile(r"^scenario\.disturbance\.(0|[1-9][0-9]*)\.(start|end|force)$")
 
 
 @dataclass
@@ -102,21 +103,15 @@ def _need(pc: ParsedConfig, key: str) -> str:
     return pc.items[key]
 
 
-def _as_float(pc: ParsedConfig, key: str, value: str) -> float:
+def _get_float(pc: ParsedConfig, key: str, default: float | None = None) -> float:
+    """The number at ``key``, or ``default`` if it is absent; None makes it required."""
+    if default is not None and key not in pc.items:
+        return default
+    value = _need(pc, key)
     try:
         return float(value)
     except ValueError:
         raise ConfigError(f"key {key!r}: not a number: {value!r}", pc.line_of(key)) from None
-
-
-def _get_float(pc: ParsedConfig, key: str) -> float:
-    return _as_float(pc, key, _need(pc, key))
-
-
-def _get_float_opt(pc: ParsedConfig, key: str, default: float = 0.0) -> float:
-    if key not in pc.items:
-        return default
-    return _as_float(pc, key, pc.items[key])
 
 
 def build_dob_config(pc: ParsedConfig) -> DobConfig:
@@ -166,7 +161,7 @@ def build_scenario(pc: ParsedConfig, cfg: DobConfig, gains: OuterGains) -> Scena
     )
     # A reference key the type does not read must still be a number.
     for key in ("scenario.reference.amplitude", "scenario.reference.freq"):
-        _get_float_opt(pc, key)
+        _get_float(pc, key, 0.0)
     try:
         if ref_kind == "step":
             reference = Reference.step(_get_float(pc, "scenario.reference.amplitude"))
@@ -191,9 +186,9 @@ def build_scenario(pc: ParsedConfig, cfg: DobConfig, gains: OuterGains) -> Scena
             for idx in indices
         )
         noise = NoiseSpec(
-            eta_p=_get_float_opt(pc, "scenario.noise.eta_p"),
-            eta_v=_get_float_opt(pc, "scenario.noise.eta_v"),
-            eta_a=_get_float_opt(pc, "scenario.noise.eta_a"),
+            eta_p=_get_float(pc, "scenario.noise.eta_p", 0.0),
+            eta_v=_get_float(pc, "scenario.noise.eta_v", 0.0),
+            eta_a=_get_float(pc, "scenario.noise.eta_a", 0.0),
         )
         return Scenario(
             duration=_get_float(pc, "scenario.duration"),

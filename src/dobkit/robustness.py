@@ -7,16 +7,17 @@ without cancellation. T = num(L) / (den(L) + num(L)) shares S's den(w) and
 has no zero at z = 1 (m = 0): this one form gives |S| and |T| for sweeps and
 peaks. A sweep's band fixes only the arrays it returns, not where a peak may
 lie: |F| is even and 2*pi-periodic in theta, so z = +-1 are interior points of
-the circle that the peak search reaches and takes as exact candidates.
+the circle that the peak search reaches and takes as exact candidates, w = 0
+and w = -2 in the one scalar |F| that its steps use.
 
 Both Bode integrals are smooth, periodic integrals over the unit circle, summed
 by one periodic trapezoid rule that converges on them geometrically; a map of
 the circle onto itself first crowds the points toward z = 1, where slow poles
 come close to the circle. The map's width predicts the point count, so the
 integrand is evaluated once, on that grid, and the doubling check runs on
-nested subsets of its samples. What depends only on a grid's size is built
-once per size and shared read-only: a sweep's angles, w and |w|, and a
-trapezoid grid's zeta - 1 and 1 + zeta. What depends only on the loop, its
+nested subsets of its samples. What depends only on a grid's angles is one
+record, built once per grid size and shared read-only by sweeps and integrals
+alike: the angles, w = z - 1, |w| and 1 + z. What depends only on the loop, its
 factored S and T, is built together once per loop (three Taylor shifts), and
 a sweep and an integral of that loop share it. A call computes the rest: a
 sweep |den(w)|, q(w) and |w|**m, an integral the circle map and the
@@ -162,35 +163,34 @@ class _Factored:
             return circle.abs_w ** self.m * np.where(d > 0.0, n / d, np.inf)
 
     def mag_at(self, theta: float) -> float:
-        """|F| at one angle in Python arithmetic, which numpy scalars make slow."""
+        """|F| at one angle."""
         h = math.sin(0.5 * theta)
-        return abs(2.0 * h) ** self.m * self._ratio(complex(-2.0 * h * h, math.sin(theta)))
+        return self.at(complex(-2.0 * h * h, math.sin(theta)), abs(2.0 * h))
 
-    def nyquist(self) -> float:
-        """|F| at z = -1 exactly, w = -2, not via exp(j*pi); inf for a pole there."""
-        return 2.0 ** self.m * self._ratio(-2.0)
-
-    def _ratio(self, w) -> float:
+    def at(self, w, abs_w: float) -> float:
+        """|F| at w, |w| = abs_w, in Python floats (numpy scalars are slow); inf where den is 0."""
         d = abs(self.den(w))
-        return abs(self.q(w)) / d if d > 0.0 else math.inf
+        return abs_w ** self.m * (abs(self.q(w)) / d if d > 0.0 else math.inf)
 
 
 class _Circle(NamedTuple):
     """Points z = exp(j theta) of the unit circle that no loop changes, all read-only.
 
-    ``w`` = z - 1 = -2 sin(theta/2)**2 + j sin(theta) and ``abs_w`` =
-    |w| = 2 sin(theta/2), formed without cancellation.
+    ``w`` = z - 1 = -2 sin(theta/2)**2 + j sin(theta), ``abs_w`` =
+    |w| = 2 sin(theta/2) and ``one_p_z`` = 1 + z = 2 cos(theta/2)**2 +
+    j sin(theta), formed without cancellation.
     """
 
     theta: np.ndarray
     w: np.ndarray
     abs_w: np.ndarray
+    one_p_z: np.ndarray
 
 
 def _circle_points(theta: np.ndarray) -> _Circle:
     """The ``_Circle`` at an array of angles, which it makes read-only with its own."""
-    h = np.sin(0.5 * theta)
-    circle = _Circle(theta, -2.0 * h * h + 1j * np.sin(theta), 2.0 * h)
+    h, c, s = np.sin(0.5 * theta), np.cos(0.5 * theta), np.sin(theta)
+    circle = _Circle(theta, -2.0 * h * h + 1j * s, 2.0 * h, 2.0 * c * c + 1j * s)
     for a in circle:
         a.flags.writeable = False
     return circle
@@ -308,23 +308,14 @@ def _map_eps(singular) -> tuple[float, float]:
     return 1.0, f_0
 
 
-def _zeta_points(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """zeta - 1 and 1 + zeta at zeta = exp(j t), from half angles without cancellation."""
-    h, c, s = np.sin(0.5 * t), np.cos(0.5 * t), np.sin(t)
-    return -2.0 * h * h + 1j * s, 2.0 * c * c + 1j * s
-
-
 @functools.lru_cache(maxsize=None)  # top is one of ten powers of two
-def _trapezoid_grid(top: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_zeta_points`` at t_k = 2*pi*k/top, k = 0..top/2, read-only: shared by every integral.
+def _trapezoid_grid(top: int) -> _Circle:
+    """The ``_Circle`` at t_k = 2*pi*k/top, k = 0..top/2: shared by every integral.
 
     k*(2*pi/top) rounds as the coarser levels' angles do: they differ by
     powers of two, so every level's samples are those it would take alone.
     """
-    points = _zeta_points(np.arange(top // 2 + 1) * (2.0 * math.pi / top))
-    for a in points:
-        a.flags.writeable = False
-    return points
+    return _circle_points(np.arange(top // 2 + 1) * (2.0 * math.pi / top))
 
 
 def _circle_integral(f, singular, ends=None) -> tuple[float, int, float]:
@@ -350,11 +341,10 @@ def _circle_integral(f, singular, ends=None) -> tuple[float, int, float]:
     """
     eps, width = _map_eps(singular)
 
-    def g(points, ends=None):
-        zeta_m1, one_p_zeta = points
-        one_r_zeta = eps + (1.0 - eps) * one_p_zeta
+    def g(zeta: _Circle, ends=None):
+        one_r_zeta = eps + (1.0 - eps) * zeta.one_p_z
         jacobian = eps * (2.0 - eps) / np.abs(one_r_zeta) ** 2
-        vals = f(eps * zeta_m1 / one_r_zeta)
+        vals = f(eps * zeta.w / one_r_zeta)
         if ends is not None:
             vals[0], vals[-1] = ends
         return vals * jacobian
@@ -379,7 +369,7 @@ def _circle_integral(f, singular, ends=None) -> tuple[float, int, float]:
             stride //= 2
             odd = checked(grid[stride::2 * stride])
         else:
-            odd = checked(g(_zeta_points((2.0 * np.arange(n // 2) + 1.0) * (math.pi / n))))
+            odd = checked(g(_circle_points((2.0 * np.arange(n // 2) + 1.0) * (math.pi / n))))
         total += 2.0 * float(np.sum(odd))
         n *= 2
         previous, estimate = estimate, 2.0 * math.pi * total / n
@@ -509,9 +499,10 @@ def _refined_peak(f: _Factored, thetas: np.ndarray, mags: np.ndarray, ts: float)
         best_theta, best_val = _bracketed_max(
             f.mag_at, a, best_theta, b, fa, best_val, fb, PEAK_RTOL, 8.0 * 2.0**-53 * math.pi)
         best_theta = min(abs(best_theta), 2.0 * math.pi - best_theta)
-    # |f| at z = 1 is 0 for m >= 1; a pole exactly at z = +-1 gives an
-    # infinite peak. Ties at rounding level go to the end, whose location is exact.
-    for theta, value in ((0.0, f._ratio(0.0) if f.m == 0 else 0.0), (math.pi, f.nyquist())):
+    # z = 1 is w = 0, where |f| is 0 for m >= 1, and z = -1 is w = -2 exactly,
+    # not via exp(j*pi); a pole at either gives an infinite peak. Ties at
+    # rounding level go to the end, whose location is exact.
+    for theta, value in ((0.0, f.at(0.0, 0.0)), (math.pi, f.at(-2.0, 2.0))):
         if value >= best_val * (1.0 - 1e-13):
             best_theta, best_val = theta, max(value, best_val)
     return Peak(value=best_val, freq=best_theta / ts)

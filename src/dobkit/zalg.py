@@ -54,18 +54,10 @@ class Polynomial:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs):
-        c = None
-        if isinstance(coeffs, (list, tuple)):
-            try:
-                c = [float(x) for x in coeffs]
-            except TypeError:  # nested sequences: numpy finds the shape below
-                pass
-        if c is None:
-            a = np.asarray(coeffs, dtype=float)
-            if a.ndim > 1:
-                raise ValueError(f"polynomial coefficients must be 1-D, got shape {a.shape}")
-            c = a.ravel().tolist()
-        self._set(c)
+        a = np.asarray(coeffs, dtype=float)
+        if a.ndim > 1:
+            raise ValueError(f"polynomial coefficients must be 1-D, got shape {a.shape}")
+        self._set(a.ravel().tolist())
 
     def _set(self, c: list) -> None:
         n = len(c)

@@ -75,6 +75,25 @@ def test_unknown_key_reports_line():
     assert "dob.bandwidth" in str(err.value)
 
 
+@pytest.mark.parametrize("index", ["01", "١"])
+@pytest.mark.parametrize("alone", [False, True])
+def test_pulse_index_that_is_not_canonical_is_an_unknown_key(index, alone):
+    # int() reads both as 1: accepted, they would name pulse 1 a second way,
+    # beside its own keys or instead of them
+    text = BASE + SCENARIO
+    if alone:
+        text = text.replace("disturbance.1.", f"disturbance.{index}.")
+    else:
+        text += "".join(f"scenario.disturbance.{index}.{part} = 1\n"
+                        for part in ("start", "end", "force"))
+    key = f"scenario.disturbance.{index}.start"
+    line = next(n for n, row in enumerate(text.splitlines(), 1) if row.startswith(key))
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == line
+    assert str(err.value).endswith(f"unknown key {key!r}")
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config(BASE + "dob.g_dob = 600\n")

@@ -767,15 +767,15 @@ def test_cached_circle_points_equal_the_in_place_ones():
     # each array as every call computed it before the caches
     for n in (16, 256, 512):
         theta = np.geomspace(math.pi * 1e-4, math.pi, n)
-        h = np.sin(0.5 * theta)
-        want = (theta, -2.0 * h * h + 1j * np.sin(theta), 2.0 * h)
+        h, c, s = np.sin(0.5 * theta), np.cos(0.5 * theta), np.sin(theta)
+        want = (theta, -2.0 * h * h + 1j * s, 2.0 * h, 2.0 * c * c + 1j * s)
         for got, wanted in zip(_sweep_circle(n), want, strict=True):
             assert np.array_equal(got, wanted) and _same_bits(got, wanted), n
     top = 2 * TRAPEZOID_START
     while top <= TRAPEZOID_GRID_POINTS:
         t = np.arange(top // 2 + 1) * (2.0 * math.pi / top)
         h, c, s = np.sin(0.5 * t), np.cos(0.5 * t), np.sin(t)
-        want = (-2.0 * h * h + 1j * s, 2.0 * c * c + 1j * s)
+        want = (t, -2.0 * h * h + 1j * s, 2.0 * h, 2.0 * c * c + 1j * s)
         for got, wanted in zip(_trapezoid_grid(top), want, strict=True):
             assert np.array_equal(got, wanted) and _same_bits(got, wanted), top
         top *= 2

@@ -64,6 +64,30 @@ def test_polynomial_rejects_input_that_is_not_1d(coeffs):
         Polynomial(coeffs)
 
 
+@pytest.mark.parametrize("coeffs, expected", [
+    ([1, 2.5, 0], [1.0, 2.5]),
+    ((1, 2.5, 0.0), [1.0, 2.5]),
+    (np.array([0.5, 1.0, 0.0]), [0.5, 1.0]),
+    (3, [3.0]),
+    ("1.5", [1.5]),
+    (["1.5", "2"], [1.5, 2.0]),
+    ([np.float32(0.1)], [float(np.float32(0.1))]),
+    ([[1.0, 2.0]], ValueError),  # nested
+    ([[1.0, 2.0], [3.0]], ValueError),  # ragged
+    ("abc", ValueError),
+    ([1j, 2.0], TypeError),
+    (1j, TypeError),
+    ([10**400], OverflowError),
+])
+def test_polynomial_converts_through_numpy(coeffs, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            Polynomial(coeffs)
+    else:
+        got = Polynomial(coeffs)._c
+        assert got == tuple(expected) and all(type(x) is float for x in got)
+
+
 def test_coeffs_is_a_read_only_float_array():
     p = Polynomial((1, 2.5, 0.0))
     assert p.coeffs.dtype == float and p.coeffs.tolist() == [1.0, 2.5]
