@@ -1,8 +1,8 @@
 """Batch command-line front end: analyze, sweep, simulate, bode.
 
-Each command imports the analysis layers it runs when it runs: ``simulate``
-never loads ``robustness`` or ``stability``, and the others never load
-``sim``.
+The four commands share one loader, ``_load``. Each command imports the
+analysis layers it runs when it runs: ``simulate`` never loads
+``robustness`` or ``stability``, and the others never load ``sim``.
 
 Configs are flat ``key = value`` text files (``#`` comments and blank lines
 ignored); unknown or duplicate keys are rejected with the offending line
@@ -16,7 +16,6 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,15 +65,15 @@ _SIMPLE_KEYS = {
 _PULSE_KEY = re.compile(r"^scenario\.disturbance\.(0|[1-9][0-9]*)\.(start|end|force)$")
 
 
-@dataclass
-class ParsedConfig:
-    """Raw key/value items plus the line each key came from."""
+# The reference types and the scenario.reference.* values each one reads.
+_REFERENCE_KEYS = {"step": ("amplitude",), "sinusoid": ("amplitude", "freq"), "hold_zero": ()}
 
-    items: dict = field(default_factory=dict)
-    lines: dict = field(default_factory=dict)
+
+class ParsedConfig(dict):
+    """Each key's raw value and the line it came from: key -> (value, line)."""
 
     def line_of(self, key: str) -> int:
-        return self.lines.get(key, 0)
+        return self[key][1] if key in self else 0
 
 
 def parse_config(text: str) -> ParsedConfig:
@@ -90,22 +89,21 @@ def parse_config(text: str) -> ParsedConfig:
             raise ConfigError(f"empty key or value in {line!r}", lineno)
         if key not in _SIMPLE_KEYS and not _PULSE_KEY.match(key):
             raise ConfigError(f"unknown key {key!r}", lineno)
-        if key in pc.items:
+        if key in pc:
             raise ConfigError(f"duplicate key {key!r}", lineno)
-        pc.items[key] = value
-        pc.lines[key] = lineno
+        pc[key] = (value, lineno)
     return pc
 
 
 def _need(pc: ParsedConfig, key: str) -> str:
-    if key not in pc.items:
+    if key not in pc:
         raise ConfigError(f"missing required key {key!r}")
-    return pc.items[key]
+    return pc[key][0]
 
 
 def _get_float(pc: ParsedConfig, key: str, default: float | None = None) -> float:
     """The number at ``key``, or ``default`` if it is absent; None makes it required."""
-    if default is not None and key not in pc.items:
+    if default is not None and key not in pc:
         return default
     value = _need(pc, key)
     try:
@@ -120,11 +118,12 @@ def build_dob_config(pc: ParsedConfig) -> DobConfig:
         kind = MeasurementKind(kind_raw)
     except ValueError:
         raise ConfigError(
-            f"dob.kind must be one of acceleration/velocity/position, got {kind_raw!r}",
+            f"dob.kind must be one of {'/'.join(k.value for k in MeasurementKind)}, "
+            f"got {kind_raw!r}",
             pc.line_of("dob.kind"),
         ) from None
     g_v = None
-    if "dob.g_v" in pc.items:
+    if "dob.g_v" in pc:
         g_v = _get_float(pc, "dob.g_v")
     try:
         plant = PlantParams(
@@ -150,33 +149,27 @@ def build_scenario(pc: ParsedConfig, cfg: DobConfig, gains: OuterGains) -> Scena
     from .sim import DisturbancePulse, NoiseSpec, Reference, Scenario
 
     ref_kind = _need(pc, "scenario.reference.type")
-    seed_raw = pc.items.get("scenario.seed", "0")
+    seed_raw = pc["scenario.seed"][0] if "scenario.seed" in pc else "0"
     try:
         seed = int(seed_raw)
     except ValueError:
         raise ConfigError(f"scenario.seed must be an integer, got {seed_raw!r}",
                           pc.line_of("scenario.seed")) from None
     indices = sorted(
-        {int(m.group(1)) for key in pc.items if (m := _PULSE_KEY.match(key))}
+        {int(m.group(1)) for key in pc if (m := _PULSE_KEY.match(key))}
     )
     # A reference key the type does not read must still be a number.
     for key in ("scenario.reference.amplitude", "scenario.reference.freq"):
         _get_float(pc, key, 0.0)
+    if ref_kind not in _REFERENCE_KEYS:
+        raise ConfigError(
+            f"scenario.reference.type must be {'/'.join(_REFERENCE_KEYS)}, got {ref_kind!r}",
+            pc.line_of("scenario.reference.type"),
+        )
     try:
-        if ref_kind == "step":
-            reference = Reference.step(_get_float(pc, "scenario.reference.amplitude"))
-        elif ref_kind == "sinusoid":
-            reference = Reference.sinusoid(
-                _get_float(pc, "scenario.reference.amplitude"),
-                _get_float(pc, "scenario.reference.freq"),
-            )
-        elif ref_kind == "hold_zero":
-            reference = Reference.hold_zero()
-        else:
-            raise ConfigError(
-                f"scenario.reference.type must be step/sinusoid/hold_zero, got {ref_kind!r}",
-                pc.line_of("scenario.reference.type"),
-            )
+        reference = Reference(ref_kind, **{
+            name: _get_float(pc, f"scenario.reference.{name}") for name in _REFERENCE_KEYS[ref_kind]
+        })
         pulses = tuple(
             DisturbancePulse(
                 t_start=_get_float(pc, f"scenario.disturbance.{idx}.start"),
@@ -254,6 +247,12 @@ def _report_line(report) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
+def _load(args) -> tuple[ParsedConfig, DobConfig, OuterGains]:
+    """The config at ``args.config``, its loop config and its outer gains."""
+    pc = load_config(args.config)
+    return pc, build_dob_config(pc), build_gains(pc)
+
+
 def _check_points(points: int) -> None:
     if points > MAX_POINTS:
         raise ConfigError(f"--points must be at most {MAX_POINTS}")
@@ -263,9 +262,7 @@ def cmd_analyze(args) -> int:
     from .robustness import IllPosedIntegralError, bode_integral_discrete, freq_sweep
     from .stability import constraint_check
 
-    pc = load_config(args.config)
-    cfg = build_dob_config(pc)
-    build_gains(pc)  # validated even though analyze reports the inner loop
+    _, cfg, _ = _load(args)  # gains validated even though analyze reports the inner loop
     inner = make_inner_loop(cfg)
     verdict = constraint_check(cfg)
     sweep = freq_sweep(inner, n_points=512)
@@ -308,19 +305,18 @@ def cmd_sweep(args) -> int:
     from .robustness import IllPosedIntegralError, bode_integral_discrete, freq_sweep
     from .stability import config_for_sweep, root_locus
 
-    pc = load_config(args.config)
-    cfg = build_dob_config(pc)
-    gains = build_gains(pc)
+    _, cfg, gains = _load(args)
     # false too when --to - --from overflows, where numpy's grids would warn
     if not math.isfinite(args.stop - args.start):
         raise ConfigError("--from, --to and their difference must be finite")
     _check_points(args.points)
-    if args.spacing == "log":
-        if min(args.start, args.stop) <= 0:
-            raise ConfigError("log spacing requires positive --from and --to")
-        values = np.geomspace(args.start, args.stop, args.points)
-    else:
-        values = np.linspace(args.start, args.stop, args.points)
+    if args.spacing == "log" and min(args.start, args.stop) <= 0:
+        raise ConfigError("log spacing requires positive --from and --to")
+    grid = np.geomspace if args.spacing == "log" else np.linspace
+    # A grid ending near the largest float overflows before numpy writes the
+    # finite end point over the value that overflowed.
+    with np.errstate(over="ignore"):
+        values = grid(args.start, args.stop, args.points)
 
     branch = root_locus(cfg, gains, args.param, values)
 
@@ -354,9 +350,7 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     from .sim import disturbance_rejection_metrics, simulate
 
-    pc = load_config(args.config)
-    cfg = build_dob_config(pc)
-    gains = build_gains(pc)
+    pc, cfg, gains = _load(args)
     sc = build_scenario(pc, cfg, gains)
     trace = simulate(sc)
 
@@ -386,9 +380,7 @@ def cmd_simulate(args) -> int:
 def cmd_bode(args) -> int:
     from .robustness import IllPosedIntegralError, bode_integral_discrete, freq_sweep
 
-    pc = load_config(args.config)
-    cfg = build_dob_config(pc)
-    gains = build_gains(pc)
+    _, cfg, gains = _load(args)
     _check_points(args.points)
     inner = make_inner_loop(cfg)
     outer = make_outer_loop(inner, make_pd(gains, cfg.Ts))

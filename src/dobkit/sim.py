@@ -248,8 +248,9 @@ def _trace(sc: Scenario, t, r, d, q, qd, qdd, I_des, I, noise=None,
     eta_p, eta_v, eta_a = (0.0, 0.0, 0.0) if noise is None else (e[:n] for e in noise)
     kind = sc.cfg.kind
     # Extreme gains can overflow both currents to the same infinity at a
-    # diverged run's last sample; the estimate there is NaN, undefined.
-    with np.errstate(invalid="ignore"):
+    # diverged run's last sample; the estimate there is NaN, undefined. Finite
+    # but huge currents can overflow the product to an infinite estimate.
+    with np.errstate(invalid="ignore", over="ignore"):
         tau_dis_hat = sc.cfg.plant.K_tn * (I - I_des)
     return SimTrace(
         t=t[:n], q_ref=r[:n], q=q, qd=qd, qdd=qdd,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dobkit import cli
@@ -478,6 +478,56 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["--help"]) == 0
 
 
+def _readme_config(edits=None):
+    """The README's ini block with each key in ``edits`` set to its value; None drops the key."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (ini,) = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+    for key, value in (edits or {}).items():
+        line = "" if value is None else f"{key} = {value}\n"
+        ini, n = re.subn(rf"^{re.escape(key)}\s*=.*\n", line, ini, flags=re.M)
+        assert n == 1, key
+    return ini
+
+
+# One case for each branch of the front end that no other test runs; out and
+# err are whole streams, footer the CSV's comment lines (None: not checked).
+@pytest.mark.parametrize("command, text, options, code, out, err, footer", [
+    ("analyze", _readme_config({"plant.J_m": ""}), [], 1, "",
+     "config error: line 1: empty key or value in 'plant.J_m ='\n", None),
+    ("analyze", _readme_config({"plant.K_t": None}), [], 1, "",
+     "config error: missing required key 'plant.K_t'\n", None),
+    ("simulate", _readme_config({"scenario.reference.type": "ramp"}), ["--out", "t.csv"], 1, "",
+     "config error: line 15: scenario.reference.type must be step/sinusoid/hold_zero, "
+     "got 'ramp'\n", None),
+    ("sweep", _readme_config(), ["--param", "g_dob", "--from", "0", "--to", "10",
+                                 "--points", "4", "--spacing", "log", "--out", "s.csv"], 1, "",
+     "config error: log spacing requires positive --from and --to\n", None),
+    # samples at 0, 0.3, 0.6 and 0.9 s: the pulse on [0.95, 1] has none, so
+    # only the full window reports
+    ("simulate", _readme_config({"dob.Ts": 0.3, "dob.g_dob": 1, "outer.Kp": 1, "outer.Kd": 1,
+                                 "scenario.duration": 1, "scenario.disturbance.1.start": 0.95,
+                                 "scenario.disturbance.1.end": 1.0}),
+     ["--out", "t.csv"], 0, re.compile(r"\[full\] [^\n]* diverged=False\n"), "", None),
+    # alpha * g_dob * Ts = 2 puts a sensitivity pole at z = -1
+    ("bode", _readme_config({"dob.g_dob": 4000}), ["--out", "b.csv"], 0, "", "",
+     ["# bode_integral inner: ill-posed (sensitivity pole on the unit circle: (-1+0j))",
+      re.compile(r"# bode_integral outer: ill-posed \(sensitivity pole on the unit circle: ")]),
+], ids=["empty-value", "missing-key", "unknown-reference-type", "log-spacing-from-zero",
+        "pulse-after-last-sample", "bode-pole-at-minus-1"])
+def test_front_end_branches(tmp_path, capsys, monkeypatch, command, text, options, code, out,
+                            err, footer):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, _write(tmp_path, text), *options]) == code
+    streams = capsys.readouterr()
+    for got, want in ((streams.out, out), (streams.err, err)):
+        assert want.fullmatch(got) if isinstance(want, re.Pattern) else got == want
+    if footer is not None:
+        comments = [l for l in Path(options[-1]).read_text().splitlines() if l.startswith("#")]
+        assert len(comments) == len(footer)
+        for got, want in zip(comments, footer):
+            assert want.match(got) if isinstance(want, re.Pattern) else got == want
+
+
 # ---------------------------------------------------------------------------
 # input boundary: every input ends in exit 0, 1 or 2, never in a traceback
 # ---------------------------------------------------------------------------
@@ -623,8 +673,28 @@ def _command_and_config(draw):
     return command, "\n".join(lines) + "\n"
 
 
+# A run whose currents are finite but huge: K_tn * (I - I_des) overflows
+_DIVERGING = """\
+plant.J_m = 1e300
+plant.K_t = 0.25
+plant.J_mn = 0.003
+plant.K_tn = 4e8
+dob.g_dob = 3e8
+dob.Ts = 1e-6
+dob.g_v = 2000
+outer.Kp = 1e308
+outer.Kd = 200
+scenario.duration = 0.004
+scenario.reference.type = step
+scenario.reference.amplitude = 0.1
+"""
+
+
 @settings(max_examples=200, deadline=None)
 @given(_command_and_config())
+@example(("simulate", "dob.kind = acceleration\n" + _DIVERGING))
+@example(("simulate", "dob.kind = velocity\n" + _DIVERGING))
+@example(("simulate", "dob.kind = position\n" + _DIVERGING))
 def test_exit_contract_on_generated_configs(tmp_path_factory, case):
     command, text = case
     workdir = tmp_path_factory.getbasetemp()
@@ -667,6 +737,11 @@ def _sweep_argv(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_sweep_argv())
+# grids whose numpy construction overflows before it writes the finite end point
+@example(("velocity", ["--param", "alpha", "--from", "1", "--to", "1.7976931348623157e308",
+                       "--points", "8"]))
+@example(("velocity", ["--param", "g_dob", "--from", "9.134794950535256e-12",
+                       "--to", "1.7976931348623157e308", "--points", "8", "--spacing", "log"]))
 def test_sweep_exit_contract_on_generated_argv(tmp_path_factory, case):
     kind, options = case
     workdir = tmp_path_factory.getbasetemp()
