@@ -65,10 +65,6 @@ _SIMPLE_KEYS = {
 _PULSE_KEY = re.compile(r"^scenario\.disturbance\.(0|[1-9][0-9]*)\.(start|end|force)$")
 
 
-# The reference types and the scenario.reference.* values each one reads.
-_REFERENCE_KEYS = {"step": ("amplitude",), "sinusoid": ("amplitude", "freq"), "hold_zero": ()}
-
-
 class ParsedConfig(dict):
     """Each key's raw value and the line it came from: key -> (value, line)."""
 
@@ -161,14 +157,14 @@ def build_scenario(pc: ParsedConfig, cfg: DobConfig, gains: OuterGains) -> Scena
     # A reference key the type does not read must still be a number.
     for key in ("scenario.reference.amplitude", "scenario.reference.freq"):
         _get_float(pc, key, 0.0)
-    if ref_kind not in _REFERENCE_KEYS:
+    if ref_kind not in Reference.KINDS:
         raise ConfigError(
-            f"scenario.reference.type must be {'/'.join(_REFERENCE_KEYS)}, got {ref_kind!r}",
+            f"scenario.reference.type must be {'/'.join(Reference.KINDS)}, got {ref_kind!r}",
             pc.line_of("scenario.reference.type"),
         )
     try:
         reference = Reference(ref_kind, **{
-            name: _get_float(pc, f"scenario.reference.{name}") for name in _REFERENCE_KEYS[ref_kind]
+            name: _get_float(pc, f"scenario.reference.{name}") for name in Reference.KINDS[ref_kind]
         })
         pulses = tuple(
             DisturbancePulse(

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .zalg import DomainMismatchError, Polynomial, RationalTF, _sign_of_sum
+from .zalg import _TS_MESSAGE, DomainMismatchError, Polynomial, RationalTF, _sign_of_sum
 
 __all__ = [
     "MeasurementKind",
@@ -172,15 +172,21 @@ class LoopSet(NamedTuple):
         Finite but extreme parameters (say Ts = 1e300) can overflow the
         coefficients; no result computed from such a loop would mean anything.
         """
-        if len(poles) != L.den.degree:
-            raise ValueError(f"{len(poles)} poles given for a denominator of degree {L.den.degree}")
-        closed = L.den + L.num  # not finite unless L.num and L.den are
-        for poly in (closed, C.num, C.den):
-            if not poly.is_finite:
-                raise OverflowError(f"loop coefficients overflow: {poly!r}")
+        return cls._of(L, L.den + L.num, C, poles)
+
+    @classmethod
+    def _of(cls, L: RationalTF, closed: Polynomial, C: RationalTF, poles: tuple) -> "LoopSet":
+        """``from_open_loop`` with closed = den(L) + num(L) already formed."""
+        degree = len(L.den._c) - 1  # L.den is not the zero polynomial
+        if len(poles) != degree:
+            raise ValueError(f"{len(poles)} poles given for a denominator of degree {degree}")
+        # closed is not finite unless L.num and L.den are
+        if not all(map(math.isfinite, closed._c + C.num._c + C.den._c)):
+            poly = next(p for p in (closed, C.num, C.den) if not p.is_finite)
+            raise OverflowError(f"loop coefficients overflow: {poly!r}")
         ts = L.ts
-        return cls(L=L, S=RationalTF._of(L.den, closed, ts), T=RationalTF._of(L.num, closed, ts),
-                   C=C, poles=tuple(poles))
+        return cls(L, RationalTF._of(L.den, closed, ts), RationalTF._of(L.num, closed, ts), C,
+                   tuple(poles))
 
 
 def _roots(p: Polynomial) -> tuple:
@@ -223,8 +229,10 @@ def discrete_velocity_plant(Ts: float) -> RationalTF:
 
 def discrete_position_plant(Ts: float) -> RationalTF:
     """Sampled rigid-body map from acceleration to position: Ts^2 (z+1) / (2 (z-1)^2)."""
+    if not 0.0 < Ts < math.inf:
+        raise ValueError(_TS_MESSAGE)
     h = float(0.5 * Ts * Ts)
-    return RationalTF(Polynomial._of([h, h]), _DOUBLE_INTEGRATOR, Ts)
+    return RationalTF._of(Polynomial._of([h, h]), _DOUBLE_INTEGRATOR, Ts)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +269,9 @@ def make_inner_loop(cfg: DobConfig) -> LoopSet:
         den = den * v_den
         poles += _roots(v_den)
         c_num = c_num * v_den
-    C = RationalTF._of(alpha * c_num, den + num, Ts)
-    return LoopSet.from_open_loop(RationalTF._of(num, den, Ts), C, poles)
+    closed = den + num  # den(C) as well as den(S) and den(T)
+    C = RationalTF._of(c_num * alpha, closed, Ts)
+    return LoopSet._of(RationalTF._of(num, den, Ts), closed, C, poles)
 
 
 def make_continuous_inner(plant: PlantParams, g_dob: float) -> LoopSet:

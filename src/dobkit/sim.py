@@ -27,7 +27,7 @@ import operator
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -71,12 +71,17 @@ class UnsupportedScenarioError(ValueError):
 class Reference:
     """Position reference with analytically known acceleration feedforward."""
 
-    kind: str                 # "step" | "sinusoid" | "hold_zero"
+    # The reference kinds and the parameters each one reads; a parameter a
+    # kind does not read keeps its default.
+    KINDS: ClassVar[dict] = {"step": ("amplitude",), "sinusoid": ("amplitude", "freq"),
+                             "hold_zero": ()}
+
+    kind: str                 # a key of KINDS
     amplitude: float = 0.0
     freq: float = 0.0         # rad/s, sinusoid only
 
     def __post_init__(self):
-        if self.kind not in ("step", "sinusoid", "hold_zero"):
+        if not (isinstance(self.kind, str) and self.kind in self.KINDS):
             raise ValueError(f"unknown reference kind {self.kind!r}")
         if not (math.isfinite(self.amplitude) and math.isfinite(self.freq)):
             raise ValueError("reference amplitude and freq must be finite")

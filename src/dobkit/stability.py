@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .loops import DobConfig, MeasurementKind, OuterGains, PlantParams, _locus_pencil
-from .zalg import (UNIT_CIRCLE_TOL, Polynomial, RationalTF, poly_roots, poly_roots_batch,
+from .zalg import (UNIT_CIRCLE_TOL, Polynomial, RationalTF, _companion_roots, poly_roots,
                    schur_stable)
 
 __all__ = [
@@ -229,8 +229,9 @@ def root_locus(
     parameter, T.den = A + x*B (``loops._locus_pencil``), so A and B are
     formed once. Each value goes through ``config_for_sweep``, which
     validates it and gives the exact x the loop would carry, and the roots of
-    A + x*B are its poles, taken for the whole grid in one
-    ``poly_roots_batch`` call; consecutive pole sets are branch-matched by
+    A + x*B are its poles, taken for the whole grid in one batch, the roots
+    ``poly_roots_batch`` gives without its residuals (``zalg._companion_roots``);
+    consecutive pole sets are branch-matched by
     nearest neighbour. ``exit_value`` refines, by bisection to 1e-6
     relative, the first parameter value at which the largest pole magnitude
     crosses the unit circle from inside to outside; it is None when no such
@@ -256,12 +257,11 @@ def root_locus(
     A, B = _locus_pencil(base_cfg, gains, param)
 
     pole_sets = []
-    for found in poly_roots_batch([A + B * x for x in xs]):
-        poles = found.roots
+    for poles, _ in _companion_roots([A + B * x for x in xs]):
         if pole_sets:
             poles = _match_branches(pole_sets[-1], poles)
         pole_sets.append(tuple(poles))
-    max_mags = tuple(max(abs(p) for p in ps) for ps in pole_sets)
+    max_mags = tuple(max(map(abs, ps)) for ps in pole_sets)
 
     exit_value = None
     for (v0, m0), (v1, m1) in zip(zip(values, max_mags), zip(values[1:], max_mags[1:])):

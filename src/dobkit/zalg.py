@@ -16,6 +16,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the LAPACK gufuncs that np.linalg wraps
 
 __all__ = [
     "DomainMismatchError",
@@ -31,6 +32,7 @@ __all__ = [
 # A pole within this distance of the unit circle counts as on it, so not inside.
 UNIT_CIRCLE_TOL = 1e-9
 _REAL_IMAG = attrgetter("real", "imag")  # the order of a RootSet's roots
+_TS_MESSAGE = "sampling time must be finite and positive (or None for continuous)"
 
 
 class DomainMismatchError(ValueError):
@@ -71,7 +73,10 @@ class Polynomial:
     def _of(cls, c: list) -> "Polynomial":
         """From a list of Python floats, without conversion."""
         p = object.__new__(cls)
-        p._set(c)
+        if c and c[-1] != 0.0:  # nothing to trim
+            p._c = tuple(c)
+        else:
+            p._set(c)
         return p
 
     # -- constructors -----------------------------------------------------
@@ -119,7 +124,10 @@ class Polynomial:
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial._of([a + b for a, b in zip_longest(self._c, other._c, fillvalue=0.0)])
+        a, b = self._c, other._c
+        if len(a) == len(b):
+            return Polynomial._of([x + y for x, y in zip(a, b)])
+        return Polynomial._of([x + y for x, y in zip_longest(a, b, fillvalue=0.0)])
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -179,10 +187,10 @@ class RationalTF:
         self._set(num if isinstance(num, Polynomial) else Polynomial(num),
                   den if isinstance(den, Polynomial) else Polynomial(den), ts)
         if ts is not None and not 0.0 < ts < math.inf:
-            raise ValueError("sampling time must be finite and positive (or None for continuous)")
+            raise ValueError(_TS_MESSAGE)
 
     def _set(self, num: Polynomial, den: Polynomial, ts: float | None) -> None:
-        if den.is_zero:
+        if den._c == (0.0,):  # den.is_zero
             raise ZeroDivisionError("transfer function denominator is zero")
         self.num = num
         self.den = den
@@ -247,10 +255,17 @@ def poly_roots_batch(polys) -> list:
 
     Each polynomial gets the companion matrix ``np.roots`` builds, zero
     low-order coefficients becoming exact roots at 0 as there. The companion
-    matrices of one size are stacked and go through a single
-    ``np.linalg.eigvals`` call, which gives each matrix the eigenvalues it
-    gets alone, so a polynomial's roots do not depend on the rest of the
-    batch. A 1x1 companion matrix's eigenvalue is its entry, -c_0/c_1 with
+    matrices of one size are stacked and go through a single call of LAPACK's
+    eigenvalue gufunc, ``numpy.linalg._umath_linalg.eigvals`` with signature
+    ``d->D``, which gives each matrix the eigenvalues it gets alone, so a
+    polynomial's roots do not depend on the rest of the batch. The gufunc is
+    the one ``np.linalg.eigvals`` wraps, called directly because the
+    wrapper's checks (a stack of square, finite float matrices) cost more
+    than the eigensolve of a small matrix and are made here as the matrices
+    are built. As in the wrapper, a stack whose eigenvalues are all real
+    gives them as floats, so each root is ``complex(x)`` of the eigenvalue
+    x that ``np.linalg.eigvals`` returns for the same stack, bit for bit.
+    A 1x1 companion matrix's eigenvalue is its entry, -c_0/c_1 with
     the zeros at 0 split off, and it is taken without an eigensolve: eigvals
     returns the entry bit for bit where LAPACK does not rescale the matrix
     (|entry| from about 6.7e-139 to 1.5e138) and rounds its rescaling
@@ -260,11 +275,23 @@ def poly_roots_batch(polys) -> list:
     real eigensolver gives the eigenvalues of a real matrix. The residual is
     the largest |p(x)| over the roots, each from one Horner pass of
     ``Polynomial.__call__``. Raises ``RootFindingError``, before any
-    eigensolve, for a degree < 1 or a non-finite coefficient anywhere in the
-    batch, and when the eigenvalues cannot be computed (say, a companion row
-    overflows).
+    eigensolve, for a degree < 1, a non-finite coefficient or a companion
+    row that overflows anywhere in the batch, and when the eigensolve does
+    not converge.
     """
     polys = tuple(polys)
+    return [RootSet(roots, max(map(abs, map(p, eigenvalues)), default=0.0))
+            for p, (roots, eigenvalues) in zip(polys, _companion_roots(polys))]
+
+
+def _companion_roots(polys) -> list:
+    """(roots, eigenvalues) of each polynomial, as ``poly_roots_batch`` finds them.
+
+    ``roots`` is the sorted tuple a ``RootSet`` holds, the roots at 0
+    included; ``eigenvalues`` the companion matrix's eigenvalues alone, as
+    complex numbers in the order LAPACK gives them, over which the residual
+    is taken. Callers that read no residual take the roots from here.
+    """
     zeros, by_size = [], {}
     for i, p in enumerate(polys):
         c = p._c
@@ -278,16 +305,17 @@ def poly_roots_batch(polys) -> list:
         zeros.append(k)
         if len(c) - k > 1:
             lead = c[-1]
-            members, rows = by_size.setdefault(len(c) - k - 1, ([], []))
+            row = [-a / lead for a in reversed(c[k:-1])]
+            if not all(map(math.isfinite, row)):
+                raise RootFindingError(f"companion row of {p!r} is not finite: {row!r}")
+            members, rows = by_size.setdefault(len(row), ([], []))
             members.append(i)
-            rows.append([-a / lead for a in reversed(c[k:-1])])
+            rows.append(row)
     eigs = [()] * len(polys)
     for n, (members, rows) in by_size.items():
         if n == 1:  # a 1x1 matrix's eigenvalue is its entry: no eigensolve
-            for i, (x,) in zip(members, rows):
-                if not math.isfinite(x):
-                    raise RootFindingError(f"companion entry is not finite: {x!r}")
-                eigs[i] = (x,)
+            for i, row in zip(members, rows):
+                eigs[i] = row
             continue
         m = len(members)
         # each matrix flat: the companion row, then ones on the subdiagonal
@@ -296,19 +324,29 @@ def poly_roots_batch(polys) -> list:
         stack[:, :n] = rows
         stack[:, n::n + 1] = 1.0
         try:
-            values = np.linalg.eigvals(stack.reshape(m, n, n)).tolist()
-        except np.linalg.LinAlgError as exc:
+            w = _eigvals(stack.reshape(m, n, n))
+        except FloatingPointError as exc:  # LAPACK did not converge
             raise RootFindingError(f"companion eigenvalues failed: {exc}") from exc
-        for i, w in zip(members, values):
-            eigs[i] = w
-    sets = []
-    for p, w, k in zip(polys, eigs, zeros):
-        roots = [complex(x) for x in w]
-        residual = max((abs(p(x)) for x in roots), default=0.0)
-        roots += [0j] * k
+        # as in np.linalg.eigvals, a stack with no complex eigenvalue gives floats
+        for i, values in zip(members, (w if np.count_nonzero(w.imag) else w.real).tolist()):
+            eigs[i] = values
+    found = []
+    for w, k in zip(eigs, zeros):
+        eigenvalues = list(map(complex, w))
+        roots = eigenvalues + [0j] * k
         roots.sort(key=_REAL_IMAG)
-        sets.append(RootSet(tuple(roots), residual))
-    return sets
+        found.append((tuple(roots), eigenvalues))
+    return found
+
+
+@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+def _eigvals(stack: np.ndarray) -> np.ndarray:
+    """The eigenvalues of each real matrix of a stack, from LAPACK's gufunc.
+
+    ``FloatingPointError`` when an eigensolve does not converge, which the
+    gufunc signals as an invalid operation.
+    """
+    return _umath_linalg.eigvals(stack, signature="d->D")
 
 
 def schur_stable(poly: Polynomial, radius: float = 1.0) -> bool:
@@ -325,7 +363,11 @@ def schur_stable(poly: Polynomial, radius: float = 1.0) -> bool:
     """
     if poly.is_zero or not poly.is_finite or not 0.0 < radius < math.inf:
         return False
-    a = _exact_products((x,) + (radius,) * k for k, x in enumerate(poly._c))
+    c = poly._c
+    if radius == 1.0:  # every factor radius**k is 1
+        a = _over_common_denominator([x.as_integer_ratio() for x in c])
+    else:
+        a = _exact_products((x,) + (radius,) * k for k, x in enumerate(c))
     while len(a) > 1:
         a0, an = a[0], a[-1]
         if abs(a0) >= abs(an):
@@ -355,5 +397,10 @@ def _exact_products(products) -> list:
             xn, xd = x.as_integer_ratio()
             n, d = n * xn, d * xd
         ratios.append((n, d))
+    return _over_common_denominator(ratios)
+
+
+def _over_common_denominator(ratios: list) -> list:
+    """The numerators of the ratios (n, d), each d a power of two, over the largest d."""
     big = max(d for _, d in ratios)
     return [n * (big // d) for n, d in ratios]

@@ -134,6 +134,28 @@ def test_sinusoid_scenario_built():
     assert sc.reference.kind == "sinusoid" and sc.reference.freq == 12.0
 
 
+def test_reference_types_are_the_simulators_table(monkeypatch):
+    # build_scenario accepts exactly the keys of sim.Reference.KINDS, and each
+    # type reads exactly the parameters the table names for it
+    from dobkit.sim import Reference
+
+    values = {"amplitude": 0.05, "freq": 12.0}
+
+    def built(ref):
+        pc = parse_config(BASE + f"scenario.duration = 0.5\nscenario.reference.type = {ref}\n"
+                          + "".join(f"scenario.reference.{k} = {v}\n" for k, v in values.items()))
+        return build_scenario(pc, build_dob_config(pc), build_gains(pc)).reference
+
+    for ref, names in Reference.KINDS.items():
+        assert built(ref) == Reference(ref, **{name: values[name] for name in names})
+    for ref in ("ramp", "Step", "KINDS"):
+        with pytest.raises(ConfigError, match="must be step/sinusoid/hold_zero, got"):
+            built(ref)
+    # a kind added to the table is accepted, with the parameters listed for it
+    monkeypatch.setitem(Reference.KINDS, "ramp", ("freq",))
+    assert built("ramp") == Reference("ramp", freq=12.0)
+
+
 def test_comments_and_blank_lines_ignored():
     pc = parse_config("# heading\n\n" + BASE)
     assert build_dob_config(pc).g_dob == 500.0

@@ -19,7 +19,7 @@ from dobkit.stability import (
     position_non_osc_bound,
     root_locus,
 )
-from dobkit.zalg import Polynomial, RationalTF, poly_roots, poly_roots_batch, schur_stable
+from dobkit.zalg import Polynomial, RationalTF, poly_roots, schur_stable
 
 from conftest import PARAM_GRID, make_cfg
 
@@ -367,13 +367,14 @@ def test_velocity_exit_matches_marginal_inner_pole(locus_gains):
 def test_locus_roots_each_grid_point_once_and_never_while_bisecting(monkeypatch, locus_gains,
                                                                     kind):
     batches = []
+    companion_roots = stability._companion_roots
 
     def counted(polys):
         polys = list(polys)
         batches.append(len(polys))
-        return poly_roots_batch(polys)
+        return companion_roots(polys)
 
-    monkeypatch.setattr(stability, "poly_roots_batch", counted)
+    monkeypatch.setattr(stability, "_companion_roots", counted)
     monkeypatch.setattr(stability, "poly_roots", lambda p: batches.append(1) or poly_roots(p))
     base = make_cfg(kind, alpha=1.0, g_dob=500.0, Ts=1e-3, g_v=1000.0)
     values = np.geomspace(0.01, 100.0, 21)
@@ -434,8 +435,9 @@ def test_locus_builds_no_loop(monkeypatch, locus_gains, kind, param):
 @pytest.mark.parametrize("param", ["alpha", "g_dob"])
 def test_locus_rejects_a_value_before_taking_any_root(monkeypatch, locus_gains, param):
     calls = []
-    monkeypatch.setattr(stability, "poly_roots_batch",
-                        lambda polys: calls.extend(polys) or poly_roots_batch(polys))
+    companion_roots = stability._companion_roots
+    monkeypatch.setattr(stability, "_companion_roots",
+                        lambda polys: calls.extend(polys) or companion_roots(polys))
     monkeypatch.setattr(stability, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
     base = make_cfg("velocity", alpha=1.0, g_dob=500.0, Ts=1e-3)
     with pytest.raises(ValueError):

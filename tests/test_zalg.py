@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from dobkit.loops import LoopSet, OuterGains, make_inner_loop, make_outer_loop, make_pd
 from dobkit.zalg import (
@@ -292,12 +293,18 @@ def test_batch_is_exactly_each_polynomial_alone():
     assert poly_roots_batch(polys[::-1]) == batch[::-1]
 
 
+def _count_eigensolves(monkeypatch) -> list:
+    """Record each stack that goes to LAPACK's eigenvalue gufunc, which zalg calls."""
+    calls = []
+    real = _umath_linalg.eigvals
+    monkeypatch.setattr(_umath_linalg, "eigvals", lambda a, **kw: calls.append(a) or real(a, **kw))
+    return calls
+
+
 @pytest.mark.parametrize("bad", [[0.5, math.nan, 1.0], [math.inf, 1.0], [0.5, 1.0, -math.inf]])
 @pytest.mark.parametrize("where", [0, 3, -1])
 def test_batch_rejects_a_non_finite_coefficient_before_any_eigensolve(monkeypatch, bad, where):
-    calls = []
-    real = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or real(a))
+    calls = _count_eigensolves(monkeypatch)
     polys = _batch_mix()[:5]
     polys.insert(where % (len(polys) + 1), Polynomial(bad))
     with pytest.raises(RootFindingError):
@@ -317,11 +324,11 @@ def test_linear_roots_are_the_companion_entry_that_eigvals_returns(monkeypatch):
     e0 = e1 + rng.integers(-137, 138, n)
     c0, c1 = (rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n) * 10.0 ** e for e in (e0, e1))
     polys = [Polynomial([a, b]) for a, b in zip(c0.tolist(), c1.tolist())]
-    eigvals = np.linalg.eigvals
-    calls = []
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+    calls = _count_eigensolves(monkeypatch)
     sets = poly_roots_batch(polys)
     assert calls == []
+    monkeypatch.undo()
+    eigvals = np.linalg.eigvals
     for a, b, rs in zip(c0.tolist(), c1.tolist(), sets):
         assert rs.roots == (complex(eigvals(np.array([[-a / b]]))[0]),), (a, b)
     # beyond that range eigvals' rescaling rounds; the root stays the quotient
@@ -330,6 +337,64 @@ def test_linear_roots_are_the_companion_entry_that_eigvals_returns(monkeypatch):
     # -1e300/1e-300 overflows: the whole batch raises
     with pytest.raises(RootFindingError):
         poly_roots_batch(polys[:3] + [Polynomial([1e300, 1e-300])])
+
+
+def _companion(p: Polynomial) -> np.ndarray:
+    """The companion matrix np.roots builds for p, whose constant term is not 0."""
+    c = p.coeffs
+    n = len(c) - 1
+    a = np.diag(np.ones(n - 1), -1)
+    a[0, :] = -c[-2::-1] / c[-1]
+    return a
+
+
+def _bits(x: complex) -> tuple:
+    return x.real.hex(), x.imag.hex()
+
+
+@pytest.mark.parametrize("spectrum", ["real", "complex", "mixed"])
+def test_roots_are_complex_of_what_numpys_eigvals_returns(spectrum):
+    # degrees 2-8, seeded; each alone and all of one degree stacked, against
+    # np.linalg.eigvals on the same matrix or stack, sign of a zero included
+    rng = np.random.default_rng(37)
+    for degree in range(2, 9):
+        polys = []
+        for _ in range(6):
+            if spectrum == "real":
+                roots = rng.uniform(-2.0, 2.0, degree)
+            else:
+                pairs = rng.uniform(-1.5, 1.5, degree // 2) + 1j * rng.uniform(0.1, 1.5, degree // 2)
+                roots = np.concatenate([pairs, pairs.conj(), rng.uniform(-2.0, 2.0, degree % 2)])
+            polys.append(Polynomial(np.poly(roots).real[::-1]))
+        if spectrum == "mixed":  # one all-real spectrum in a stack that is not
+            polys[2] = Polynomial(np.poly(rng.uniform(-2.0, 2.0, degree))[::-1])
+        assert all(p(0.0) != 0.0 for p in polys)
+        stack = np.stack([_companion(p) for p in polys])
+        together = np.linalg.eigvals(stack)
+        assert together.dtype == (float if spectrum == "real" else complex)
+        for p, stacked, rs in zip(polys, together.tolist(), poly_roots_batch(polys)):
+            expected = sorted(map(complex, stacked), key=lambda x: (x.real, x.imag))
+            assert list(map(_bits, rs.roots)) == list(map(_bits, expected)), p
+            alone = np.linalg.eigvals(_companion(p)).tolist()
+            expected = sorted(map(complex, alone), key=lambda x: (x.real, x.imag))
+            assert list(map(_bits, poly_roots(p).roots)) == list(map(_bits, expected)), p
+
+
+def test_an_overflowing_companion_row_raises_before_any_eigensolve(monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
+    # -c_0/c_1 = -1e600: every coefficient is finite, the companion entry is not
+    with pytest.raises(RootFindingError, match="companion row"):
+        poly_roots(Polynomial([1e300, 1e-300]))
+    # a row of a larger matrix, behind a batch member that needs an eigensolve
+    with pytest.raises(RootFindingError, match="companion row"):
+        poly_roots_batch([Polynomial([1.0, 2.0, 3.0]), Polynomial([1.0, 1e300, 1e-300])])
+    assert calls == []
+
+
+def test_an_empty_coefficient_list_is_the_zero_polynomial():
+    p = Polynomial._of([])
+    assert p._c == (0.0,) and p.is_zero and p.degree == -1
+    assert repr(p) == repr(Polynomial.zero()) == repr(Polynomial([]))
 
 
 def _seeded_polynomials(seed: int):
