@@ -43,8 +43,22 @@ _INTEGRATOR = Polynomial._of([-1.0, 1.0])  # z - 1
 _DOUBLE_INTEGRATOR = Polynomial._of([1.0, -2.0, 1.0])  # (z - 1)**2
 
 
-def _finite_positive(value: float) -> bool:
-    return math.isfinite(value) and value > 0.0
+def _positive(name: str, value: float) -> float:
+    """``value``; a ``ValueError`` naming it unless it is finite and strictly positive."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and strictly positive")
+    return value
+
+
+def _mismatch(true: float, nominal: float) -> float:
+    """alpha = nominal/true from true = J_m*K_t and nominal = J_mn*K_tn.
+
+    A ``ValueError`` unless true and alpha are finite and positive.
+    """
+    alpha = nominal / true if math.isfinite(true) and true > 0.0 else math.nan
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError("J_m*K_t and alpha = J_mn*K_tn/(J_m*K_t) must be finite and positive")
+    return alpha
 
 
 class MeasurementKind(str, enum.Enum):
@@ -70,12 +84,11 @@ class PlantParams:
     K_tn: float
 
     def __post_init__(self):
-        for name in ("J_m", "K_t", "J_mn", "K_tn"):
-            if not _finite_positive(getattr(self, name)):
-                raise ValueError(f"{name} must be finite and strictly positive")
-        true, nominal = self.J_m * self.K_t, self.J_mn * self.K_tn
-        if not (_finite_positive(true) and _finite_positive(nominal / true)):
-            raise ValueError("J_m*K_t and alpha = J_mn*K_tn/(J_m*K_t) must be finite and positive")
+        _positive("J_m", self.J_m)
+        _positive("K_t", self.K_t)
+        _positive("J_mn", self.J_mn)
+        _positive("K_tn", self.K_tn)
+        _mismatch(self.J_m * self.K_t, self.J_mn * self.K_tn)
 
     @property
     def alpha(self) -> float:
@@ -108,12 +121,10 @@ class DobConfig:
         if not isinstance(kind, MeasurementKind):
             kind = MeasurementKind(kind)
             object.__setattr__(self, "kind", kind)
-        if not _finite_positive(self.g_dob):
-            raise ValueError("g_dob must be finite and strictly positive")
-        if not _finite_positive(self.Ts):
-            raise ValueError("Ts must be finite and strictly positive")
-        if self.g_v is not None and not _finite_positive(self.g_v):
-            raise ValueError("g_v must be finite and strictly positive")
+        _positive("g_dob", self.g_dob)
+        _positive("Ts", self.Ts)
+        if self.g_v is not None:
+            _positive("g_v", self.g_v)
         if kind is MeasurementKind.POSITION and self.g_v is None:
             raise ValueError("position measurement requires g_v")
 
@@ -140,8 +151,7 @@ class OuterGains:
     K_d: float
 
     def __post_init__(self):
-        if not _finite_positive(self.K_p):
-            raise ValueError("K_p must be finite and strictly positive")
+        _positive("K_p", self.K_p)
         if not (math.isfinite(self.K_d) and self.K_d >= 0.0):
             raise ValueError("K_d must be finite and non-negative")
 
@@ -276,8 +286,7 @@ def make_inner_loop(cfg: DobConfig) -> LoopSet:
 
 def make_continuous_inner(plant: PlantParams, g_dob: float) -> LoopSet:
     """Continuous-time inner-loop baseline: L(s) = alpha*g_dob/s."""
-    if not _finite_positive(g_dob):
-        raise ValueError("g_dob must be finite and strictly positive")
+    _positive("g_dob", g_dob)
     alpha = float(plant.alpha)
     ag = float(alpha * g_dob)
     L = RationalTF._of(Polynomial._of([ag]), _Z, None)
@@ -287,8 +296,7 @@ def make_continuous_inner(plant: PlantParams, g_dob: float) -> LoopSet:
 
 def make_pd(gains: OuterGains, Ts: float) -> RationalTF:
     """Backward-Euler PD on position error: K_p + K_d (z-1)/(Ts z)."""
-    if not _finite_positive(Ts):
-        raise ValueError("Ts must be finite and strictly positive")
+    _positive("Ts", Ts)
     kd_over_ts = gains.K_d / Ts
     return RationalTF._of(Polynomial._of([float(-kd_over_ts), float(gains.K_p + kd_over_ts)]),
                           _Z, Ts)

@@ -12,11 +12,12 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from typing import NamedTuple
 
-from .loops import DobConfig, MeasurementKind, OuterGains, PlantParams, _locus_pencil
-from .zalg import (UNIT_CIRCLE_TOL, Polynomial, RationalTF, _companion_roots, poly_roots,
-                   schur_stable)
+from .loops import (DobConfig, MeasurementKind, OuterGains, PlantParams, _locus_pencil,
+                    _mismatch, _positive)
+from .zalg import UNIT_CIRCLE_TOL, Polynomial, RationalTF, _companion_roots, schur_stable
 
 __all__ = [
     "BindingConstraint",
@@ -56,7 +57,9 @@ class PoleClassification:
     """Poles of a discrete TF, the roots of ``den``, against the unit circle.
 
     ``all_in_unit`` is decided without roots; ``max_mag`` and
-    ``all_real_in_0_1`` root ``den`` on the first read of either.
+    ``all_real_in_0_1`` root ``den`` on the first read of either. The roots
+    are those of ``poly_roots``, taken without its residual, which neither
+    figure reads (``zalg._companion_roots``).
     """
 
     den: Polynomial
@@ -64,7 +67,7 @@ class PoleClassification:
 
     @cached_property
     def _roots(self) -> tuple:
-        return poly_roots(self.den).roots if self.den.degree >= 1 else ()
+        return _companion_roots((self.den,))[0][0] if self.den.degree >= 1 else ()
 
     @property
     def max_mag(self) -> float:
@@ -156,19 +159,30 @@ def config_for_sweep(base: DobConfig, param: str, value: float) -> DobConfig:
     leaving true plant values and the nominal thrust coefficient untouched;
     ``g_dob`` is replaced directly.
     """
+    swept, _ = _sweep_value(base, param, value)
     plant, g_dob = base.plant, base.g_dob
     if param == "alpha":
-        plant = PlantParams(
-            J_m=plant.J_m,
-            K_t=plant.K_t,
-            J_mn=value * plant.J_m * plant.K_t / plant.K_tn,
-            K_tn=plant.K_tn,
-        )
-    elif param == "g_dob":
-        g_dob = value
+        plant = PlantParams(J_m=plant.J_m, K_t=plant.K_t, J_mn=swept, K_tn=plant.K_tn)
     else:
-        raise ValueError(f"unknown sweep parameter {param!r}")
+        g_dob = swept
     return DobConfig(base.kind, plant, g_dob, base.Ts, base.g_v)
+
+
+def _sweep_value(base: DobConfig, param: str, value: float) -> tuple:
+    """(swept, x): the J_mn or g_dob that ``config_for_sweep`` sets, and its alpha or g_dob.
+
+    x is the value the config would carry, from the same float expressions,
+    and the ``ValueError`` is the one its constructors would raise, but no
+    config is built: of their checks only J_mn's and alpha's read an alpha
+    value and only g_dob's a g_dob value, and base has passed the others.
+    """
+    if param == "alpha":
+        p = base.plant
+        J_mn = _positive("J_mn", value * p.J_m * p.K_t / p.K_tn)
+        return J_mn, _mismatch(p.J_m * p.K_t, J_mn * p.K_tn)
+    if param == "g_dob":
+        return _positive("g_dob", value), value
+    raise ValueError(f"unknown sweep parameter {param!r}")
 
 
 def _match_branches(prev: tuple, new: tuple) -> tuple:
@@ -227,9 +241,11 @@ def root_locus(
 
     The outer loop's characteristic polynomial is affine in the swept
     parameter, T.den = A + x*B (``loops._locus_pencil``), so A and B are
-    formed once. Each value goes through ``config_for_sweep``, which
-    validates it and gives the exact x the loop would carry, and the roots of
-    A + x*B are its poles, taken for the whole grid in one batch, the roots
+    formed once. Each value v gives the exact x that
+    ``config_for_sweep(base_cfg, param, v)`` would carry, with its checks,
+    but no config is built; the coefficients of A + x*B are a_k + b_k*x in
+    one pass, rounded as ``A + B * x`` rounds them. Its roots are the poles
+    of v, taken for the whole grid in one batch, the roots
     ``poly_roots_batch`` gives without its residuals (``zalg._companion_roots``);
     consecutive pole sets are branch-matched by
     nearest neighbour. ``exit_value`` refines, by bisection to 1e-6
@@ -250,14 +266,21 @@ def root_locus(
             raise ValueError(f"sweep values must be strictly increasing: {what}")
 
     def carried(v: float) -> float:
-        cfg = config_for_sweep(base_cfg, param, v)
-        return cfg.alpha if param == "alpha" else cfg.g_dob
+        # a Python float, as B * x converts it, whatever floats the plant holds
+        return float(_sweep_value(base_cfg, param, v)[1])
 
     xs = [carried(v) for v in values]
     A, B = _locus_pencil(base_cfg, gains, param)
+    # Zero-padded as Polynomial.__add__ pads. Where B * x trims an underflowed
+    # b_k*x, A + B * x adds +0.0 instead, the same sum: A's coefficients are
+    # sums from 0.0, so none is -0.0.
+    pairs = tuple(zip_longest(A._c, B._c, fillvalue=0.0))
+
+    def pencil(x: float) -> Polynomial:
+        return Polynomial._of([a + b * x for a, b in pairs])
 
     pole_sets = []
-    for poles, _ in _companion_roots([A + B * x for x in xs]):
+    for poles, _ in _companion_roots([pencil(x) for x in xs]):
         if pole_sets:
             poles = _match_branches(pole_sets[-1], poles)
         pole_sets.append(tuple(poles))
@@ -266,7 +289,7 @@ def root_locus(
     exit_value = None
     for (v0, m0), (v1, m1) in zip(zip(values, max_mags), zip(values[1:], max_mags[1:])):
         if m0 < 1.0 <= m1:
-            exit_value = _bisect(lambda v: schur_stable(A + B * carried(v)), v0, v1, 1e-6)
+            exit_value = _bisect(lambda v: schur_stable(pencil(carried(v))), v0, v1, 1e-6)
             break
 
     return LocusBranch(

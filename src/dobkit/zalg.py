@@ -59,7 +59,11 @@ class Polynomial:
         a = np.asarray(coeffs, dtype=float)
         if a.ndim > 1:
             raise ValueError(f"polynomial coefficients must be 1-D, got shape {a.shape}")
-        self._set(a.ravel().tolist())
+        c = a.ravel().tolist()
+        # numpy converts None to nan, so only a nan can have been one
+        if any(map(math.isnan, c)) and any(x is None for x in np.asarray(coeffs, object).flat):
+            raise TypeError(f"polynomial coefficients must be numbers, not None: {coeffs!r}")
+        self._set(c)
 
     def _set(self, c: list) -> None:
         n = len(c)

@@ -1,21 +1,28 @@
-"""One SHA-256 over the robustness outputs of a seeded survey of loops.
+"""Two SHA-256 digests: robustness outputs of seeded loops, then root loci.
 
 Run it on two source trees to show that a change leaves those outputs the same
 bit for bit::
 
     PYTHONPATH=src python tests/digest.py
 
-It uses only the public API. The survey is 1,500 seeded loops: every
-measurement kind, inner and outer loops, Ts from 1e-7 to 1e-3 s, one loop in
-ten within a few ulps of alpha*g_dob*Ts = 2, plus a few loops at the
-underflow edge. For each loop it hashes ``freq_sweep`` at 16, 256 and 512
-points (the arrays and both peaks) and ``bode_integral_discrete``; an error
-raised anywhere is hashed as its type and message. pytest does not collect
-this file: its name does not start with ``test_``.
+It uses only the public API and prints one digest a line. The first is over
+a survey of 1,500 seeded loops: every measurement kind, inner and outer
+loops, Ts from 1e-7 to 1e-3 s, one loop in ten within a few ulps of
+alpha*g_dob*Ts = 2, plus a few loops at the underflow edge. For each loop it
+hashes ``freq_sweep`` at 16, 256 and 512 points (the arrays and both peaks)
+and ``bode_integral_discrete``. The second is over a seeded family of root
+loci: every kind and both swept parameters, Ts from 1e-7 to 1e-3 s, 16 to 48
+log- or linearly spaced values around the base. For each sweep it hashes the
+``root_locus`` pole sets, ``max_mags`` and ``exit_value``, and the three
+``classify_poles`` figures of the inner and outer loop at the base and at the
+grid's last value; then a few grids that are rejected. An error raised
+anywhere is hashed as its type and message. pytest does not collect this
+file: its name does not start with ``test_``.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import struct
 
@@ -23,7 +30,8 @@ import numpy as np
 
 from dobkit import (
     DobConfig, MeasurementKind, OuterGains, PlantParams, bode_integral_discrete,
-    freq_sweep, make_inner_loop, make_outer_loop, make_pd,
+    classify_poles, config_for_sweep, freq_sweep, make_inner_loop, make_outer_loop, make_pd,
+    root_locus,
 )
 
 LOOPS = 1500
@@ -91,15 +99,108 @@ def _outputs(config):
                       report.last_difference) + report.panels.to_bytes(8, "little")
 
 
-def digest() -> str:
-    """SHA-256 over the survey's outputs, each prefixed with its length."""
+def _sha256(chunks) -> str:
+    """SHA-256 over byte strings, each prefixed with its length."""
     h = hashlib.sha256()
-    for config in _configs(random.Random(0)):
-        for chunk in _outputs(config):
-            h.update(len(chunk).to_bytes(8, "little"))
-            h.update(chunk)
+    for chunk in chunks:
+        h.update(len(chunk).to_bytes(8, "little"))
+        h.update(chunk)
     return h.hexdigest()
+
+
+def digest() -> str:
+    """SHA-256 over the survey's outputs."""
+    return _sha256(chunk for config in _configs(random.Random(0)) for chunk in _outputs(config))
+
+
+# ---------------------------------------------------------------------------
+# root loci
+# ---------------------------------------------------------------------------
+
+LOCI = 100  # seeded sweeps per kind and swept parameter
+LOCUS_GAINS = OuterGains(K_p=4000.0, K_d=200.0)
+# (plant, param, grid) of rejected sweeps besides the invalid values below:
+# J_mn = v*J_m*K_t/K_tn overflows, and alpha = (J_mn*K_tn)/(J_m*K_t)
+# rounds to 0 while J_mn does not.
+REJECTED = [
+    (PlantParams(J_m=1.0, K_t=1.0, J_mn=1e10, K_tn=1e-10), "alpha", [1.0, 1e300]),
+    (PlantParams(J_m=1.45, K_t=1.45, J_mn=1e300, K_tn=1e-300), "alpha", [5e-324, 1.0]),
+]
+INVALID_GRIDS = [[0.5, 2.0, math.inf], [0.0, 1.0], [-1.0, 1.0], [math.nan, 1.0], [1.0, 1.0],
+                 [2.0, 1.0], [1.0]]
+
+
+def _sweeps(rng: random.Random):
+    """(base config, gains, param, values) of each seeded sweep."""
+    for kind in MeasurementKind:
+        for param in ("alpha", "g_dob"):
+            for _ in range(LOCI):
+                ts = 10.0 ** rng.uniform(-7.0, -3.0)
+                alpha = 10.0 ** rng.uniform(-1.0, 1.0)
+                g_dob = 10.0 ** rng.uniform(-1.0, 0.5) / (alpha * ts)
+                g_v = 10.0 ** rng.uniform(-1.0, 0.5) / ts
+                gains = OuterGains(K_p=10.0 ** rng.uniform(2.0, 5.0),
+                                   K_d=10.0 ** rng.uniform(0.0, 3.0))
+                start = alpha if param == "alpha" else g_dob
+                lo = start * 10.0 ** -rng.uniform(0.5, 2.0)
+                hi = start * 10.0 ** rng.uniform(0.5, 2.0)
+                n = rng.randint(16, 48)
+                space = np.linspace if rng.random() < 0.25 else np.geomspace
+                base = DobConfig(kind=kind, plant=PlantParams.from_alpha(alpha), g_dob=g_dob,
+                                 Ts=ts, g_v=g_v)
+                yield base, gains, param, space(lo, hi, n)
+
+
+def _rejected():
+    """(base config, gains, param, values) of each sweep that is rejected."""
+    for plant, param, values in REJECTED:
+        yield DobConfig(MeasurementKind.VELOCITY, plant, 500.0, 1e-3), LOCUS_GAINS, param, values
+    for kind in MeasurementKind:
+        base = DobConfig(kind=kind, plant=PlantParams.from_alpha(1.0), g_dob=500.0, Ts=1e-3,
+                         g_v=1000.0)
+        for param in ("alpha", "g_dob"):
+            for values in INVALID_GRIDS:
+                yield base, LOCUS_GAINS, param, values
+        yield base, LOCUS_GAINS, "beta", [1.0, 2.0]
+
+
+def _figures(cfg: DobConfig, gains: OuterGains):
+    """The ``classify_poles`` figures of cfg's inner and outer loop."""
+    try:
+        inner = make_inner_loop(cfg)
+        outer = make_outer_loop(inner, make_pd(gains, cfg.Ts))
+    except Exception as exc:
+        yield f"loop {type(exc).__name__}: {exc}".encode()
+        return
+    for loop in (inner, outer):
+        try:
+            poles = classify_poles(loop.T)
+            yield bytes([poles.all_in_unit, poles.all_real_in_0_1]) + _floats(poles.max_mag)
+        except Exception as exc:
+            yield f"classify {type(exc).__name__}: {exc}".encode()
+
+
+def _locus_outputs(base: DobConfig, gains: OuterGains, param: str, values):
+    """The byte strings that stand for one sweep's root locus and pole figures."""
+    try:
+        branch = root_locus(base, gains, param, values)
+    except Exception as exc:
+        yield f"locus {type(exc).__name__}: {exc}".encode()
+        return
+    for poles in branch.pole_sets:
+        yield _floats(*(part for p in poles for part in (p.real, p.imag)))
+    yield _floats(*branch.max_mags)
+    yield b"none" if branch.exit_value is None else _floats(branch.exit_value)
+    yield from _figures(base, gains)
+    yield from _figures(config_for_sweep(base, param, float(values[-1])), gains)
+
+
+def locus_digest() -> str:
+    """SHA-256 over the root loci of the seeded sweeps, then the rejected ones."""
+    sweeps = list(_sweeps(random.Random(1))) + list(_rejected())
+    return _sha256(chunk for sweep in sweeps for chunk in _locus_outputs(*sweep))
 
 
 if __name__ == "__main__":
     print(digest())
+    print(locus_digest())

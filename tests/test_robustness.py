@@ -309,12 +309,13 @@ def test_structural_order_at_vanishing_gain(kind, a, regulation_gains):
 
 def test_each_integral_roots_only_the_closed_loop_polynomial(monkeypatch, regulation_gains):
     calls = []
+    companion_roots = robustness._companion_roots
 
-    def counted(p):
-        calls.append(p)
-        return poly_roots(p)
+    def counted(polys):
+        calls.extend(polys)
+        return companion_roots(polys)
 
-    monkeypatch.setattr(robustness, "poly_roots", counted)
+    monkeypatch.setattr(robustness, "_companion_roots", counted)
     for kind in KINDS:
         for loop in _regulation_loops(kind, regulation_gains):
             calls.clear()

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dobkit import loops, stability
-from dobkit.loops import MeasurementKind, make_inner_loop, make_outer_loop, make_pd
+from dobkit.loops import (DobConfig, MeasurementKind, OuterGains, PlantParams, make_inner_loop,
+                          make_outer_loop, make_pd)
 from dobkit.stability import (
     UNIT_CIRCLE_TOL,
     BindingConstraint,
@@ -166,7 +167,9 @@ def test_all_in_unit_keeps_the_unit_circle_tolerance():
 
 def test_classify_roots_only_when_a_root_figure_is_read(monkeypatch):
     calls = []
-    monkeypatch.setattr(stability, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
+    companion_roots = stability._companion_roots
+    monkeypatch.setattr(stability, "_companion_roots",
+                        lambda polys: calls.extend(polys) or companion_roots(polys))
     cls = classify_poles(make_inner_loop(make_cfg("position", alpha=1.0, g_dob=500.0)).T)
     assert cls.all_in_unit and calls == []
     assert cls.max_mag < 1.0 and len(calls) == 1
@@ -375,7 +378,6 @@ def test_locus_roots_each_grid_point_once_and_never_while_bisecting(monkeypatch,
         return companion_roots(polys)
 
     monkeypatch.setattr(stability, "_companion_roots", counted)
-    monkeypatch.setattr(stability, "poly_roots", lambda p: batches.append(1) or poly_roots(p))
     base = make_cfg(kind, alpha=1.0, g_dob=500.0, Ts=1e-3, g_v=1000.0)
     values = np.geomspace(0.01, 100.0, 21)
     branch = root_locus(base, locus_gains, "alpha", values)
@@ -433,15 +435,68 @@ def test_locus_builds_no_loop(monkeypatch, locus_gains, kind, param):
 
 
 @pytest.mark.parametrize("param", ["alpha", "g_dob"])
-def test_locus_rejects_a_value_before_taking_any_root(monkeypatch, locus_gains, param):
+@pytest.mark.parametrize("kind", list(MeasurementKind))
+def test_locus_roots_the_pencil_at_the_value_its_config_carries(monkeypatch, kind, param):
+    polys = []
+    companion_roots = stability._companion_roots
+    monkeypatch.setattr(stability, "_companion_roots",
+                        lambda batch: polys.extend(batch) or companion_roots(batch))
+    rng = np.random.default_rng(38)
+    rounded = 0
+    for _ in range(4):
+        J_m, K_t, K_tn = 10.0 ** rng.uniform(-3.0, 1.0, 3)
+        Ts = 10.0 ** rng.uniform(-6.0, -3.0)
+        g_dob = 10.0 ** rng.uniform(-1.0, 0.5) / Ts
+        plant = PlantParams(J_m=J_m, K_t=K_t, J_mn=J_m * K_t / K_tn, K_tn=K_tn)
+        base = DobConfig(kind, plant, g_dob, Ts, 10.0 ** rng.uniform(-1.0, 0.5) / Ts)
+        gains = OuterGains(K_p=10.0 ** rng.uniform(2.0, 5.0), K_d=10.0 ** rng.uniform(0.0, 3.0))
+        start = base.alpha if param == "alpha" else g_dob
+        values = np.geomspace(0.1 * start, 10.0 * start, int(rng.integers(16, 48)))
+        polys.clear()
+        root_locus(base, gains, param, values)
+        A, B = loops._locus_pencil(base, gains, param)
+        assert len(polys) == len(values)
+        for v, poly in zip(values, polys):
+            cfg = config_for_sweep(base, param, float(v))
+            x = cfg.alpha if param == "alpha" else cfg.g_dob
+            if param == "alpha":  # swept through the nominal inertia
+                J_mn = float(v) * J_m * K_t / K_tn
+                assert x.hex() == ((J_mn * K_tn) / (J_m * K_t)).hex()
+            rounded += x != v
+            expected = A + B * x
+            assert [c.hex() for c in poly._c] == [c.hex() for c in expected._c], v
+            assert all(type(c) is float for c in poly._c)  # the plant holds numpy floats
+    # some carried alphas differ from their swept value after rounding
+    assert rounded > 0 if param == "alpha" else rounded == 0
+
+
+_PLANT = PlantParams.from_alpha(1.0)
+# J_mn = v*J_m*K_t/K_tn overflows
+_J_MN_OVERFLOWS = (PlantParams(J_m=1.0, K_t=1.0, J_mn=1e10, K_tn=1e-10), 1e300)
+# alpha = (J_mn*K_tn)/(J_m*K_t) rounds to 0 while J_mn does not
+_ALPHA_UNDERFLOWS = (PlantParams(J_m=1.45, K_t=1.45, J_mn=1e300, K_tn=1e-300), 5e-324)
+
+
+@pytest.mark.parametrize("param, plant, bad", [
+    *(("alpha", _PLANT, v) for v in (0.0, -1.0, math.inf, math.nan)),
+    ("alpha", *_J_MN_OVERFLOWS),
+    ("alpha", *_ALPHA_UNDERFLOWS),
+    *(("g_dob", _PLANT, v) for v in (0.0, -1.0, math.inf, math.nan)),
+])
+def test_locus_rejects_a_value_before_taking_any_root(monkeypatch, locus_gains, param, plant,
+                                                      bad):
     calls = []
     companion_roots = stability._companion_roots
     monkeypatch.setattr(stability, "_companion_roots",
                         lambda polys: calls.extend(polys) or companion_roots(polys))
-    monkeypatch.setattr(stability, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
-    base = make_cfg("velocity", alpha=1.0, g_dob=500.0, Ts=1e-3)
-    with pytest.raises(ValueError):
-        root_locus(base, locus_gains, param, [0.5, 2.0, math.inf])
+    base = DobConfig(MeasurementKind.VELOCITY, plant, 500.0, 1e-3)
+    with pytest.raises(ValueError) as expected:
+        config_for_sweep(base, param, bad)
+    values = [0.5, 2.0, bad] if bad > 2.0 else [bad, 0.5, 2.0]
+    with pytest.raises(ValueError) as raised:
+        root_locus(base, locus_gains, param, values)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
     assert calls == []
     # the same patch does see the roots of a valid grid
     root_locus(base, locus_gains, param, [0.5, 2.0, 3.0])

@@ -79,6 +79,8 @@ def test_polynomial_rejects_input_that_is_not_1d(coeffs):
     ([1j, 2.0], TypeError),
     (1j, TypeError),
     ([10**400], OverflowError),
+    ([1.0, None], TypeError),  # not a NaN coefficient
+    (None, TypeError),
 ])
 def test_polynomial_converts_through_numpy(coeffs, expected):
     if isinstance(expected, type):
