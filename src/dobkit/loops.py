@@ -101,9 +101,7 @@ class PlantParams:
         This is the tuning route used throughout: the thrust coefficient is
         assumed known and alpha is swept by scaling the nominal inertia.
         """
-        if alpha <= 0.0:
-            raise ValueError("alpha must be strictly positive")
-        return cls(J_m=J_m, K_t=K_t, J_mn=alpha * J_m, K_tn=K_t)
+        return cls(J_m=J_m, K_t=K_t, J_mn=_positive("alpha", alpha) * J_m, K_tn=K_t)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .loops import LoopSet
-from .zalg import UNIT_CIRCLE_TOL, Polynomial, _companion_roots
+from .zalg import UNIT_CIRCLE_TOL, Polynomial, poly_roots_batch
 
 __all__ = [
     "IllPosedIntegralError",
@@ -115,13 +115,13 @@ def _singular_points(loop: LoopSet, at: float, image, where: str):
     """The open-loop poles off ``at``, and the images of S's poles and of them.
 
     S = den(L) / (den(L) + num(L)): its zeros are the loop's open-loop poles,
-    those exactly at ``at`` structural; its poles are rooted here, as
-    ``poly_roots`` roots them but with no residual (``zalg._companion_roots``).
+    those exactly at ``at`` structural; its poles are rooted here by
+    ``poly_roots_batch``.
     ``image`` maps a point into the plane of the unit circle (None: far from
     it). Raises ``IllPosedIntegralError`` for an image on the circle (a point
     on ``where``).
     """
-    poles = _companion_roots((loop.S.den,))[0][0]
+    poles = poly_roots_batch((loop.S.den,))[0]
     open_loop_poles = [p for p in loop.poles if p != at]
     images = []
     for what, points in (("pole", poles), ("zero", open_loop_poles)):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .loops import (DobConfig, MeasurementKind, OuterGains, PlantParams, _locus_pencil,
                     _mismatch, _positive)
-from .zalg import UNIT_CIRCLE_TOL, Polynomial, RationalTF, _companion_roots, schur_stable
+from .zalg import UNIT_CIRCLE_TOL, Polynomial, RationalTF, poly_roots_batch, schur_stable
 
 __all__ = [
     "BindingConstraint",
@@ -57,9 +57,8 @@ class PoleClassification:
     """Poles of a discrete TF, the roots of ``den``, against the unit circle.
 
     ``all_in_unit`` is decided without roots; ``max_mag`` and
-    ``all_real_in_0_1`` root ``den`` on the first read of either. The roots
-    are those of ``poly_roots``, taken without its residual, which neither
-    figure reads (``zalg._companion_roots``).
+    ``all_real_in_0_1`` root ``den`` on the first read of either, by
+    ``poly_roots_batch``.
     """
 
     den: Polynomial
@@ -67,7 +66,7 @@ class PoleClassification:
 
     @cached_property
     def _roots(self) -> tuple:
-        return _companion_roots((self.den,))[0][0] if self.den.degree >= 1 else ()
+        return poly_roots_batch((self.den,))[0] if self.den.degree >= 1 else ()
 
     @property
     def max_mag(self) -> float:
@@ -245,17 +244,15 @@ def root_locus(
     ``config_for_sweep(base_cfg, param, v)`` would carry, with its checks,
     but no config is built; the coefficients of A + x*B are a_k + b_k*x in
     one pass, rounded as ``A + B * x`` rounds them. Its roots are the poles
-    of v, taken for the whole grid in one batch, the roots
-    ``poly_roots_batch`` gives without its residuals (``zalg._companion_roots``);
-    consecutive pole sets are branch-matched by
-    nearest neighbour. ``exit_value`` refines, by bisection to 1e-6
-    relative, the first parameter value at which the largest pole magnitude
-    crosses the unit circle from inside to outside; it is None when no such
-    crossing occurs on the grid. The bisection trusts the grid's verdicts at
-    the bracket's ends and decides each point strictly inside it by
-    ``schur_stable(A + x*B)``, without roots. Raises ``ValueError`` for an
-    invalid grid or value before any root is taken, and an
-    ``ArithmeticError`` when a coefficient overflows.
+    of v, taken for the whole grid in one ``poly_roots_batch``; consecutive
+    pole sets are branch-matched by nearest neighbour. ``exit_value``
+    refines, by bisection to 1e-6 relative, the first parameter value at
+    which the largest pole magnitude crosses the unit circle from inside to
+    outside; it is None when no such crossing occurs on the grid. The
+    bisection trusts the grid's verdicts at the bracket's ends and decides
+    each point strictly inside it by ``schur_stable(A + x*B)``, without
+    roots. Raises ``ValueError`` for an invalid grid or value before any
+    root is taken, and an ``ArithmeticError`` when a coefficient overflows.
     """
     values = [float(v) for v in values]
     if len(values) < 2:
@@ -280,7 +277,7 @@ def root_locus(
         return Polynomial._of([a + b * x for a, b in pairs])
 
     pole_sets = []
-    for poles, _ in _companion_roots([pencil(x) for x in xs]):
+    for poles in poly_roots_batch([pencil(x) for x in xs]):
         if pole_sets:
             poles = _match_branches(pole_sets[-1], poles)
         pole_sets.append(tuple(poles))

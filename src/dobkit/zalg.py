@@ -31,7 +31,7 @@ __all__ = [
 
 # A pole within this distance of the unit circle counts as on it, so not inside.
 UNIT_CIRCLE_TOL = 1e-9
-_REAL_IMAG = attrgetter("real", "imag")  # the order of a RootSet's roots
+_REAL_IMAG = attrgetter("real", "imag")  # the order of a polynomial's roots
 _TS_MESSAGE = "sampling time must be finite and positive (or None for continuous)"
 
 
@@ -247,15 +247,18 @@ class RationalTF:
 # ---------------------------------------------------------------------------
 
 def poly_roots(p: Polynomial) -> RootSet:
-    """All complex roots of ``p``: the eigenvalues of its companion matrix.
+    """The roots of ``p`` that ``poly_roots_batch`` finds, and their residual.
 
-    The batch of one of ``poly_roots_batch``, which documents the method.
+    The residual is the largest |p(x)| over the roots, each from one Horner
+    pass of ``Polynomial.__call__``; it is NaN when any |p(x)| is NaN.
     """
-    return poly_roots_batch((p,))[0]
+    roots = poly_roots_batch((p,))[0]
+    errors = [abs(p(x)) for x in roots]
+    return RootSet(roots, math.nan if any(map(math.isnan, errors)) else max(errors))
 
 
 def poly_roots_batch(polys) -> list:
-    """The ``RootSet`` of each polynomial, with one eigensolve per matrix size.
+    """The roots of each polynomial: the eigenvalues of its companion matrix.
 
     Each polynomial gets the companion matrix ``np.roots`` builds, zero
     low-order coefficients becoming exact roots at 0 as there. The companion
@@ -276,25 +279,12 @@ def poly_roots_batch(polys) -> list:
     outside. The eigenvalues are the roots, as eigvals gives them: they are
     backward stable (Edelman and Murakami, Math. Comp. 64, 1995), so no
     Newton polish follows. Complex roots come in exact conjugate pairs, as a
-    real eigensolver gives the eigenvalues of a real matrix. The residual is
-    the largest |p(x)| over the roots, each from one Horner pass of
-    ``Polynomial.__call__``. Raises ``RootFindingError``, before any
-    eigensolve, for a degree < 1, a non-finite coefficient or a companion
-    row that overflows anywhere in the batch, and when the eigensolve does
-    not converge.
-    """
-    polys = tuple(polys)
-    return [RootSet(roots, max(map(abs, map(p, eigenvalues)), default=0.0))
-            for p, (roots, eigenvalues) in zip(polys, _companion_roots(polys))]
-
-
-def _companion_roots(polys) -> list:
-    """(roots, eigenvalues) of each polynomial, as ``poly_roots_batch`` finds them.
-
-    ``roots`` is the sorted tuple a ``RootSet`` holds, the roots at 0
-    included; ``eigenvalues`` the companion matrix's eigenvalues alone, as
-    complex numbers in the order LAPACK gives them, over which the residual
-    is taken. Callers that read no residual take the roots from here.
+    real eigensolver gives the eigenvalues of a real matrix. Each
+    polynomial's roots, those at 0 included, are a tuple of Python
+    ``complex`` sorted by real then imaginary part, multiplicity by
+    repetition. Raises ``RootFindingError``, before any eigensolve, for a
+    degree < 1, a non-finite coefficient or a companion row that overflows
+    anywhere in the batch, and when the eigensolve does not converge.
     """
     zeros, by_size = [], {}
     for i, p in enumerate(polys):
@@ -315,7 +305,7 @@ def _companion_roots(polys) -> list:
             members, rows = by_size.setdefault(len(row), ([], []))
             members.append(i)
             rows.append(row)
-    eigs = [()] * len(polys)
+    eigs = [()] * len(zeros)
     for n, (members, rows) in by_size.items():
         if n == 1:  # a 1x1 matrix's eigenvalue is its entry: no eigensolve
             for i, row in zip(members, rows):
@@ -334,13 +324,8 @@ def _companion_roots(polys) -> list:
         # as in np.linalg.eigvals, a stack with no complex eigenvalue gives floats
         for i, values in zip(members, (w if np.count_nonzero(w.imag) else w.real).tolist()):
             eigs[i] = values
-    found = []
-    for w, k in zip(eigs, zeros):
-        eigenvalues = list(map(complex, w))
-        roots = eigenvalues + [0j] * k
-        roots.sort(key=_REAL_IMAG)
-        found.append((tuple(roots), eigenvalues))
-    return found
+    return [tuple(sorted([*map(complex, w)] + [0j] * k, key=_REAL_IMAG))
+            for w, k in zip(eigs, zeros)]
 
 
 @np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")

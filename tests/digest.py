@@ -1,4 +1,4 @@
-"""Two SHA-256 digests: robustness outputs of seeded loops, then root loci.
+"""Three SHA-256 digests: robustness outputs of seeded loops, root loci, then roots.
 
 Run it on two source trees to show that a change leaves those outputs the same
 bit for bit::
@@ -15,7 +15,13 @@ loci: every kind and both swept parameters, Ts from 1e-7 to 1e-3 s, 16 to 48
 log- or linearly spaced values around the base. For each sweep it hashes the
 ``root_locus`` pole sets, ``max_mags`` and ``exit_value``, and the three
 ``classify_poles`` figures of the inner and outer loop at the base and at the
-grid's last value; then a few grids that are rejected. An error raised
+grid's last value; then a few grids that are rejected. The third is over
+``poly_roots``: every root and the residual of a seeded family of degrees 1
+to 8 with |c_k| from 1e-30 to 1e30, some of them with zero low-order
+coefficients; of polynomials with repeated real roots built by ``np.poly``;
+of the outer characteristic polynomials ``L.den + L.num`` of alpha sweeps
+for every kind at Ts 1e-3, 1e-5 and 1e-7, which the benchmark's pole audit
+roots; then of a few polynomials that are rejected. An error raised
 anywhere is hashed as its type and message. pytest does not collect this
 file: its name does not start with ``test_``.
 """
@@ -29,9 +35,9 @@ import struct
 import numpy as np
 
 from dobkit import (
-    DobConfig, MeasurementKind, OuterGains, PlantParams, bode_integral_discrete,
+    DobConfig, MeasurementKind, OuterGains, PlantParams, Polynomial, bode_integral_discrete,
     classify_poles, config_for_sweep, freq_sweep, make_inner_loop, make_outer_loop, make_pd,
-    root_locus,
+    poly_roots, root_locus,
 )
 
 LOOPS = 1500
@@ -201,6 +207,57 @@ def locus_digest() -> str:
     return _sha256(chunk for sweep in sweeps for chunk in _locus_outputs(*sweep))
 
 
+# ---------------------------------------------------------------------------
+# roots
+# ---------------------------------------------------------------------------
+
+ROOT_DRAWS = 200  # seeded polynomials per degree
+ROOT_TS = (1e-3, 1e-5, 1e-7)
+ROOT_ALPHAS = np.geomspace(0.1, 10.0, 24).tolist()
+REJECTED_ROOTS = [[3.0], [0.0], [1.0, math.inf], [1e300, 1e-300]]
+
+
+def _root_polynomials(rng: random.Random):
+    """The polynomials whose roots are hashed: seeded, repeated-root, audited, rejected."""
+    for degree in range(1, 9):
+        for _ in range(ROOT_DRAWS):
+            c = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-30.0, 30.0)
+                 for _ in range(degree + 1)]
+            if degree > 1 and rng.random() < 0.25:  # roots exactly at 0
+                zeros = rng.randint(1, degree - 1)
+                c[:zeros] = [0.0] * zeros
+            yield Polynomial(c)
+        if degree > 1:  # a double real root, then a triple one where there is room
+            roots = [rng.uniform(-2.0, 2.0) for _ in range(degree)]
+            for times in range(2, min(degree, 3) + 1):
+                roots[1:times] = [roots[0]] * (times - 1)
+                yield Polynomial(np.poly(roots)[::-1])
+    for kind in MeasurementKind:
+        for ts in ROOT_TS:
+            for alpha in ROOT_ALPHAS:
+                cfg = DobConfig(kind=kind, plant=PlantParams.from_alpha(alpha), g_dob=1.0 / ts,
+                                Ts=ts, g_v=1.0 / ts)
+                outer = make_outer_loop(make_inner_loop(cfg), make_pd(LOCUS_GAINS, ts))
+                yield outer.L.den + outer.L.num
+    for c in REJECTED_ROOTS:
+        yield Polynomial(c)
+
+
+def _root_outputs(p: Polynomial) -> bytes:
+    """The byte string that stands for the roots and residual of p."""
+    try:
+        rs = poly_roots(p)
+    except Exception as exc:
+        return f"roots {type(exc).__name__}: {exc}".encode()
+    return _floats(*(part for x in rs.roots for part in (x.real, x.imag)), rs.residual)
+
+
+def roots_digest() -> str:
+    """SHA-256 over the roots and residuals of the hashed polynomials."""
+    return _sha256(map(_root_outputs, _root_polynomials(random.Random(2))))
+
+
 if __name__ == "__main__":
     print(digest())
     print(locus_digest())
+    print(roots_digest())

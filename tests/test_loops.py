@@ -40,8 +40,9 @@ def test_alpha_is_derived_from_factors():
 def test_plant_params_must_be_positive():
     with pytest.raises(ValueError):
         PlantParams(J_m=0.0, K_t=0.25, J_mn=0.003, K_tn=0.25)
-    with pytest.raises(ValueError):
-        PlantParams.from_alpha(-1.0)
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            PlantParams.from_alpha(alpha)
 
 
 def test_position_kind_requires_gv():

@@ -309,13 +309,13 @@ def test_structural_order_at_vanishing_gain(kind, a, regulation_gains):
 
 def test_each_integral_roots_only_the_closed_loop_polynomial(monkeypatch, regulation_gains):
     calls = []
-    companion_roots = robustness._companion_roots
+    roots_of = robustness.poly_roots_batch
 
     def counted(polys):
         calls.extend(polys)
-        return companion_roots(polys)
+        return roots_of(polys)
 
-    monkeypatch.setattr(robustness, "_companion_roots", counted)
+    monkeypatch.setattr(robustness, "poly_roots_batch", counted)
     for kind in KINDS:
         for loop in _regulation_loops(kind, regulation_gains):
             calls.clear()

@@ -167,9 +167,9 @@ def test_all_in_unit_keeps_the_unit_circle_tolerance():
 
 def test_classify_roots_only_when_a_root_figure_is_read(monkeypatch):
     calls = []
-    companion_roots = stability._companion_roots
-    monkeypatch.setattr(stability, "_companion_roots",
-                        lambda polys: calls.extend(polys) or companion_roots(polys))
+    roots_of = stability.poly_roots_batch
+    monkeypatch.setattr(stability, "poly_roots_batch",
+                        lambda polys: calls.extend(polys) or roots_of(polys))
     cls = classify_poles(make_inner_loop(make_cfg("position", alpha=1.0, g_dob=500.0)).T)
     assert cls.all_in_unit and calls == []
     assert cls.max_mag < 1.0 and len(calls) == 1
@@ -370,14 +370,14 @@ def test_velocity_exit_matches_marginal_inner_pole(locus_gains):
 def test_locus_roots_each_grid_point_once_and_never_while_bisecting(monkeypatch, locus_gains,
                                                                     kind):
     batches = []
-    companion_roots = stability._companion_roots
+    roots_of = stability.poly_roots_batch
 
     def counted(polys):
         polys = list(polys)
         batches.append(len(polys))
-        return companion_roots(polys)
+        return roots_of(polys)
 
-    monkeypatch.setattr(stability, "_companion_roots", counted)
+    monkeypatch.setattr(stability, "poly_roots_batch", counted)
     base = make_cfg(kind, alpha=1.0, g_dob=500.0, Ts=1e-3, g_v=1000.0)
     values = np.geomspace(0.01, 100.0, 21)
     branch = root_locus(base, locus_gains, "alpha", values)
@@ -438,9 +438,9 @@ def test_locus_builds_no_loop(monkeypatch, locus_gains, kind, param):
 @pytest.mark.parametrize("kind", list(MeasurementKind))
 def test_locus_roots_the_pencil_at_the_value_its_config_carries(monkeypatch, kind, param):
     polys = []
-    companion_roots = stability._companion_roots
-    monkeypatch.setattr(stability, "_companion_roots",
-                        lambda batch: polys.extend(batch) or companion_roots(batch))
+    roots_of = stability.poly_roots_batch
+    monkeypatch.setattr(stability, "poly_roots_batch",
+                        lambda batch: polys.extend(batch) or roots_of(batch))
     rng = np.random.default_rng(38)
     rounded = 0
     for _ in range(4):
@@ -486,9 +486,9 @@ _ALPHA_UNDERFLOWS = (PlantParams(J_m=1.45, K_t=1.45, J_mn=1e300, K_tn=1e-300), 5
 def test_locus_rejects_a_value_before_taking_any_root(monkeypatch, locus_gains, param, plant,
                                                       bad):
     calls = []
-    companion_roots = stability._companion_roots
-    monkeypatch.setattr(stability, "_companion_roots",
-                        lambda polys: calls.extend(polys) or companion_roots(polys))
+    roots_of = stability.poly_roots_batch
+    monkeypatch.setattr(stability, "poly_roots_batch",
+                        lambda polys: calls.extend(polys) or roots_of(polys))
     base = DobConfig(MeasurementKind.VELOCITY, plant, 500.0, 1e-3)
     with pytest.raises(ValueError) as expected:
         config_for_sweep(base, param, bad)

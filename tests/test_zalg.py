@@ -288,9 +288,7 @@ def test_batch_is_exactly_each_polynomial_alone():
     batch = poly_roots_batch(polys)
     assert len(batch) == len(polys)
     for p, together in zip(polys, batch):
-        alone = poly_roots(p)
-        assert together.roots == alone.roots, p
-        assert together.residual == alone.residual, p
+        assert together == poly_roots(p).roots, p
     # and in the reverse order, which stacks each size differently
     assert poly_roots_batch(polys[::-1]) == batch[::-1]
 
@@ -327,12 +325,12 @@ def test_linear_roots_are_the_companion_entry_that_eigvals_returns(monkeypatch):
     c0, c1 = (rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n) * 10.0 ** e for e in (e0, e1))
     polys = [Polynomial([a, b]) for a, b in zip(c0.tolist(), c1.tolist())]
     calls = _count_eigensolves(monkeypatch)
-    sets = poly_roots_batch(polys)
+    batch = poly_roots_batch(polys)
     assert calls == []
     monkeypatch.undo()
     eigvals = np.linalg.eigvals
-    for a, b, rs in zip(c0.tolist(), c1.tolist(), sets):
-        assert rs.roots == (complex(eigvals(np.array([[-a / b]]))[0]),), (a, b)
+    for a, b, roots in zip(c0.tolist(), c1.tolist(), batch):
+        assert roots == (complex(eigvals(np.array([[-a / b]]))[0]),), (a, b)
     # beyond that range eigvals' rescaling rounds; the root stays the quotient
     for a, b in ((3.7e200, -1.3e-20), (-2.9e-250, 7.1e-90), (5.3e300, 1.1e0)):
         assert poly_roots(Polynomial([a, b])).roots == (complex(-a / b),)
@@ -374,9 +372,9 @@ def test_roots_are_complex_of_what_numpys_eigvals_returns(spectrum):
         stack = np.stack([_companion(p) for p in polys])
         together = np.linalg.eigvals(stack)
         assert together.dtype == (float if spectrum == "real" else complex)
-        for p, stacked, rs in zip(polys, together.tolist(), poly_roots_batch(polys)):
+        for p, stacked, roots in zip(polys, together.tolist(), poly_roots_batch(polys)):
             expected = sorted(map(complex, stacked), key=lambda x: (x.real, x.imag))
-            assert list(map(_bits, rs.roots)) == list(map(_bits, expected)), p
+            assert list(map(_bits, roots)) == list(map(_bits, expected)), p
             alone = np.linalg.eigvals(_companion(p)).tolist()
             expected = sorted(map(complex, alone), key=lambda x: (x.real, x.imag))
             assert list(map(_bits, poly_roots(p).roots)) == list(map(_bits, expected)), p
@@ -433,6 +431,16 @@ def test_reported_residual_is_the_horner_residual(seed):
         rs = poly_roots(p)
         assert len(rs.roots) == degree
         assert rs.residual == max(abs(p(x)) for x in rs.roots), p
+
+
+def test_residual_is_nan_when_any_root_residual_is():
+    # roots 0j three times and about 1e300; at the large root the Horner
+    # pass overflows and |p(x)| is NaN, while at 0 it is 1e-300
+    p = Polynomial([1e-300, 1.0, -1.0, -1e200, 1e-100])
+    rs = poly_roots(p)
+    assert rs.roots[:3] == (0j, 0j, 0j)
+    assert math.isnan(abs(p(rs.roots[3])))
+    assert math.isnan(rs.residual)
 
 
 def test_low_order_zeros_are_exact_roots_at_zero():
