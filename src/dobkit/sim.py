@@ -12,13 +12,20 @@ one-step delay.
 ``simulate_linear_oracle`` recomputes the same noise-free trace through the
 closed-form transfer functions, giving an independent second implementation
 path for cross-validation: one loop over samples runs the PD controller, the
-inner loop's closed-form C and S and the two sampled plants as five separate
+inner loop's closed-form C and S and the sampled position plant as four
 order-2 direct-form sections on scalar states, and closes the outer loop once
 per sample.
 
-Both draw their inputs from ``_inputs`` and assemble their output with
-``_trace``, which holds the measured-channel rule and the disturbance
-estimate identity tau_dis_hat = K_tn * (I - I_des).
+Each loop records per sample only what the trace cannot get otherwise: the
+simulator the position and both currents, the oracle the position, the
+acceleration and the desired acceleration. The other channels are formed
+after the loop with the loop's own float operations in the same order, so
+they are the same bits: the simulator's acceleration (K_t*I - tau_d)/J_m
+from the current, and in both the velocity as the running sum of
+Ts * acceleration (``_running_sum``), which is also the velocity plant
+Ts / (z - 1) stepped from zero state. Both draw their inputs from ``_inputs``
+and assemble their output with ``_trace``, which holds the measured-channel
+rule and the disturbance estimate identity tau_dis_hat = K_tn * (I - I_des).
 """
 from __future__ import annotations
 
@@ -36,7 +43,6 @@ from .loops import (
     MeasurementKind,
     OuterGains,
     discrete_position_plant,
-    discrete_velocity_plant,
     make_inner_loop,
     make_pd,
 )
@@ -57,7 +63,8 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e6  # metres; beyond this the trace truncates with a flag
 # Longest run, in sample periods. A ``dobkit simulate`` run, CSV included, holds
-# about 125 B per sample at its peak under tracemalloc.
+# about 122 B per sample at its peak under tracemalloc (100,001 and 400,001
+# samples, noisy and silent alike).
 MAX_SAMPLES = 1_000_000
 # Position error (metres) below which a run counts as settled.
 SETTLE_THRESHOLD = 1e-6
@@ -229,14 +236,34 @@ class RejectionMetrics(NamedTuple):
 def _inputs(sc: Scenario):
     """Sample times and the reference position, acceleration and disturbance series.
 
-    The step loops read these through memoryviews, which yield the same
-    Python floats as ``tolist`` without a list per series.
+    A pulse acts on the samples k with t_start <= k*Ts < t_end, placed by
+    index with the same 1e-9-period tolerance as ``Scenario.n_samples``, so
+    the window does not widen at small Ts. The step loops read these series
+    through memoryviews, which yield the same Python floats as ``tolist``
+    without a list per series.
     """
-    t = np.arange(sc.n_samples) * sc.cfg.Ts
+    n, Ts = sc.n_samples, sc.cfg.Ts
+    t = np.arange(n) * Ts
     d = np.zeros_like(t)
     for p in sc.disturbances:
-        d[(t >= p.t_start - 1e-12) & (t < p.t_end - 1e-12)] += p.force
+        # min() keeps a subnormal Ts from overflowing the index to inf
+        start, end = (math.ceil(min(x / Ts - 1e-9, n)) for x in (p.t_start, p.t_end))
+        d[start:end] += p.force
     return t, sc.reference.position(t), sc.reference.accel(t), d
+
+
+def _running_sum(Ts: float, qdd: np.ndarray) -> np.ndarray:
+    """Velocity from zero state: 0.0, then the running sum of ``Ts * qdd[k]``.
+
+    ``np.cumsum`` adds in sample order, starting from the explicit leading
+    0.0, so each entry is ``qd + Ts * qdd[k]`` stepped one sample at a time
+    from qd = 0.0, to the bit, signed zeros included. The last acceleration
+    feeds no recorded velocity.
+    """
+    qd = np.empty_like(qdd)
+    qd[:1] = 0.0
+    np.multiply(Ts, qdd[:-1], out=qd[1:])
+    return np.cumsum(qd, out=qd)
 
 
 def _trace(sc: Scenario, t, r, d, q, qd, qdd, I_des, I, noise=None,
@@ -277,7 +304,9 @@ def simulate(sc: Scenario) -> SimTrace:
     only the feedforward drives; velocity and position measurement share one
     observer update and differ only in the velocity fed back (the noisy
     sensor or the pseudo-velocity filter); acceleration measurement solves
-    its current/observer algebraic loop exactly. Each sensor reads the true
+    its current/observer algebraic loop exactly. The loop records the
+    position and both currents; the acceleration and velocity are formed
+    after it with the loop's own operations. Each sensor reads the true
     motion plus zero-mean Gaussian noise, drawn from
     ``np.random.default_rng(seed)`` as one series per sensor (position,
     velocity, acceleration); a silent scenario draws nothing and its sensors
@@ -319,7 +348,7 @@ def simulate(sc: Scenario) -> SimTrace:
         g_v = cfg.g_v
         vden = 1.0 + g_v * Ts
 
-    out_q, out_qd, out_qdd, out_I_des, out_I = (array("d") for _ in range(5))
+    out_q, out_I_des, out_I = array("d"), array("d"), array("d")
     q = qd = 0.0
     w = 0.0          # observer low-pass state (previous output)
     e_prev = 0.0     # PD backward-difference state
@@ -351,8 +380,6 @@ def simulate(sc: Scenario) -> SimTrace:
         w = w / qden + dQ * (K_tn * I + y)
 
         out_q.append(q)
-        out_qd.append(qd)
-        out_qdd.append(u)
         out_I_des.append(I_des)
         out_I.append(I)
         if not abs(q) <= DIVERGENCE_LIMIT:  # NaN diverges too
@@ -361,7 +388,15 @@ def simulate(sc: Scenario) -> SimTrace:
         q = q + Ts * qd + hTs2 * u
         qd = qd + Ts * u
 
-    return _trace(sc, t, r, d, out_q, out_qd, out_qdd, out_I_des, out_I, noise, diverged)
+    # The acceleration and velocity are formed from the recorded current with
+    # the loop's own operations, so they equal the loop's u and qd bit for bit.
+    I = np.asarray(out_I)
+    with np.errstate(over="ignore", invalid="ignore"):
+        qdd = K_t * I
+        qdd -= d[:I.size]
+        qdd /= J_m
+        qd = _running_sum(Ts, qdd)
+    return _trace(sc, t, r, d, out_q, qd, qdd, out_I_des, I, noise, diverged)
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +428,14 @@ def simulate_linear_oracle(sc: Scenario) -> SimTrace:
 
     Independent of ``simulate``: the PD controller, the inner loop's
     closed-form compensator C and sensitivity S (the observer enters only
-    through these), and the sampled position and velocity plants each keep
-    their own coefficients (``_order2``) and two scalar states, updated inline
-    once per sample. The outer loop is closed on the plants' held outputs,
-    their first states, which needs no algebraic solve because both plants
-    are strictly proper. Without outer gains the PD block is the zero gain.
-    The current and disturbance-estimate channels are recovered from exact
+    through these), and the sampled position plant each keep their own
+    coefficients (``_order2``) and two scalar states, updated inline once per
+    sample. The outer loop is closed on the position plant's held output, its
+    first state, which needs no algebraic solve because the plant is strictly
+    proper. Without outer gains the PD block is the zero gain. The velocity
+    plant Ts / (z - 1) feeds nothing back, so it is not stepped: its
+    zero-state output, the running sum of Ts * acceleration, is formed after
+    the loop. The current and disturbance-estimate channels are recovered from exact
     per-sample identities. A run that diverges stops as ``simulate`` does,
     at the first sample with |q| beyond the guard limit or NaN, with ``diverged=True``.
     """
@@ -416,14 +453,13 @@ def simulate_linear_oracle(sc: Scenario) -> SimTrace:
     sb0, sb1, sb2, sa1, sa2 = _order2(inner.S)
     # strictly proper plants: b0 = 0, so the output is the first state
     _, gb1, gb2, ga1, ga2 = _order2(discrete_position_plant(Ts))
-    _, vb1, vb2, va1, va2 = _order2(discrete_velocity_plant(Ts))
     J_m = plant.J_m
 
-    q, qd, qdd, qdd_des = (array("d") for _ in range(4))
-    p1 = p2 = c1 = c2 = s1 = s2 = g1 = g2 = v1 = v2 = 0.0
+    q, qdd, qdd_des = array("d"), array("d"), array("d")
+    p1 = p2 = c1 = c2 = s1 = s2 = g1 = g2 = 0.0
     diverged = False
     for r_k, a_k, d_k in zip(*map(memoryview, (r, aref, d))):
-        q_k, qd_k = g1, v1
+        q_k = g1
         e = r_k - q_k
         y = pb0 * e + p1
         p1 = pb1 * e - pa1 * y + p2
@@ -438,16 +474,15 @@ def simulate_linear_oracle(sc: Scenario) -> SimTrace:
         acc_k = y - y_s / J_m
         g1 = gb1 * acc_k - ga1 * q_k + g2
         g2 = gb2 * acc_k - ga2 * q_k
-        v1 = vb1 * acc_k - va1 * qd_k + v2
-        v2 = vb2 * acc_k - va2 * qd_k
         q.append(q_k)
-        qd.append(qd_k)
         qdd.append(acc_k)
         qdd_des.append(des_k)
         if not abs(q_k) <= DIVERGENCE_LIMIT:
             diverged = True
             break
     qdd = np.asarray(qdd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        qd = _running_sum(Ts, qdd)
 
     current = (J_m * qdd + d[:qdd.size]) / plant.K_t
     I_des = (plant.J_mn / plant.K_tn) * np.asarray(qdd_des)

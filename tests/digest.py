@@ -1,4 +1,4 @@
-"""Three SHA-256 digests: robustness outputs of seeded loops, root loci, then roots.
+"""Four SHA-256 digests: robustness outputs of seeded loops, root loci, roots, then traces.
 
 Run it on two source trees to show that a change leaves those outputs the same
 bit for bit::
@@ -21,9 +21,16 @@ to 8 with |c_k| from 1e-30 to 1e30, some of them with zero low-order
 coefficients; of polynomials with repeated real roots built by ``np.poly``;
 of the outer characteristic polynomials ``L.den + L.num`` of alpha sweeps
 for every kind at Ts 1e-3, 1e-5 and 1e-7, which the benchmark's pole audit
-roots; then of a few polynomials that are rejected. An error raised
-anywhere is hashed as its type and message. pytest does not collect this
-file: its name does not start with ``test_``.
+roots; then of a few polynomials that are rejected. The fourth is over
+``simulate`` and ``simulate_linear_oracle``: the bytes and length of every
+channel and the ``diverged`` flag of both traces of 180 seeded scenarios
+(every kind, with and without outer gains, step, sinusoid and hold_zero
+references with 0 to 2 pulses whose edges lie well inside a period, about
+a third with sensor noise, which the oracle rejects, and Ts from 2e-6 to
+1e-3 s), then of the divergent alpha = 3.9 position case and of a case
+whose position is NaN from its second sample. An error raised anywhere is
+hashed as its type and message. pytest does not collect this file: its
+name does not start with ``test_``.
 """
 from __future__ import annotations
 
@@ -35,9 +42,10 @@ import struct
 import numpy as np
 
 from dobkit import (
-    DobConfig, MeasurementKind, OuterGains, PlantParams, Polynomial, bode_integral_discrete,
-    classify_poles, config_for_sweep, freq_sweep, make_inner_loop, make_outer_loop, make_pd,
-    poly_roots, root_locus,
+    DisturbancePulse, DobConfig, MeasurementKind, NoiseSpec, OuterGains, PlantParams, Polynomial,
+    Reference, Scenario, bode_integral_discrete, classify_poles, config_for_sweep, freq_sweep,
+    make_inner_loop, make_outer_loop, make_pd, poly_roots, root_locus, simulate,
+    simulate_linear_oracle,
 )
 
 LOOPS = 1500
@@ -257,7 +265,82 @@ def roots_digest() -> str:
     return _sha256(map(_root_outputs, _root_polynomials(random.Random(2))))
 
 
+# ---------------------------------------------------------------------------
+# simulator and oracle
+# ---------------------------------------------------------------------------
+
+SCENARIOS = 60  # seeded scenarios per kind
+SIM_GAINS = OuterGains(K_p=4000.0, K_d=200.0)
+TRACE_CHANNELS = ("t", "q_ref", "q", "qd", "qdd", "q_meas", "qd_meas", "qdd_meas", "I_des", "I",
+                  "tau_d", "tau_dis_hat")
+
+
+def _edge(ts: float, k: int, rng: random.Random) -> float:
+    """A pulse edge well inside period k: no tolerance decides which samples it covers."""
+    return (k + rng.uniform(0.2, 0.8)) * ts
+
+
+def _scenarios(rng: random.Random):
+    """The seeded scenarios, then the divergent alpha = 3.9 case and a NaN one."""
+    for kind in MeasurementKind:
+        for _ in range(SCENARIOS):
+            ts = 10.0 ** rng.uniform(math.log10(2e-6), -3.0)
+            alpha = rng.uniform(0.5, 2.0)
+            cfg = DobConfig(kind=kind, plant=PlantParams.from_alpha(alpha),
+                            g_dob=rng.uniform(0.05, 0.8) / (alpha * ts), Ts=ts,
+                            g_v=rng.uniform(0.1, 0.8) / ts)
+            gains = None
+            if rng.random() < 0.7:
+                gains = OuterGains(K_p=rng.uniform(800.0, 6000.0), K_d=rng.uniform(10.0, 120.0))
+            n = rng.randint(200, 1500)  # samples
+            reference = rng.choice((
+                Reference.step(rng.uniform(-0.2, 0.2)),
+                Reference.sinusoid(rng.uniform(0.01, 0.2), rng.uniform(0.2, 2.0) / (n * ts)),
+                Reference.hold_zero()))
+            pulses, pulse_count = [], rng.randint(0, 2)
+            for i in range(pulse_count):  # pulse i in the i-th of equal slots of samples
+                lo = i * n // pulse_count
+                start = rng.randint(lo, lo + n // (2 * pulse_count))
+                end = rng.randint(start + 1, (i + 1) * n // pulse_count - 1)
+                pulses.append(DisturbancePulse(_edge(ts, start, rng), _edge(ts, end, rng),
+                                               rng.uniform(-8.0, 8.0)))
+            noise = NoiseSpec()
+            if rng.random() < 0.3:
+                noise = NoiseSpec(eta_p=rng.uniform(1e-8, 1e-6), eta_v=rng.uniform(1e-6, 1e-4),
+                                  eta_a=rng.uniform(1e-4, 1e-2))
+            yield Scenario(duration=(n - 0.5) * ts, cfg=cfg, gains=gains, reference=reference,
+                           disturbances=tuple(pulses), noise=noise, seed=rng.randint(0, 2**31))
+    cfg = DobConfig(kind=MeasurementKind.POSITION, plant=PlantParams.from_alpha(3.9),
+                    g_dob=1000.0, Ts=0.5e-3, g_v=2000.0)
+    yield Scenario(duration=3.0, cfg=cfg, gains=SIM_GAINS, reference=Reference.step(0.1))
+    # finite but extreme values: q is NaN from the second sample on
+    cfg = DobConfig(kind=MeasurementKind.VELOCITY, g_dob=1.3e18, Ts=7.4e-228,
+                    plant=PlantParams(J_m=1.5e57, K_t=5.2e131, J_mn=2.9e69, K_tn=8.7e104))
+    yield Scenario(duration=2.2e-226, cfg=cfg, gains=OuterGains(3.4e100, 1.7e140),
+                   reference=Reference.step(1.4e19))
+
+
+def _sim_outputs(sc):
+    """The byte strings that stand for one scenario's simulator and oracle traces."""
+    for run in (simulate, simulate_linear_oracle):
+        try:
+            trace = run(sc)
+        except Exception as exc:
+            yield f"{run.__name__} {type(exc).__name__}: {exc}".encode()
+            continue
+        for name in TRACE_CHANNELS:
+            a = getattr(trace, name)
+            yield b"none" if a is None else np.ascontiguousarray(a, dtype="<f8").tobytes()
+        yield bytes([trace.diverged])
+
+
+def sim_digest() -> str:
+    """SHA-256 over every channel of the simulator and oracle traces of the scenarios."""
+    return _sha256(chunk for sc in _scenarios(random.Random(3)) for chunk in _sim_outputs(sc))
+
+
 if __name__ == "__main__":
     print(digest())
     print(locus_digest())
     print(roots_digest())
+    print(sim_digest())

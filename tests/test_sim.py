@@ -17,6 +17,7 @@ from dobkit.loops import (
     OuterGains,
     PlantParams,
     discrete_position_plant,
+    discrete_velocity_plant,
     make_inner_loop,
     make_outer_loop,
     make_pd,
@@ -314,17 +315,105 @@ def test_oracle_truncates_where_the_simulator_diverges():
         assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) <= 1e-9, name
 
 
-def test_a_nan_position_diverges_in_simulator_and_oracle():
-    # finite, positive but extreme values: q is NaN from the second sample on,
-    # which must stop the run (abs(nan) > limit is False)
+def _nan_scenario():
+    """Finite, positive but extreme values: q is NaN from the second sample on."""
     cfg = DobConfig(kind=MeasurementKind.VELOCITY, g_dob=1.3e18, Ts=7.4e-228,
                     plant=PlantParams(J_m=1.5e57, K_t=5.2e131, J_mn=2.9e69, K_tn=8.7e104))
-    sc = Scenario(duration=2.2e-226, cfg=cfg, gains=OuterGains(3.4e100, 1.7e140),
-                  reference=Reference.step(1.4e19))
+    return Scenario(duration=2.2e-226, cfg=cfg, gains=OuterGains(3.4e100, 1.7e140),
+                    reference=Reference.step(1.4e19))
+
+
+def test_a_nan_position_diverges_in_simulator_and_oracle():
+    # a NaN position must stop the run (abs(nan) > limit is False)
+    sc = _nan_scenario()
     for run in (simulate, simulate_linear_oracle):
         trace = run(sc)
         assert trace.diverged, run
         assert trace.t.size == 2 and math.isnan(trace.q[-1]), run
+
+
+# ---------------------------------------------------------------------------
+# exact identities of the recorded motion
+# ---------------------------------------------------------------------------
+
+NOISE = NoiseSpec(eta_p=1e-6, eta_v=1e-3, eta_a=0.05)
+
+
+def _identity_scenarios():
+    """(id, scenario): every kind clean and noisy, with and without outer
+    gains, then diverged runs, one of them NaN from its second sample."""
+    for kind in ALL_KINDS:
+        cfg = make_cfg(kind, alpha=1.3, g_dob=800.0, Ts=1e-3, g_v=1500.0)
+        for name, noise, gains in (("clean", NoiseSpec(), REG_GAINS),
+                                   ("clean-open", NoiseSpec(), None),
+                                   ("noisy", NOISE, REG_GAINS)):
+            yield f"{kind.value}-{name}", Scenario(
+                duration=0.3, cfg=cfg, gains=gains, reference=Reference.sinusoid(0.05, 20.0),
+                disturbances=(DisturbancePulse(0.1, 0.2, 2.0),), noise=noise, seed=11)
+    yield "velocity-diverged", _regulation_scenario("velocity", alpha=4.05, duration=3.0)
+    yield "position-diverged", _regulation_scenario("position", alpha=3.9, duration=3.0)
+    yield "nan", _nan_scenario()
+
+
+IDENTITY_SCENARIOS = dict(_identity_scenarios())
+
+
+@pytest.mark.parametrize("name", IDENTITY_SCENARIOS)
+def test_simulated_motion_is_the_exact_zoh_step(name):
+    # the loop's own float operations, every sample up to a diverged run's last
+    sc = IDENTITY_SCENARIOS[name]
+    tr = simulate(sc)
+    assert tr.diverged is (name in ("velocity-diverged", "position-diverged", "nan"))
+    Ts, plant = sc.cfg.Ts, sc.cfg.plant
+    q, qd, qdd = tr.q, tr.qd, tr.qdd
+    assert q[0] == 0.0 and qd[0] == 0.0
+    with np.errstate(all="ignore"):
+        assert np.array_equal(qdd, (plant.K_t * tr.I - tr.tau_d) / plant.J_m, equal_nan=True)
+        assert np.array_equal(qd[1:], qd[:-1] + Ts * qdd[:-1], equal_nan=True)
+        assert np.array_equal(q[1:], q[:-1] + Ts * qd[:-1] + Ts * Ts / 2 * qdd[:-1],
+                              equal_nan=True)
+
+
+def _held_output(section, x):
+    """Output of a strictly proper ``_order2`` section from zero state driven
+    by x: its first state, updated as the oracle updates its plant sections."""
+    _, b1, b2, a1, a2 = section
+    s1 = s2 = 0.0
+    out = []
+    for x_k in x.tolist():
+        y = s1
+        s1 = b1 * x_k - a1 * y + s2
+        s2 = b2 * x_k - a2 * y
+        out.append(y)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", [n for n, sc in IDENTITY_SCENARIOS.items() if sc.noise.silent])
+def test_oracle_velocity_is_the_running_sum_of_its_acceleration(name):
+    # the oracle forms qd after its loop; the values are those of the velocity
+    # plant Ts / (z - 1) stepped on the oracle's acceleration, bit for bit
+    sc = IDENTITY_SCENARIOS[name]
+    oracle = simulate_linear_oracle(sc)
+    Ts = sc.cfg.Ts
+    assert oracle.qd[0] == 0.0
+    with np.errstate(all="ignore"):
+        assert np.array_equal(oracle.qd[1:], oracle.qd[:-1] + Ts * oracle.qdd[:-1],
+                              equal_nan=True)
+        stepped = _held_output(_order2(discrete_velocity_plant(Ts)), oracle.qdd)
+    assert oracle.qd.tobytes() == stepped.tobytes()
+
+
+def test_pulse_window_is_placed_by_sample_index():
+    # at Ts = 1e-13 an absolute 1e-12 s tolerance is 10 periods: the pulse on
+    # [5e-12, 1e-11) used to land on samples 40-89
+    for Ts, window, samples in ((1e-13, (5e-12, 1e-11), range(50, 100)),
+                                (1e-3, (0.05, 0.1), range(50, 100))):
+        sc = Scenario(duration=200 * Ts, cfg=make_cfg("velocity", Ts=Ts), gains=REG_GAINS,
+                      disturbances=(DisturbancePulse(*window, 2.0),))
+        for run in (simulate, simulate_linear_oracle):
+            tau_d = run(sc).tau_d
+            assert np.array_equal(np.flatnonzero(tau_d), samples), (Ts, run)
+            assert np.all(tau_d[samples.start:samples.stop] == 2.0)
 
 
 def test_divergence_boundary_matches_sampling_limit():
@@ -442,6 +531,8 @@ def test_order2_sections_zero_padded():
     assert _order2(make_pd(REG_GAINS, Ts)) == (REG_GAINS.K_p + kd, -kd, 0.0, 0.0, 0.0)
     h = 0.5 * Ts * Ts
     assert _order2(discrete_position_plant(Ts)) == (0.0, h, h, -2.0, 1.0)
+    # the oracle's velocity, Ts / (z - 1) stepped from zero state, is the running sum of Ts * acc
+    assert _order2(discrete_velocity_plant(Ts)) == (0.0, Ts, 0.0, -1.0, 0.0)
     # the leading denominator coefficient is divided out
     assert _order2(RationalTF([1.0, 4.0], [2.0, 4.0], Ts)) == (1.0, 0.25, 0.0, 0.5, 0.0)
 
